@@ -1,7 +1,8 @@
 """Command line front end: solve, generate, and render instances.
 
 Exit codes: 0 success, 1 invalid instance or parameters (including
-unreadable input), 2 point outside the polygon, 3 oracle disagreement.
+unreadable input), 2 point outside the polygon, 3 oracle disagreement,
+4 the solver could not certify a solution (one of its own errors).
 Diagnostics go to stderr; records go to stdout unless --out is given.
 """
 
@@ -12,7 +13,9 @@ import time
 from typing import List, Optional, Sequence
 
 from .driver import two_center, TwoCenterSolution
-from .errors import InvalidPolygon, PointOutsidePolygon, TooLarge
+from .errors import (BoundaryAssemblyError, CertificateError, DegenerateHull,
+                     HullConvergenceError, InfeasibleInterval, InvalidPolygon,
+                     NoArcs, PointOutsidePolygon, TooLarge)
 from .geom import Point2, dist
 from .instances import FAMILIES, Instance, dump_instance, generate, parse_instance
 from .oracle import oracle_two_center
@@ -21,6 +24,10 @@ from .region import Region
 from .svg import render_svg
 
 __all__ = ["main", "make_record", "verify_record"]
+
+# Errors raised by the solver itself when it cannot certify a solution.
+SOLVER_ERRORS = (BoundaryAssemblyError, NoArcs, DegenerateHull,
+                 HullConvergenceError, InfeasibleInterval, CertificateError)
 
 
 def make_record(sol: TwoCenterSolution, points: Sequence[Point2],
@@ -106,6 +113,10 @@ def cmd_solve(args) -> int:
     except PointOutsidePolygon as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except SOLVER_ERRORS as e:
+        print(f"error: solver could not certify: {type(e).__name__}: {e}",
+              file=sys.stderr)
+        return 4
     wall_ms = int(round((time.perf_counter() - t0) * 1000))
     rec = make_record(sol, inst.points, wall_ms)
     try:

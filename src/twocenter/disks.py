@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .errors import BoundaryAssemblyError, NoArcs
 from .geom import (EPS, TAU, VAL_TOL, Point2, angle_of, circle_circle_intersections,
                    circle_segment_intersections, cross, cw_delta, dist, point_at,
-                   polyline_length)
+                   polyline_length, ring_area2)
 from .polygon import TriangulatedPolygon
 from .region import Region
 
@@ -143,19 +143,10 @@ def _scale(region: Region) -> float:
     return max(1.0, region.diameter)
 
 
-def _ring_area2(ring) -> float:
-    s = 0.0
-    n = len(ring)
-    for i in range(n):
-        a, b = ring[i], ring[(i + 1) % n]
-        s += a[0] * b[1] - b[0] * a[1]
-    return s
-
-
 def ring_elements_cw(ring) -> List[Element]:
     """The ring as directed Segs, reoriented clockwise if it has area."""
     pts = list(ring)
-    if _ring_area2(pts) > 0:
+    if ring_area2(pts) > 0:
         pts = list(reversed(pts))
     out: List[Element] = []
     n = len(pts)

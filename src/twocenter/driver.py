@@ -18,7 +18,7 @@ from .decision import decide, pair_chains
 from .disks import one_center
 from .errors import (CertificateError, DegenerateHull, InvalidPolygon,
                      PointOutsidePolygon)
-from .geom import Point2, dist, polyline_length
+from .geom import Point2, dist, polyline_length, ring_area2
 from .hull import GeodesicHull, geodesic_hull
 from .optimize import RadiusInterval, optimize_pair
 from .polygon import SimplePolygon, TriangulatedPolygon, point_in_polygon, triangulate
@@ -177,12 +177,6 @@ def _line_solution(h: GeodesicHull, pts: List[Point2]) -> TwoCenterSolution:
     return TwoCenterSolution(c1, c2, r, pair, assign)
 
 
-def _ring_area2(ring: Sequence[Point2]) -> float:
-    n = len(ring)
-    return sum(ring[i].x * ring[(i + 1) % n].y - ring[(i + 1) % n].x * ring[i].y
-               for i in range(n))
-
-
 def _assignment(h: GeodesicHull, pr: CandidatePair, c1: Point2, c2: Point2,
                 pts: Sequence[Point2]) -> Dict[Key, int]:
     region = h.region
@@ -247,7 +241,7 @@ def _solve_on(tp: TriangulatedPolygon, pts: List[Point2]) -> TwoCenterSolution:
                 sol = TwoCenterSolution(oc.center, oc.center, oc.radius,
                                         CandidatePair(0, 0, "Type1"),
                                         {(q.x, q.y): 1 for q in uniq})
-            elif h.k == 2 or abs(_ring_area2(h.ring)) <= 1e-9 * sc * sc:
+            elif h.k == 2 or abs(ring_area2(h.ring)) <= 1e-9 * sc * sc:
                 sol = _line_solution(h, uniq)
             else:
                 pairs = candidate_pairs(h)

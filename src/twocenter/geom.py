@@ -2,6 +2,12 @@
 
 Coordinates are plain floats.  Predicates take an absolute tolerance; the
 solver normalizes instances so that an absolute epsilon is meaningful.
+
+`orientation` is exact with respect to that tolerance.  A semi-static
+filter (an error bound computed from each call's own inputs) settles clear
+turns and near-zero determinants in floating point; only determinants in
+the thin sliver where the bound cannot decide fall back to exact Fraction
+arithmetic.
 """
 from __future__ import annotations
 
@@ -36,10 +42,16 @@ def cross(o, a, b) -> float:
 def orientation(a, b, c, eps: float = EPS) -> int:
     """Sign of the turn a->b->c: +1 left, -1 right, 0 straight.
 
-    The float determinant is recomputed exactly (via Fraction) when it falls
-    inside its rounding-error bound, so the sign is never wrong; a result of
-    0 means the exact value is within eps * scale of zero, where scale is the
-    largest coordinate magnitude involved.
+    A result of 0 means the exact determinant is within tol = eps * scale of
+    zero, where scale is the largest coordinate magnitude involved.  Three
+    paths decide, cheapest first:
+
+    - a float determinant beyond both tol and its rounding-error bound err
+      (Shewchuk's ccwerrboundA) has the exact sign, so it is returned;
+    - a float determinant with |det| + err <= tol / 2 has an exact value
+      within tol, so 0 is returned (the halved tol absorbs the rounding of
+      the bound itself);
+    - the sliver in between is recomputed exactly with Fraction.
     """
     t1 = (b[0] - a[0]) * (c[1] - a[1])
     t2 = (b[1] - a[1]) * (c[0] - a[0])
@@ -50,6 +62,8 @@ def orientation(a, b, c, eps: float = EPS) -> int:
     err = 3.331e-16 * (abs(t1) + abs(t2))
     if abs(det) > max(tol, err):
         return 1 if det > 0.0 else -1
+    if abs(det) + err <= 0.5 * tol:
+        return 0
     de = (Fraction(b[0]) - Fraction(a[0])) * (Fraction(c[1]) - Fraction(a[1])) \
         - (Fraction(b[1]) - Fraction(a[1])) * (Fraction(c[0]) - Fraction(a[0]))
     if abs(de) <= tol:
@@ -185,6 +199,16 @@ def cw_delta(frm: float, to: float) -> float:
 
 def polyline_length(pts: Sequence[Point2]) -> float:
     return sum(dist(pts[i], pts[i + 1]) for i in range(len(pts) - 1))
+
+
+def ring_area2(ring) -> float:
+    """Twice the signed area of a closed ring, positive when counterclockwise."""
+    s = 0.0
+    n = len(ring)
+    for i in range(n):
+        a, b = ring[i], ring[(i + 1) % n]
+        s += a[0] * b[1] - b[0] * a[1]
+    return s
 
 
 def convex_hull_ccw(points):

@@ -10,7 +10,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .disks import OneCenterResult, one_center
 from .errors import HullConvergenceError, PointOutsidePolygon
-from .geom import Point2, convex_hull_ccw, dist, ring_contains
+from .geom import Point2, convex_hull_ccw, dist, ring_area2, ring_contains
 from .polygon import TriangulatedPolygon, point_in_polygon
 from .region import Region
 
@@ -25,15 +25,6 @@ class ChainRegion(Region):
     def __init__(self, tp: TriangulatedPolygon, ring, degenerate: bool):
         super().__init__(tp, ring)
         self.degenerate = degenerate
-
-
-def _ring_area2(ring) -> float:
-    s = 0.0
-    n = len(ring)
-    for i in range(n):
-        a, b = ring[i], ring[(i + 1) % n]
-        s += a[0] * b[1] - b[0] * a[1]
-    return s
 
 
 class GeodesicHull:
@@ -113,7 +104,7 @@ class GeodesicHull:
         closing = self.region.path(self.extremes[b], self.extremes[a])
         ring = portion + closing[1:-1]
         sc = max(1.0, self.ambient.diameter)
-        degen = abs(_ring_area2(ring)) <= 1e-9 * sc * sc
+        degen = abs(ring_area2(ring)) <= 1e-9 * sc * sc
         return ChainRegion(self.ambient, ring, degen)
 
     def chain_radius(self, a: int, b: int) -> float:
@@ -220,7 +211,7 @@ def geodesic_hull(tp: TriangulatedPolygon, Q: Sequence[Point2]) -> GeodesicHull:
         break
 
     ring = _trace_ring(region, extremes)
-    if _ring_area2(ring) > 0:
+    if ring_area2(ring) > 0:
         extremes.reverse()
     start = min(range(len(extremes)), key=lambda i: (extremes[i].x, extremes[i].y))
     extremes = extremes[start:] + extremes[:start]

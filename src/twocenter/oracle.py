@@ -12,8 +12,6 @@ import itertools
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .errors import TooLarge
 from .geom import (Point2, dist, ring_contains, seg_point_distance,
                    segments_properly_cross)
@@ -189,6 +187,8 @@ class _Field:
             (geo.ring[i], dv[i]) for i in range(geo.n) if math.isfinite(dv[i])]
 
     def on_grid(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         out = np.full(X.shape, np.inf)
         ring = self.geo.ring
         for (a, base) in self.anchors:
@@ -236,6 +236,8 @@ class _Field:
 
 
 def _inside_mask(ring, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     inside = np.zeros(X.shape, dtype=bool)
     n = len(ring)
     for i in range(n):
@@ -250,6 +252,8 @@ def _inside_mask(ring, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def _boundary_dist(ring, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     best = np.full(X.shape, np.inf)
     n = len(ring)
     for i in range(n):
@@ -267,6 +271,8 @@ def _boundary_dist(ring, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def _candidate_points(geo: _OracleGeometry, sites, n_grid: int):
+    import numpy as np
+
     x0, y0, x1, y1 = geo.bounds
     xs = np.linspace(x0, x1, n_grid)
     ys = np.linspace(y0, y1, n_grid)
@@ -286,6 +292,8 @@ def _candidate_points(geo: _OracleGeometry, sites, n_grid: int):
 
 
 def _window_points(geo, cx, cy, half, n=17):
+    import numpy as np
+
     xs = np.linspace(cx - half, cx + half, n)
     ys = np.linspace(cy - half, cy + half, n)
     X, Y = np.meshgrid(xs, ys)
@@ -296,6 +304,7 @@ def _window_points(geo, cx, cy, half, n=17):
 
 
 def _polish(geo, fields: Sequence[_Field], x0, y0) -> Tuple[Point2, float]:
+    import numpy as np
     from scipy.optimize import minimize
 
     big = 1e6 * geo.scale
@@ -328,6 +337,8 @@ def oracle_one_center(poly, sites, n_grid: int = 96, refine: int = 6,
     Returns (center, radius).  Grid search over candidate centers with
     shrinking windows, then simplex polish on the exact distance field.
     """
+    import numpy as np
+
     geo = _geometry(poly)
     sites = [Point2(s[0], s[1]) for s in sites]
     if not sites:
@@ -365,6 +376,8 @@ def oracle_two_center(poly, sites, n_grid: int = 64, refine: int = 5,
     Returns (radius, (center1, center2), (side1, side2)).  Coarse grid
     values select finalist splits, which are then solved exactly.
     """
+    import numpy as np
+
     geo = _geometry(poly)
     sites = [Point2(s[0], s[1]) for s in sites]
     m = len(sites)

@@ -4,6 +4,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from twocenter import cli
 from twocenter.cli import main
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -86,6 +87,18 @@ def test_solve_point_outside(capsys, tmp_path):
                                "points": [[2, 2], [9, 9]]}))
     code, out, err = _run(capsys, "solve", str(bad))
     assert code == 2 and out == "" and "outside" in err
+
+
+@pytest.mark.parametrize("exc", cli.SOLVER_ERRORS,
+                         ids=lambda e: e.__name__)
+def test_solve_solver_error_exit_code(capsys, monkeypatch, exc):
+    def failing(poly, points):
+        raise exc("stitching failed")
+
+    monkeypatch.setattr(cli, "two_center", failing)
+    code, out, err = _run(capsys, "solve", str(FIXTURES / "sq4_qsym.json"))
+    assert code == 4 and out == ""
+    assert "solver could not certify" in err and exc.__name__ in err
 
 
 def test_solve_out_and_svg(capsys, tmp_path):

@@ -1,13 +1,42 @@
 import math
+from fractions import Fraction
 
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from twocenter.geom import (TAU, Point2, angle_of, circle_circle_intersections,
-                            convex_hull_ccw, cw_delta, dist, orientation,
-                            point_at, ring_contains, seg_point_distance,
+from twocenter import geom
+from twocenter.geom import (EPS, TAU, Point2, angle_of,
+                            circle_circle_intersections, convex_hull_ccw,
+                            cw_delta, dist, orientation, point_at,
+                            ring_contains, seg_point_distance,
                             segments_properly_cross)
 
 coords = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
+
+
+# orientation as it was before the float filter for near-zero determinants:
+# every determinant inside the tolerance goes to Fraction
+def _orientation_ref(a, b, c, eps: float = EPS) -> int:
+    """Sign of the turn a->b->c: +1 left, -1 right, 0 straight.
+
+    The float determinant is recomputed exactly (via Fraction) when it falls
+    inside its rounding-error bound, so the sign is never wrong; a result of
+    0 means the exact value is within eps * scale of zero, where scale is the
+    largest coordinate magnitude involved.
+    """
+    t1 = (b[0] - a[0]) * (c[1] - a[1])
+    t2 = (b[1] - a[1]) * (c[0] - a[0])
+    det = t1 - t2
+    scale = max(abs(a[0]), abs(a[1]), abs(b[0]), abs(b[1]),
+                abs(c[0]), abs(c[1]), 1e-30)
+    tol = eps * scale
+    err = 3.331e-16 * (abs(t1) + abs(t2))
+    if abs(det) > max(tol, err):
+        return 1 if det > 0.0 else -1
+    de = (Fraction(b[0]) - Fraction(a[0])) * (Fraction(c[1]) - Fraction(a[1])) \
+        - (Fraction(b[1]) - Fraction(a[1])) * (Fraction(c[0]) - Fraction(a[0]))
+    if abs(de) <= tol:
+        return 0
+    return 1 if de > 0 else -1
 
 
 def test_orientation_signs():
@@ -20,6 +49,42 @@ def test_orientation_signs():
 def test_orientation_antisymmetry(ax, ay, bx, by, cx, cy):
     a, b, c = Point2(ax, ay), Point2(bx, by), Point2(cx, cy)
     assert orientation(a, b, c) == -orientation(a, c, b)
+
+
+@given(coords, coords, coords, coords, st.floats(-0.5, 1.5),
+       st.floats(-3.0, 3.0), st.sampled_from([1e-3, 1.0, 1e8]))
+def test_orientation_filter_matches_reference(ax, ay, bx, by, s, f, mag):
+    # c sits at signed height h off line ab, with h chosen so that the
+    # determinant |ab| * h lands at f * EPS * scale: on both sides of the
+    # tolerance and of the filter's half-tolerance cut.  At mag 1e8 the
+    # rounding bound exceeds the tolerance.
+    ax, ay, bx, by = ax * mag, ay * mag, bx * mag, by * mag
+    a, b = Point2(ax, ay), Point2(bx, by)
+    L = dist(a, b)
+    assume(L > 0.0)
+    nx, ny = -(by - ay) / L, (bx - ax) / L
+    scale = max(abs(ax), abs(ay), abs(bx), abs(by), 1e-30)
+    h = f * EPS * scale / L
+    c = Point2(ax + s * (bx - ax) + h * nx, ay + s * (by - ay) + h * ny)
+    assert orientation(a, b, c) == _orientation_ref(a, b, c)
+    assert orientation(a, c, b) == _orientation_ref(a, c, b)
+
+
+def test_orientation_fraction_only_in_sliver(monkeypatch):
+    made = []
+
+    def counting_fraction(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(geom, "Fraction", counting_fraction)
+    # exactly collinear: the float filter decides, no Fraction is built
+    assert orientation(Point2(0, 0), Point2(1, 0), Point2(2, 0)) == 0
+    assert orientation(Point2(0, 0), Point2(1, 1), Point2(3, 3)) == 0
+    assert made == []
+    # 0.5 * tol < |det| <= tol: only the exact path can tell it is within tol
+    assert orientation(Point2(0, 0), Point2(1, 0), Point2(0.5, 0.75e-9)) == 0
+    assert made
 
 
 def test_cw_delta_basics():

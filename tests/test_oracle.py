@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -79,3 +83,15 @@ def test_two_center_rejects_large_input():
         oracle_two_center(SQ4, sites)
     with pytest.raises(ValueError):
         oracle_two_center(SQ4, [])
+
+
+def test_package_import_does_not_load_numpy():
+    # numpy is an oracle-only dependency, imported inside the oracle functions
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    subprocess.run(
+        [sys.executable, "-c",
+         "import twocenter, sys; assert 'numpy' not in sys.modules"],
+        env=env, check=True)
