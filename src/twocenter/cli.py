@@ -10,13 +10,13 @@ import argparse
 import json
 import sys
 import time
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .driver import two_center, TwoCenterSolution
 from .errors import (BoundaryAssemblyError, CertificateError, DegenerateHull,
                      HullConvergenceError, InfeasibleInterval, InvalidPolygon,
                      NoArcs, PointOutsidePolygon, TooLarge)
-from .geom import Point2, dist
+from .geom import Point2, dist, unique_points
 from .instances import FAMILIES, Instance, dump_instance, generate, parse_instance
 from .oracle import oracle_two_center
 from .polygon import SimplePolygon, triangulate
@@ -85,17 +85,6 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _uniq(points: Sequence[Point2]) -> List[Point2]:
-    seen = set()
-    out = []
-    for p in points:
-        k = (p.x, p.y)
-        if k not in seen:
-            seen.add(k)
-            out.append(p)
-    return out
-
-
 def cmd_solve(args) -> int:
     try:
         inst = _load_instance_file(args.input)
@@ -127,7 +116,7 @@ def cmd_solve(args) -> int:
 
     code = 0
     if args.oracle:
-        qs = _uniq(inst.points)
+        qs = unique_points(inst.points)
         if len(qs) > 12:
             print(f"oracle skipped: {len(qs)} distinct points exceeds "
                   "the enumeration cap of 12", file=sys.stderr)

@@ -4,11 +4,11 @@ decide(h, i, j, r) answers whether two geodesic disks of radius r can
 cover Q so that disk 1 contains the extreme chain v_{j+1}..v_i and disk 2
 contains v_{i+1}..v_j.  The cascade: whole-hull disk, shared-vertex
 search, chain one-centers, interior-free exit, arc coverage analysis,
-and finally the three-cursor event scan.
+the three-cursor event scan from either side, and finally an exhaustive
+split enumeration.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -17,13 +17,7 @@ from .disks import (ArcBoundary, Event, compute_events, disks_intersection,
 from .errors import InvalidPair, NoArcs
 from .geom import Point2, dist, seg_point_distance
 from .hull import GeodesicHull
-from .region import Region
-
-Key = Tuple[float, float]
-
-
-def _key(p) -> Key:
-    return (p[0], p[1])
+from .region import Key, Region, _key
 
 
 @dataclass(frozen=True)
@@ -42,17 +36,13 @@ def pair_chains(h: GeodesicHull, i: int, j: int) -> PairChains:
         raise InvalidPair(f"({i},{j}) with k={k}")
     i %= k
     j %= k
-    cache = getattr(h, "_chain_cache", None)
-    if cache is None:
-        cache = {}
-        h._chain_cache = cache
+    cache = h._chain_cache
     hit = cache.get((i, j))
     if hit is not None:
         return hit
     c1 = tuple(h.chain_extremes(j + 1, i))
     c2 = tuple(h.chain_extremes(i + 1, j))
-    sc = max(1.0, h.ambient.diameter)
-    tol = 1e-9 * sc
+    tol = h.ambient.tol.near
     free: List[Point2] = list(h.interior_points)
     if h.boundary_points:
         p1 = h.boundary_portion(j + 1, i)
@@ -111,13 +101,13 @@ def _ring_param(h: GeodesicHull, p: Point2) -> float:
     """Clockwise length coordinate of a point on the hull ring."""
     ring = h.ring
     n = len(ring)
-    sc = max(1.0, h.ambient.diameter)
+    tol = h.ambient.tol.check
     acc = 0.0
     best = None
     for s in range(n):
         a, b = ring[s], ring[(s + 1) % n]
         L = dist(a, b)
-        if L > 0 and seg_point_distance(p, a, b) <= 1e-7 * sc:
+        if L > 0 and seg_point_distance(p, a, b) <= tol:
             t = ((p.x - a.x) * (b.x - a.x) + (p.y - a.y) * (b.y - a.y)) / (L * L)
             t = max(0.0, min(1.0, t))
             cand = acc + t * L
@@ -140,8 +130,8 @@ def shared_vertex_decide(h: GeodesicHull, i: int, j: int, r: float,
     """
     pc = pair_chains(h, i, j)
     region = h.region
-    sc = max(1.0, h.ambient.diameter)
-    tol = 1e-7 * sc
+    tols = h.ambient.tol
+    tol = tols.check
     vs = [v] if v is not None else [
         h.extreme(pc.i), h.extreme(pc.i + 1), h.extreme(pc.j), h.extreme(pc.j + 1)]
     seen = set()
@@ -168,10 +158,10 @@ def shared_vertex_decide(h: GeodesicHull, i: int, j: int, r: float,
                 set1 = list(pc.chain1) + [vx] + list(s1)
                 set2 = list(pc.chain2) + [vx] + list(s2)
                 d1 = one_center(region, set1)
-                if d1.radius > r + 1e-12 * sc:
+                if d1.radius > r + tols.radius:
                     continue
                 d2 = one_center(region, set2)
-                if d2.radius > r + 1e-12 * sc:
+                if d2.radius > r + tols.radius:
                     continue
                 if _coverage_ok(region, pc, r, d1.center, d2.center, tol):
                     return d1.center, d2.center
@@ -190,7 +180,7 @@ class SideData:
 
 
 def _prepare_side(region: Region, boundary: ArcBoundary,
-                  interior: Sequence[Point2], sc: float) -> SideData:
+                  interior: Sequence[Point2]) -> SideData:
     arcs = boundary.arcs()
     if not arcs:
         raise NoArcs("no arcs on this side")
@@ -219,7 +209,7 @@ def _prepare_side(region: Region, boundary: ArcBoundary,
         cands.append(rel(cum[idx]))
         cands.append(rel(cum[idx] + arc.length()))
     cands.extend(e.param for e in events)
-    tol = 1e-9 * max(1.0, sc)
+    tol = region.tp.tol.near
 
     def violations(p: float) -> int:
         n = 0
@@ -403,11 +393,12 @@ def decide(h: GeodesicHull, i: int, j: int, r: float) -> DecisionResult:
 def _decide(h: GeodesicHull, i: int, j: int, r: float) -> DecisionResult:
     pc = pair_chains(h, i, j)
     region = h.region
-    sc = max(1.0, h.ambient.diameter)
-    tol = 1e-7 * sc
+    tols = h.ambient.tol
+    tol = tols.check
+    eps = tols.radius
 
     hc = h.hull_center()
-    if r >= hc.radius - 1e-12 * sc:
+    if r >= hc.radius - eps:
         return _result(h, pc, "hull-radius", r, hc.center, hc.center)
 
     sv = shared_vertex_decide(h, i, j, r)
@@ -416,7 +407,7 @@ def _decide(h: GeodesicHull, i: int, j: int, r: float) -> DecisionResult:
 
     oc1 = one_center(region, pc.chain1)
     oc2 = one_center(region, pc.chain2)
-    if oc1.radius > r + 1e-12 * sc or oc2.radius > r + 1e-12 * sc:
+    if oc1.radius > r + eps or oc2.radius > r + eps:
         return DecisionResult(False, "chain-infeasible")
 
     if not pc.free:
@@ -438,15 +429,15 @@ def _decide(h: GeodesicHull, i: int, j: int, r: float) -> DecisionResult:
         assert fixed is not None
         rest = [q for q in pc.free if region.distance(q, fixed) > r + tol]
         oc = one_center(region, list(other_chain) + rest)
-        if oc.radius <= r + 1e-12 * sc:
+        if oc.radius <= r + eps:
             cc1, cc2 = (fixed, oc.center) if c1 is not None else (oc.center, fixed)
             if _coverage_ok(region, pc, r, cc1, cc2, tol):
                 return _result(h, pc, "pinched", r, cc1, cc2)
         return DecisionResult(False, "pinched")
 
     try:
-        s1 = _prepare_side(region, b1, pc.free, sc)
-        s2 = _prepare_side(region, b2, pc.free, sc)
+        s1 = _prepare_side(region, b1, pc.free)
+        s2 = _prepare_side(region, b2, pc.free)
     except NoArcs:
         # an arcless intersection equals the hull, so the hull disk works
         if _coverage_ok(region, pc, r, hc.center, hc.center, tol):
@@ -456,8 +447,6 @@ def _decide(h: GeodesicHull, i: int, j: int, r: float) -> DecisionResult:
     # a point's disk may meet I_t only through a strip along the hull
     # boundary, so arc classifications alone cannot prove infeasibility;
     # reachability is decided by a one-center instead
-    eps = 1e-12 * sc
-
     def reach(chain, q) -> bool:
         return one_center(region, list(chain) + [q]).radius <= r + eps
 
@@ -478,7 +467,7 @@ def _decide(h: GeodesicHull, i: int, j: int, r: float) -> DecisionResult:
                           one_center(region, list(pc.chain2) + forced2).center)):
             if _coverage_ok(region, pc, r, c1p, c2p, tol):
                 return _result(h, pc, "no-events", r, c1p, c2p)
-        hit = _split_enumerate(region, pc, r, sc, tol)
+        hit = _split_enumerate(region, pc, r, tol)
         if hit is not None:
             return _result(h, pc, "no-events", r, hit[0], hit[1])
         return DecisionResult(False, "no-events")
@@ -504,7 +493,7 @@ def _decide(h: GeodesicHull, i: int, j: int, r: float) -> DecisionResult:
                         return _result(h, pc, "one-side-quiet", r, c1c, c2c)
             quiet = True
     if quiet:
-        hit = _split_enumerate(region, pc, r, sc, tol)
+        hit = _split_enumerate(region, pc, r, tol)
         if hit is not None:
             return _result(h, pc, "one-side-quiet", r, hit[0], hit[1])
         return DecisionResult(False, "one-side-quiet")
@@ -515,10 +504,7 @@ def _decide(h: GeodesicHull, i: int, j: int, r: float) -> DecisionResult:
     hit = scan_decide(region, _swap(pc), r, s2, s1, tol)
     if hit is not None:
         return _result(h, pc, "scan", r, hit[1], hit[0])
-    hit = _event_pair_sweep(region, pc, r, s1, s2, tol)
-    if hit is not None:
-        return _result(h, pc, "event-sweep", r, hit[0], hit[1])
-    hit = _split_enumerate(region, pc, r, sc, tol)
+    hit = _split_enumerate(region, pc, r, tol)
     if hit is not None:
         return _result(h, pc, "split-enum", r, hit[0], hit[1])
     return DecisionResult(False, "scan")
@@ -528,24 +514,15 @@ def _swap(pc: PairChains) -> PairChains:
     return PairChains(pc.j, pc.i, pc.chain2, pc.chain1, pc.free)
 
 
-def _candidate_positions(side: SideData) -> List[Point2]:
-    out = [side.ref_pos]
-    for _idx, arc in side.boundary.arcs():
-        out.append(arc.point(0.0))
-        out.append(arc.point(1.0))
-    out.extend(e.position for e in side.events)
-    return out
-
-
 def _split_enumerate(region: Region, pc: PairChains, r: float,
-                     sc: float, tol: float, cap: int = 14):
+                     tol: float, cap: int = 14):
     """Exact restricted decision by assigning free points to sides one
     at a time, pruning with memoized one-centers.  Only consulted when
     the arc machinery could not certify either answer."""
     free = sorted(pc.free, key=lambda p: (p.x, p.y))
     if len(free) > cap:
         return None
-    eps = 1e-12 * sc
+    eps = region.tp.tol.radius
 
     def rec(idx: int, s1: List[Point2], s2: List[Point2]):
         oc1 = one_center(region, list(pc.chain1) + s1)
@@ -565,29 +542,3 @@ def _split_enumerate(region: Region, pc: PairChains, r: float,
         return rec(idx + 1, s1, s2 + [q])
 
     return rec(0, [], [])
-
-
-def _event_pair_sweep(region: Region, pc: PairChains, r: float,
-                      side1: SideData, side2: SideData, tol: float):
-    """Exhaustive safety net behind the scan: try every pair of stop
-    positions on the two arc sets."""
-    free = list(pc.free)
-    full = (1 << len(free)) - 1
-
-    def masks(side: SideData) -> List[Tuple[int, Point2]]:
-        out = []
-        for c in _candidate_positions(side):
-            m = 0
-            for b, q in enumerate(free):
-                if region.distance(q, c) <= r + tol:
-                    m |= 1 << b
-            out.append((m, c))
-        return out
-
-    m1 = masks(side1)
-    m2 = masks(side2)
-    for ma, ca in m1:
-        for mb, cb in m2:
-            if (ma | mb) == full and _coverage_ok(region, pc, r, ca, cb, tol):
-                return ca, cb
-    return None

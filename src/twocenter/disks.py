@@ -9,12 +9,12 @@ their anchors (decreasing angle).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import BoundaryAssemblyError, NoArcs
-from .geom import (EPS, TAU, VAL_TOL, Point2, angle_of, circle_circle_intersections,
-                   circle_segment_intersections, cross, cw_delta, dist, point_at,
+from .geom import (TAU, Point2, angle_of, circle_circle_intersections,
+                   circle_segment_intersections, cw_delta, dist, point_at,
                    polyline_length, ring_area2)
 from .polygon import TriangulatedPolygon
 from .region import Region
@@ -108,19 +108,6 @@ class ArcBoundary:
             out.append(out[-1] + e.length())
         return out
 
-    def param_at(self, elem_idx: int, t: float) -> float:
-        cum = self.cum_lengths()
-        return cum[elem_idx] + self.elements[elem_idx].length() * t
-
-    def samples(self, per_elem: int = 8) -> List[Point2]:
-        out = []
-        for e in self.elements:
-            for k in range(per_elem):
-                out.append(e.point(k / per_elem))
-        if self.point is not None:
-            out.append(self.point)
-        return out
-
 
 @dataclass(frozen=True)
 class Event:
@@ -137,10 +124,6 @@ class OneCenterResult:
     center: Point2
     radius: float
     determinators: Tuple[Point2, ...]
-
-
-def _scale(region: Region) -> float:
-    return max(1.0, region.diameter)
 
 
 def ring_elements_cw(ring) -> List[Element]:
@@ -305,20 +288,14 @@ def _clip(region: Region, elements: List[Element], q: Point2, r: float,
     q = Point2(q[0], q[1])
     charts, ext_segs = _charts(region, q, r)
     df = _DistFn(region, q, charts)
-    sc = _scale(region)
-    tol = VAL_TOL * sc
+    tols = region.tp.tol
+    tol = tols.check
 
-    kept: List[Tuple[int, Element, bool]] = []
     pieces: List[Element] = []
-    order = 0
-    any_inside = False
     for e in elements:
         for s in _split_elem(e, _cut_points_on_elem(e, charts)):
-            ok = df.within(s.point(0.5), r, tol)
-            any_inside = any_inside or ok
-            if ok:
+            if df.within(s.point(0.5), r, tol):
                 pieces.append(s)
-            order += 1
 
     new_arcs: List[CircArc] = []
     for (w, dqw, R) in charts:
@@ -333,8 +310,8 @@ def _clip(region: Region, elements: List[Element], q: Point2, r: float,
                 continue
             new_arcs.append(arc)
 
-    all_pieces: List[Element] = [p for p in pieces if p.length() > 1e-11 * sc]
-    all_pieces += [a for a in new_arcs if a.length() > 1e-11 * sc]
+    all_pieces: List[Element] = [p for p in pieces if p.length() > tols.piece]
+    all_pieces += [a for a in new_arcs if a.length() > tols.piece]
 
     if not all_pieces:
         # everything got clipped: empty, or pinched to a tangency point
@@ -361,7 +338,7 @@ def _clip(region: Region, elements: List[Element], q: Point2, r: float,
             return [], best_p
         return None, None
 
-    return _assemble(all_pieces, sc), None
+    return _assemble(all_pieces, tols.join), None
 
 
 def _piece_heading(p: Element, t: float) -> float:
@@ -371,15 +348,15 @@ def _piece_heading(p: Element, t: float) -> float:
     return (p.start - p.span * t) - 0.5 * math.pi
 
 
-def _assemble(pieces: List[Element], sc: float) -> List[Element]:
-    """Stitch directed pieces into one closed clockwise cycle.
+def _assemble(pieces: List[Element], tol: float) -> List[Element]:
+    """Stitch directed pieces into one closed clockwise cycle, matching
+    endpoints within tol.
 
     A junction point can carry several outgoing pieces (a zero-width spur
     of a hull ring passes through its base twice); take the first one
     clockwise from the reversed incoming tangent, U-turns last, so the
     interior stays on the right.
     """
-    tol = 1e-6 * sc
     used = [False] * len(pieces)
     # deterministic start: lexicographically smallest start point
     start_i = min(range(len(pieces)),
@@ -428,8 +405,7 @@ def disks_intersection(region: Region, sites: Sequence[Point2],
     sites = [Point2(s[0], s[1]) for s in sites]
     elements = ring_elements_cw(region.ring)
     prev: List[_DistFn] = []
-    sc = _scale(region)
-    tol = VAL_TOL * sc
+    tol = region.tp.tol.check
     pinch: Optional[Point2] = None
     for q in sites:
         if pinch is not None:
@@ -457,7 +433,7 @@ def geodesic_circle(tp: TriangulatedPolygon, q, r: float) -> List[CircArc]:
 
 
 def disk_contains(tp: TriangulatedPolygon, c, r: float, x) -> bool:
-    return Region.of(tp).distance(c, x) <= r + 1e-9 * max(1.0, tp.diameter)
+    return Region.of(tp).distance(c, x) <= r + tp.tol.near
 
 
 # -- events on an arc boundary ----------------------------------------
@@ -473,8 +449,7 @@ def compute_events(region: Region, boundary: ArcBoundary,
     arc run is truncated by a non-arc piece of the boundary.
     """
     r = boundary.radius
-    sc = _scale(region)
-    tol = VAL_TOL * sc
+    tol = region.tp.tol.check
     arcs = boundary.arcs()
     if not arcs:
         raise NoArcs("boundary has no arcs")
@@ -594,11 +569,11 @@ def _equalize3(region: Region, a: Point2, b: Point2, c: Point2) -> Optional[Poin
     seeds.append(_disk2(region, b, c).center)
     seeds.append(_disk2(region, a, c).center)
     seeds.append(Point2((a.x + b.x + c.x) / 3, (a.y + b.y + c.y) / 3))
-    sc = _scale(region)
+    tols = region.tp.tol
     best: Optional[Tuple[float, Point2]] = None
     for seed in seeds:
         x = seed
-        if not region.contains(x, eps=1e-9 * sc):
+        if not region.contains(x, eps=tols.near):
             x = Point2((a.x + b.x + c.x) / 3, (a.y + b.y + c.y) / 3)
         ok = False
         for _ in range(100):
@@ -606,7 +581,7 @@ def _equalize3(region: Region, a: Point2, b: Point2, c: Point2) -> Optional[Poin
                           region.distance(x, c))
             f1, f2 = da - db, db - dc
             res = math.hypot(f1, f2)
-            if res <= 1e-12 * sc:
+            if res <= tols.radius:
                 ok = True
                 break
             ga = _grad_unit(region, x, a)
@@ -620,7 +595,7 @@ def _equalize3(region: Region, a: Point2, b: Point2, c: Point2) -> Optional[Poin
             sx = (-f1 * j22 + f2 * j12) / det
             sy = (-f2 * j11 + f1 * j21) / det
             n = math.hypot(sx, sy)
-            cap = sc / 4
+            cap = tols.scale / 4
             if n > cap:
                 sx, sy = sx / n * cap, sy / n * cap
             # damped: halve until residual does not grow
@@ -628,7 +603,7 @@ def _equalize3(region: Region, a: Point2, b: Point2, c: Point2) -> Optional[Poin
             improved = False
             for _ in range(20):
                 xn = Point2(x.x + lam * sx, x.y + lam * sy)
-                if region.contains(xn, eps=1e-9 * sc):
+                if region.contains(xn, eps=tols.near):
                     dn = math.hypot(
                         region.distance(xn, a) - region.distance(xn, b),
                         region.distance(xn, b) - region.distance(xn, c))
@@ -650,12 +625,12 @@ def _equalize3(region: Region, a: Point2, b: Point2, c: Point2) -> Optional[Poin
 def _nm_polish(region: Region, pts: Sequence[Point2], x0: Point2) -> Optional[OneCenterResult]:
     from scipy.optimize import minimize
 
-    sc = _scale(region)
-    big = 1e6 * sc
+    tols = region.tp.tol
+    big = 1e6 * tols.scale
 
     def obj(v):
         p = Point2(v[0], v[1])
-        if not region.contains(p, eps=1e-9 * sc):
+        if not region.contains(p, eps=tols.near):
             return big
         return max(region.distance(p, s) for s in pts)
 
@@ -705,8 +680,7 @@ def _boundary_pair_candidates(region: Region, pts: Sequence[Point2]) -> List[Poi
 
 
 def _solve3(region: Region, a: Point2, b: Point2, c: Point2) -> OneCenterResult:
-    sc = _scale(region)
-    tol = 1e-9 * sc
+    tol = region.tp.tol.near
     cands: List[OneCenterResult] = []
     for (u, v, w) in ((a, b, c), (a, c, b), (b, c, a)):
         d2 = _disk2(region, u, v)
@@ -747,16 +721,13 @@ def one_center(space, pts: Sequence[Point2]) -> OneCenterResult:
     if not uniq:
         raise ValueError("no points")
     key = frozenset(seen)
-    cache = getattr(region, "_onecenter_cache", None)
-    if cache is None:
-        cache = {}
-        region._onecenter_cache = cache
+    cache = region._onecenter_cache
     hit = cache.get(key)
     if hit is not None:
         return hit
 
-    sc = _scale(region)
-    tol = 1e-9 * sc
+    tols = region.tp.tol
+    tol = tols.near
 
     def covers(d: OneCenterResult, p: Point2) -> bool:
         return region.distance(d.center, p) <= d.radius + tol
@@ -790,7 +761,7 @@ def one_center(space, pts: Sequence[Point2]) -> OneCenterResult:
             rad = nm.radius
     dets = sorted(uniq, key=lambda p: (-region.distance(d.center, p), p.x, p.y))
     dets = tuple(p for p in dets
-                 if region.distance(d.center, p) >= rad - 1e-7 * sc)[:3]
+                 if region.distance(d.center, p) >= rad - tols.check)[:3]
     result = OneCenterResult(d.center, rad, dets)
     cache[key] = result
     return result

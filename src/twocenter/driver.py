@@ -16,9 +16,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import decision
 from .decision import decide, pair_chains
 from .disks import one_center
-from .errors import (CertificateError, DegenerateHull, InvalidPolygon,
-                     PointOutsidePolygon)
-from .geom import Point2, dist, polyline_length, ring_area2
+from .errors import CertificateError, DegenerateHull, PointOutsidePolygon
+from .geom import Point2, dist, ring_area2, unique_points
 from .hull import GeodesicHull, geodesic_hull
 from .optimize import RadiusInterval, optimize_pair
 from .polygon import SimplePolygon, TriangulatedPolygon, point_in_polygon, triangulate
@@ -43,6 +42,19 @@ class TwoCenterSolution:
     branch_stats: Dict[str, int] = field(default_factory=dict)
 
 
+def _balance(h: GeodesicHull, i: int, j: int) -> float:
+    """The larger chain radius of the (i, j) split."""
+    k = h.k
+    return max(h.chain_radius((i + 1) % k, j % k),
+               h.chain_radius((j + 1) % k, i % k))
+
+
+def _by_balance(h: GeodesicHull,
+                pairs: Sequence[CandidatePair]) -> List[CandidatePair]:
+    """Pairs in increasing balance, ties by index."""
+    return sorted(pairs, key=lambda p: (_balance(h, p.i, p.j), p.i, p.j))
+
+
 def candidate_pairs(h: GeodesicHull) -> List[CandidatePair]:
     """Chain splits that are guaranteed to include an optimal one."""
     k = h.k
@@ -50,18 +62,13 @@ def candidate_pairs(h: GeodesicHull) -> List[CandidatePair]:
         raise DegenerateHull(f"{k} extreme(s)")
     if k == 2:
         return [CandidatePair(0, 1, "Type1")]
-    sc = max(1.0, h.ambient.diameter)
-    tol = 1e-9 * sc
-
-    def balance(i: int, j: int) -> float:
-        return max(h.chain_radius((i + 1) % k, j % k),
-                   h.chain_radius((j + 1) % k, i % k))
+    tol = h.ambient.tol.near
 
     v_cw = [0] * k
     v_ccw = [0] * k
     for i in range(k):
         order = [(i + 1 + t) % k for t in range(k - 1)]
-        vals = [balance(i, j) for j in order]
+        vals = [_balance(h, i, j) for j in order]
         lo = min(vals)
         idxs = [t for t, v in enumerate(vals) if v <= lo + tol]
         first, last = idxs[0], idxs[-1]
@@ -115,10 +122,7 @@ def assistant_interval(h: GeodesicHull,
     if not candidates:
         raise DegenerateHull("no candidate pairs")
     qs = list(h.extremes) + h.boundary_points + h.interior_points
-    order = sorted(candidates,
-                   key=lambda p: (max(h.chain_radius((p.i + 1) % h.k, p.j),
-                                      h.chain_radius((p.j + 1) % h.k, p.i)),
-                                  p.i, p.j))
+    order = _by_balance(h, candidates)
 
     def feasible(r: float) -> bool:
         return any(decide(h, p.i, p.j, r).feasible for p in order)
@@ -199,12 +203,11 @@ def _assignment(h: GeodesicHull, pr: CandidatePair, c1: Point2, c2: Point2,
 
 def _certify(h: GeodesicHull, sol: TwoCenterSolution, pts: Sequence[Point2]):
     region = h.region
-    sc = max(1.0, h.ambient.diameter)
     worst = 0.0
     for q in pts:
         worst = max(worst, min(region.distance(q, sol.c1),
                                region.distance(q, sol.c2)))
-    if worst > sol.radius * (1 + 1e-6) + 1e-9 * sc:
+    if worst > sol.radius * (1 + 1e-6) + h.ambient.tol.near:
         raise CertificateError(
             f"coverage {worst} exceeds radius {sol.radius}")
     for c in (sol.c1, sol.c2):
@@ -217,12 +220,7 @@ def _solve_on(tp: TriangulatedPolygon, pts: List[Point2]) -> TwoCenterSolution:
     old_hook = decision.BRANCH_HOOK
     decision.BRANCH_HOOK = lambda br, feas: stats.update([f"{br}:{'y' if feas else 'n'}"])
     try:
-        uniq: List[Point2] = []
-        seen = set()
-        for q in pts:
-            if (q.x, q.y) not in seen:
-                seen.add((q.x, q.y))
-                uniq.append(q)
+        uniq = unique_points(pts)
         if len(uniq) == 1:
             q = uniq[0]
             sol = TwoCenterSolution(q, q, 0.0, CandidatePair(0, 0, "Type1"),
@@ -234,22 +232,18 @@ def _solve_on(tp: TriangulatedPolygon, pts: List[Point2]) -> TwoCenterSolution:
             sol = TwoCenterSolution(a, b, 0.0, CandidatePair(0, 1, "Type1"), assign)
         else:
             h = geodesic_hull(tp, uniq)
-            sc = max(1.0, tp.diameter)
             if h.k == 1:
                 c = h.extreme(0)
                 oc = one_center(h.region, uniq)
                 sol = TwoCenterSolution(oc.center, oc.center, oc.radius,
                                         CandidatePair(0, 0, "Type1"),
                                         {(q.x, q.y): 1 for q in uniq})
-            elif h.k == 2 or abs(ring_area2(h.ring)) <= 1e-9 * sc * sc:
+            elif h.k == 2 or abs(ring_area2(h.ring)) <= tp.tol.area:
                 sol = _line_solution(h, uniq)
             else:
                 pairs = candidate_pairs(h)
                 iv = assistant_interval(h, pairs)
-                order = sorted(pairs,
-                               key=lambda p: (max(h.chain_radius((p.i + 1) % h.k, p.j),
-                                                  h.chain_radius((p.j + 1) % h.k, p.i)),
-                                              p.i, p.j))
+                order = _by_balance(h, pairs)
                 best: Optional[Tuple[float, Point2, Point2, CandidatePair]] = None
                 for p in order:
                     hi = iv.hi if best is None else min(iv.hi, best[0])

@@ -2,6 +2,8 @@
 
 Coordinates are plain floats.  Predicates take an absolute tolerance; the
 solver normalizes instances so that an absolute epsilon is meaningful.
+`Tolerances` is the one policy that scales the solver's tolerances to an
+instance.
 
 `orientation` is exact with respect to that tolerance.  A semi-static
 filter (an error bound computed from each call's own inputs) settles clear
@@ -13,14 +15,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import List, NamedTuple, Sequence
 
 # Coincidence / boundary tolerance, absolute.  Instances are scaled to a
 # bounding-box diameter of roughly 64 before the solver runs.
 EPS = 1e-9
-# Looser tolerance used when validating that a point of a candidate circle
-# really lies at geodesic distance r from its owner.
-VAL_TOL = 1e-7
 
 TAU = 2.0 * math.pi
 
@@ -28,6 +27,28 @@ TAU = 2.0 * math.pi
 class Point2(NamedTuple):
     x: float
     y: float
+
+
+class Tolerances(NamedTuple):
+    """The solver's tolerance policy for one polygon.
+
+    Every absolute tolerance the solver layers use is a fixed coefficient
+    times the instance scale s = max(1, diameter); they are computed once
+    here (`TriangulatedPolygon.tol`) and read everywhere else.
+    """
+    scale: float    # s = max(1, diameter)
+    near: float     # coincidence, containment and coverage slack
+    check: float    # a point really lies at geodesic distance r
+    radius: float   # comparing a radius against r
+    piece: float    # shortest boundary piece kept
+    join: float     # stitching piece endpoints into a cycle
+    area: float     # twice the area of a zero-area ring
+
+    @classmethod
+    def for_diameter(cls, diameter: float) -> "Tolerances":
+        s = max(1.0, diameter)
+        return cls(s, 1e-9 * s, 1e-7 * s, 1e-12 * s, 1e-11 * s, 1e-6 * s,
+                   1e-9 * s * s)
 
 
 def dist(a: Point2, b: Point2) -> float:
@@ -86,10 +107,6 @@ def seg_point_distance(p, a, b) -> float:
     return math.hypot(p[0] - (ax + t * vx), p[1] - (ay + t * vy))
 
 
-def on_segment(p, a, b, eps: float = EPS) -> bool:
-    return seg_point_distance(p, a, b) <= eps
-
-
 def segments_properly_cross(a, b, c, d) -> bool:
     """True when the open interiors of ab and cd intersect transversally."""
     o1 = orientation(a, b, c)
@@ -97,17 +114,6 @@ def segments_properly_cross(a, b, c, d) -> bool:
     o3 = orientation(c, d, a)
     o4 = orientation(c, d, b)
     return o1 * o2 < 0 and o3 * o4 < 0
-
-
-def segment_intersection(a, b, c, d):
-    """Intersection point of lines ab and cd, or None when parallel."""
-    rx, ry = b[0] - a[0], b[1] - a[1]
-    sx, sy = d[0] - c[0], d[1] - c[1]
-    den = rx * sy - ry * sx
-    if den == 0.0:
-        return None
-    t = ((c[0] - a[0]) * sy - (c[1] - a[1]) * sx) / den
-    return Point2(a[0] + t * rx, a[1] + t * ry)
 
 
 def ray_segment_hit(o, d, a, b, t_min: float = EPS):
@@ -253,6 +259,18 @@ def ring_contains(pt, ring, eps: float = EPS) -> str:
             if x < xi:
                 inside = not inside
     return "inside" if inside else "outside"
+
+
+def unique_points(points) -> List[Point2]:
+    """Points with exact duplicates dropped, in first-seen order."""
+    seen = set()
+    out = []
+    for p in points:
+        k = (p[0], p[1])
+        if k not in seen:
+            seen.add(k)
+            out.append(p)
+    return out
 
 
 def bbox(points):

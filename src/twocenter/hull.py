@@ -10,7 +10,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .disks import OneCenterResult, one_center
 from .errors import HullConvergenceError, PointOutsidePolygon
-from .geom import Point2, convex_hull_ccw, dist, ring_area2, ring_contains
+from .geom import Point2, convex_hull_ccw, ring_area2, ring_contains
 from .polygon import TriangulatedPolygon, point_in_polygon
 from .region import Region
 
@@ -36,7 +36,6 @@ class GeodesicHull:
         self.region = Region.of(tp)
         self.extremes = extremes
         self.k = len(extremes)
-        self.paths: List[List[Point2]] = []
         ring: List[Point2] = []
         self.pos: List[int] = []
         if self.k == 1:
@@ -44,20 +43,18 @@ class GeodesicHull:
             self.pos = [0]
         else:
             for i in range(self.k):
-                p = self.region.path(extremes[i], extremes[(i + 1) % self.k])
-                self.paths.append(p)
                 self.pos.append(len(ring))
-                ring.extend(p[:-1])
+                ring.extend(self.region.path(extremes[i],
+                                             extremes[(i + 1) % self.k])[:-1])
         self.ring: Tuple[Point2, ...] = tuple(ring)
         self.hull_region = Region(tp, self.ring)
-        sc = max(1.0, tp.diameter)
         ex_keys = {(p.x, p.y) for p in extremes}
         self.interior_points: List[Point2] = []
         self.boundary_points: List[Point2] = []
         for q in all_points:
             if (q.x, q.y) in ex_keys:
                 continue
-            side = ring_contains(q, self.ring, 1e-9 * sc)
+            side = ring_contains(q, self.ring, tp.tol.near)
             if side == "inside":
                 self.interior_points.append(q)
             else:
@@ -65,6 +62,8 @@ class GeodesicHull:
                 self.boundary_points.append(q)
         self._radius_cache: Dict[Tuple[int, int], float] = {}
         self._hull_center: Optional[OneCenterResult] = None
+        # decision.pair_chains results keyed by (i, j)
+        self._chain_cache: Dict[Tuple[int, int], object] = {}
 
     def extreme(self, i: int) -> Point2:
         return self.extremes[i % self.k]
@@ -103,8 +102,7 @@ class GeodesicHull:
         portion = self.boundary_portion(a, b)
         closing = self.region.path(self.extremes[b], self.extremes[a])
         ring = portion + closing[1:-1]
-        sc = max(1.0, self.ambient.diameter)
-        degen = abs(ring_area2(ring)) <= 1e-9 * sc * sc
+        degen = abs(ring_area2(ring)) <= self.ambient.tol.area
         return ChainRegion(self.ambient, ring, degen)
 
     def chain_radius(self, a: int, b: int) -> float:
@@ -168,8 +166,7 @@ def geodesic_hull(tp: TriangulatedPolygon, Q: Sequence[Point2]) -> GeodesicHull:
 
     hull_ccw = convex_hull_ccw(pts)
     extremes: List[Point2] = list(reversed(hull_ccw))
-    sc = max(1.0, tp.diameter)
-    eps = 1e-9 * sc
+    eps = tp.tol.near
 
     guard = 0
     limit = 4 * len(pts) * len(pts) + 16

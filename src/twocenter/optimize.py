@@ -92,7 +92,6 @@ def _event_signature(h: GeodesicHull, pc: PairChains, r: float):
     """Owner/flag multisets of both event sets at radius r."""
     from .decision import _prepare_side
     from .errors import NoArcs
-    sc = max(1.0, h.ambient.diameter)
     sig = []
     for chain in (pc.chain1, pc.chain2):
         b = disks_intersection(h.hull_region, chain, r)
@@ -103,7 +102,7 @@ def _event_signature(h: GeodesicHull, pc: PairChains, r: float):
             sig.append(("point",))
             continue
         try:
-            side = _prepare_side(h.region, b, pc.free, sc)
+            side = _prepare_side(h.region, b, pc.free)
         except NoArcs:
             sig.append(("noarcs",))
             continue
@@ -118,8 +117,7 @@ def narrow_interval(h: GeodesicHull, i: int, j: int,
     if not decide(h, i, j, iv.hi).feasible:
         raise InfeasibleInterval(f"pair ({i},{j}) infeasible at {iv.hi}")
     pc = pair_chains(h, i, j)
-    sc = max(1.0, h.ambient.diameter)
-    eps = 1e-12 * sc
+    eps = h.ambient.tol.radius
 
     def search(cands: Sequence[float]) -> RadiusInterval:
         inside = sorted(v for v in set(cands) if iv.lo + eps < v < iv.hi - eps)
@@ -156,10 +154,10 @@ def narrow_interval(h: GeodesicHull, i: int, j: int,
 
 
 def _coincidence(region: Region, chain: Sequence[Point2], q1: Point2,
-                 q2: Point2, iv: RadiusInterval, sc: float) -> Optional[float]:
+                 q2: Point2, iv: RadiusInterval) -> Optional[float]:
     oc = one_center(region, list(chain) + [q1, q2])
     rho = oc.radius
-    tol = 1e-7 * sc
+    tol = region.tp.tol.check
     if abs(region.distance(oc.center, q1) - rho) > tol:
         return None
     if abs(region.distance(oc.center, q2) - rho) > tol:
@@ -180,7 +178,7 @@ def pair_coincidence_radius(h: GeodesicHull, i: int, j: int, t: int, q1: Point2,
         raise ValueError("q1 == q2")
     pc = pair_chains(h, i, j)
     chain = pc.chain1 if t == 1 else pc.chain2
-    return _coincidence(h.region, chain, q1, q2, iv, max(1.0, h.ambient.diameter))
+    return _coincidence(h.region, chain, q1, q2, iv)
 
 
 def critical_radius_set(h: GeodesicHull, i: int, j: int,
@@ -208,10 +206,10 @@ def optimize_pair(h: GeodesicHull, i: int, j: int, iv: RadiusInterval
         nv = narrow_interval(h, i, j, iv)
     except InfeasibleInterval:
         return None
-    sc = max(1.0, h.ambient.diameter)
+    eps = h.ambient.tol.radius
     crit = critical_radius_set(h, i, j, nv)
-    values = crit.sorted_unique(1e-12 * sc)
-    if not values or abs(values[-1] - nv.hi) > 1e-12 * sc:
+    values = crit.sorted_unique(eps)
+    if not values or abs(values[-1] - nv.hi) > eps:
         values.append(nv.hi)
     # leftmost feasible value; monotone in r
     lo_i, hi_i = 0, len(values) - 1

@@ -10,17 +10,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import TooLarge
 from .geom import (Point2, dist, ring_contains, seg_point_distance,
                    segments_properly_cross)
-
-
-def _ring_of(poly) -> Tuple[Point2, ...]:
-    if hasattr(poly, "polygon"):
-        poly = poly.polygon
-    return poly.vertices
 
 
 def _param_on(u, v, w) -> float:

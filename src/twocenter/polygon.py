@@ -1,12 +1,12 @@
 """Simple polygons, validation, and ear-clipping triangulation."""
 from __future__ import annotations
 
-import math
 from typing import List, Tuple
 
 from .errors import InvalidPolygon
-from .geom import (EPS, Point2, bbox, bbox_diameter, cross, dist, orientation,
-                   ring_contains, seg_point_distance, segments_properly_cross)
+from .geom import (EPS, Point2, Tolerances, bbox, bbox_diameter, cross, dist,
+                   orientation, ring_contains, seg_point_distance,
+                   segments_properly_cross)
 
 
 class SimplePolygon:
@@ -91,7 +91,8 @@ class TriangulatedPolygon:
 
     Triangles are index triples into `polygon.vertices`, counterclockwise.
     The dual graph of a triangulated simple polygon is a tree; `dual[t]`
-    lists (neighbor_triangle, shared_edge_index_pair).
+    lists (neighbor_triangle, shared_edge_index_pair).  `tol` holds the
+    solver's tolerances for this polygon's scale.
     """
 
     def __init__(self, polygon: SimplePolygon, triangles):
@@ -99,6 +100,7 @@ class TriangulatedPolygon:
         self.triangles: List[Tuple[int, int, int]] = list(triangles)
         self.vertices = polygon.vertices
         self.diameter = polygon.diameter
+        self.tol = Tolerances.for_diameter(self.diameter)
         edge_map = {}
         self.dual: List[List[Tuple[int, Tuple[int, int]]]] = [[] for _ in self.triangles]
         for t, tri in enumerate(self.triangles):

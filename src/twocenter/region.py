@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import PointOutsidePolygon
-from .geom import (EPS, Point2, dist, orientation, polyline_length,
-                   ray_segment_hit, ring_contains)
+from .geom import (Point2, dist, orientation, polyline_length, ray_segment_hit,
+                   ring_contains)
 from .polygon import TriangulatedPolygon, point_in_polygon
 
 Key = Tuple[float, float]
@@ -183,6 +183,8 @@ class Region:
         self.diameter = tp.diameter
         self._tree_cache: Dict[Key, ShortestPathTree] = {}
         self._spm_cache: Dict[Key, List[Tuple[Point2, float]]] = {}
+        # disks.one_center results keyed by the frozenset of point keys
+        self._onecenter_cache: Dict[frozenset, object] = {}
 
     @staticmethod
     def of(tp: TriangulatedPolygon) -> "Region":
@@ -252,7 +254,7 @@ class Region:
         if norm == 0:
             return None
         d = Point2(direction[0] / norm, direction[1] / norm)
-        t_min = 1e-9 * max(1.0, self.diameter)
+        t_min = self.tp.tol.near
         best_t, best_p = None, None
         for a, b in self.ring_segments():
             hit = ray_segment_hit(Point2(origin[0], origin[1]), d, a, b, t_min=t_min)
@@ -264,7 +266,7 @@ class Region:
         norm = math.hypot(direction[0], direction[1])
         if norm == 0:
             return False
-        step = 1e-7 * max(1.0, self.diameter)
+        step = self.tp.tol.check
         probe = Point2(origin[0] + direction[0] / norm * step,
                        origin[1] + direction[1] / norm * step)
         return self.contains(probe, eps=step * 1e-3)

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 import twocenter.decision as dec
 from twocenter.errors import InvalidPair
+from twocenter.disks import disks_intersection
 from twocenter.geom import Point2, dist
 from twocenter.hull import geodesic_hull
 from twocenter.instances import generate
@@ -193,5 +194,51 @@ def test_decide_matches_exhaustive_split(seed):
             if r <= 0:
                 continue
             got = dec.decide(h, i, j, r).feasible
-            want = dec._split_enumerate(reg, pc, r, sc, 1e-9 * sc) is not None
+            want = dec._split_enumerate(reg, pc, r, 1e-9 * sc) is not None
             assert got == want, (seed, i, j, r)
+
+
+def _solver_hull(fam, n, m, seed):
+    """Hull of a generated instance rescaled the way two_center does it."""
+    inst = generate(fam, n, m, seed)
+    poly = SimplePolygon(inst.polygon)
+    scale = 2.0 ** round(math.log2(64.0 / poly.diameter))
+    tp = triangulate(SimplePolygon([(v.x * scale, v.y * scale)
+                                    for v in poly.vertices]))
+    pts = _uniq([Point2(q.x * scale, q.y * scale) for q in inst.points])
+    return scale, geodesic_hull(tp, pts)
+
+
+# Radii at which the arc machinery cannot decide on its own: the first
+# two fall through to split enumeration, the third is decided only by
+# the scan with the sides swapped.
+FALLBACK_CASES = [
+    (("star", 16, 8, 13), 0.5, (1, 3), 8.64155849580668, "split-enum"),
+    (("comb", 16, 8, 6), 2.0, (2, 4), 14.82111759785373, "one-side-quiet"),
+    (("convex", 24, 12, 3), 0.5, (0, 2), 15.105993478356341, "scan"),
+]
+
+
+@pytest.mark.parametrize("cell,scale,pair,r,branch", FALLBACK_CASES,
+                         ids=["split-enum", "one-side-quiet", "swapped-scan"])
+def test_exact_fallbacks(cell, scale, pair, r, branch):
+    got_scale, h = _solver_hull(*cell)
+    assert got_scale == scale
+    i, j = pair
+    res = dec.decide(h, i, j, r)
+    assert res.feasible and res.branch == branch
+    pc = dec.pair_chains(h, i, j)
+    assert dec._split_enumerate(h.region, pc, r, h.ambient.tol.check) is not None
+
+
+def test_swapped_scan_decides_alone():
+    _, h = _solver_hull("convex", 24, 12, 3)
+    r = 15.105993478356341
+    pc = dec.pair_chains(h, 0, 2)
+    reg = h.region
+    tol = h.ambient.tol.check
+    s1 = dec._prepare_side(reg, disks_intersection(h.hull_region, pc.chain1, r), pc.free)
+    s2 = dec._prepare_side(reg, disks_intersection(h.hull_region, pc.chain2, r), pc.free)
+    assert s1.events and s2.events
+    assert dec.scan_decide(reg, pc, r, s1, s2, tol) is None
+    assert dec.scan_decide(reg, dec._swap(pc), r, s2, s1, tol) is not None
