@@ -2,13 +2,18 @@
 
 decide(h, i, j, r) answers whether two geodesic disks of radius r can
 cover Q so that disk 1 contains the extreme chain v_{j+1}..v_i and disk 2
-contains v_{i+1}..v_j.  The cascade: whole-hull disk, shared-vertex
-search, chain one-centers, interior-free exit, arc coverage analysis,
-the three-cursor event scan from either side, and finally an exhaustive
-split enumeration.
+contains v_{i+1}..v_j.  The cascade runs top to bottom, certain exits
+first: whole-hull disk, chain one-centers, shared-vertex search,
+interior-free exit, empty or pinched intersections, forced points.  Then
+one stage runs, chosen by which sides have events: "no-events",
+"one-side-quiet", or the three-cursor "scan" from either side.  When it
+finds no witness, exhaustive split enumeration settles the answer; above
+SPLIT_ENUM_CAP free points the answer is an infeasible "undecided".
 """
 from __future__ import annotations
 
+from collections import Counter
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -362,11 +367,9 @@ def scan_decide(region: Region, pc: PairChains, r: float,
                     return hit
         elif side == "disjoint" and not in2c.get(kx) and not in2cc.get(kx):
             # nobody else can serve x.owner once c1 moves on
-            hit = check()
-            return hit
+            return check()
         if param2c() > param2cc() + 1e-12:
-            hit = check()
-            return hit
+            return check()
         in1[kx] = False
         hit = check()
         if hit:
@@ -376,17 +379,20 @@ def scan_decide(region: Region, pc: PairChains, r: float,
 
 # -- the cascade -------------------------------------------------------
 
-# optional callback (branch, feasible) fired after every decision;
-# the driver uses it to collect statistics
-BRANCH_HOOK = None
+# per-solve counter of "branch:y" / "branch:n" outcomes; None outside a solve
+BRANCH_COUNTS: ContextVar[Optional[Counter]] = ContextVar("BRANCH_COUNTS", default=None)
+
+# largest free-point count `_split_enumerate` is run on; above it the
+# cascade answers "undecided"
+SPLIT_ENUM_CAP = 14
 
 
 def decide(h: GeodesicHull, i: int, j: int, r: float) -> DecisionResult:
     """Is there an (i, j)-restricted placement of two radius-r disks?"""
     res = _decide(h, i, j, r)
-    hook = BRANCH_HOOK
-    if hook is not None:
-        hook(res.branch, res.feasible)
+    counts = BRANCH_COUNTS.get()
+    if counts is not None:
+        counts[f"{res.branch}:{'y' if res.feasible else 'n'}"] += 1
     return res
 
 
@@ -401,14 +407,15 @@ def _decide(h: GeodesicHull, i: int, j: int, r: float) -> DecisionResult:
     if r >= hc.radius - eps:
         return _result(h, pc, "hull-radius", r, hc.center, hc.center)
 
-    sv = shared_vertex_decide(h, i, j, r)
-    if sv is not None:
-        return _result(h, pc, "shared-vertex", r, sv[0], sv[1])
-
+    # every shared-vertex set holds a whole chain, so this test goes first
     oc1 = one_center(region, pc.chain1)
     oc2 = one_center(region, pc.chain2)
     if oc1.radius > r + eps or oc2.radius > r + eps:
         return DecisionResult(False, "chain-infeasible")
+
+    sv = shared_vertex_decide(h, i, j, r)
+    if sv is not None:
+        return _result(h, pc, "shared-vertex", r, sv[0], sv[1])
 
     if not pc.free:
         return _result(h, pc, "no-free-points", r, oc1.center, oc2.center)
@@ -456,72 +463,66 @@ def _decide(h: GeodesicHull, i: int, j: int, r: float) -> DecisionResult:
     for q in forced2:
         if _key(q) in fk1:
             return DecisionResult(False, "separated-point")
-    if one_center(region, list(pc.chain1) + forced1).radius > r + eps:
+    ocf1 = one_center(region, list(pc.chain1) + forced1)
+    if ocf1.radius > r + eps:
         return DecisionResult(False, "forced-overload")
-    if one_center(region, list(pc.chain2) + forced2).radius > r + eps:
+    ocf2 = one_center(region, list(pc.chain2) + forced2)
+    if ocf2.radius > r + eps:
         return DecisionResult(False, "forced-overload")
 
+    # one stage, chosen by which sides have events; `found` labels a
+    # witness that only split enumeration finds
     if not s1.events and not s2.events:
-        for c1p, c2p in ((s1.ref_pos, s2.ref_pos),
-                         (one_center(region, list(pc.chain1) + forced1).center,
-                          one_center(region, list(pc.chain2) + forced2).center)):
+        stage = found = "no-events"
+        for c1p, c2p in ((s1.ref_pos, s2.ref_pos), (ocf1.center, ocf2.center)):
             if _coverage_ok(region, pc, r, c1p, c2p, tol):
-                return _result(h, pc, "no-events", r, c1p, c2p)
-        hit = _split_enumerate(region, pc, r, tol)
-        if hit is not None:
-            return _result(h, pc, "no-events", r, hit[0], hit[1])
-        return DecisionResult(False, "no-events")
+                return _result(h, pc, stage, r, c1p, c2p)
+    elif not s1.events or not s2.events:
+        # disks around the quiet side a never cross its arcs; points its
+        # disks miss entirely must all fit in the other side's disk
+        stage = found = "one-side-quiet"
+        flip = not s2.events
+        sa, ca, cb, forced_b = ((s2, pc.chain2, pc.chain1, forced1) if flip
+                                else (s1, pc.chain1, pc.chain2, forced2))
+        need = {_key(q) for q in pc.free if sa.sides.get(_key(q)) == "disjoint"}
+        need |= {_key(q) for q in forced_b}
+        pts = [q for q in pc.free if _key(q) in need]
+        oc = one_center(region, list(cb) + pts)
+        if oc.radius <= r + eps:
+            rest = [q for q in pc.free if region.distance(q, oc.center) > r + tol]
+            oca = one_center(region, list(ca) + rest)
+            for c_a in (oca.center, sa.ref_pos):
+                c1c, c2c = (oc.center, c_a) if flip else (c_a, oc.center)
+                if _coverage_ok(region, pc, r, c1c, c2c, tol):
+                    return _result(h, pc, stage, r, c1c, c2c)
+    else:
+        stage, found = "scan", "split-enum"
+        for flip in (False, True):
+            pcs, sa, sb = (_swap(pc), s2, s1) if flip else (pc, s1, s2)
+            hit = scan_decide(region, pcs, r, sa, sb, tol)
+            if hit is not None:
+                c1c, c2c = hit[::-1] if flip else hit
+                return _result(h, pc, stage, r, c1c, c2c)
 
-    quiet = None
-    for (sa, sb, ca, cb, flip) in (
-            (s1, s2, pc.chain1, pc.chain2, False),
-            (s2, s1, pc.chain2, pc.chain1, True)):
-        if not sa.events:
-            # disks around side a never cross its arcs; points its disks
-            # miss entirely must all fit in the other side's disk
-            need = {_key(q) for q in pc.free if sa.sides.get(_key(q)) == "disjoint"}
-            need |= {_key(q) for q in (forced2 if not flip else forced1)}
-            pts = [q for q in pc.free if _key(q) in need]
-            oc = one_center(region, list(cb) + pts)
-            if oc.radius <= r + eps:
-                rest = [q for q in pc.free
-                        if region.distance(q, oc.center) > r + tol]
-                oca = one_center(region, list(ca) + rest)
-                for c_a in (oca.center, sa.ref_pos):
-                    c1c, c2c = (oc.center, c_a) if flip else (c_a, oc.center)
-                    if _coverage_ok(region, pc, r, c1c, c2c, tol):
-                        return _result(h, pc, "one-side-quiet", r, c1c, c2c)
-            quiet = True
-    if quiet:
-        hit = _split_enumerate(region, pc, r, tol)
-        if hit is not None:
-            return _result(h, pc, "one-side-quiet", r, hit[0], hit[1])
-        return DecisionResult(False, "one-side-quiet")
-
-    hit = scan_decide(region, pc, r, s1, s2, tol)
-    if hit is not None:
-        return _result(h, pc, "scan", r, hit[0], hit[1])
-    hit = scan_decide(region, _swap(pc), r, s2, s1, tol)
-    if hit is not None:
-        return _result(h, pc, "scan", r, hit[1], hit[0])
+    if len(pc.free) > SPLIT_ENUM_CAP:
+        return DecisionResult(False, "undecided")
     hit = _split_enumerate(region, pc, r, tol)
     if hit is not None:
-        return _result(h, pc, "split-enum", r, hit[0], hit[1])
-    return DecisionResult(False, "scan")
+        return _result(h, pc, found, r, hit[0], hit[1])
+    return DecisionResult(False, stage)
 
 
 def _swap(pc: PairChains) -> PairChains:
     return PairChains(pc.j, pc.i, pc.chain2, pc.chain1, pc.free)
 
 
-def _split_enumerate(region: Region, pc: PairChains, r: float,
-                     tol: float, cap: int = 14):
+def _split_enumerate(region: Region, pc: PairChains, r: float, tol: float):
     """Exact restricted decision by assigning free points to sides one
-    at a time, pruning with memoized one-centers.  Only consulted when
-    the arc machinery could not certify either answer."""
+    at a time, pruning with memoized one-centers.  The cascade's last
+    stage: it runs only when the arc machinery certified neither answer,
+    and only on at most SPLIT_ENUM_CAP free points, since the search
+    doubles with each one.  Returns witness centers or None."""
     free = sorted(pc.free, key=lambda p: (p.x, p.y))
-    if len(free) > cap:
-        return None
     eps = region.tp.tol.radius
 
     def rec(idx: int, s1: List[Point2], s2: List[Point2]):

@@ -282,8 +282,9 @@ def _clip(region: Region, elements: List[Element], q: Point2, r: float,
           prev: Sequence[_DistFn]):
     """Intersect the region bounded by `elements` with D_r(q).
 
-    Returns (elements, point):  point set for a pinch to a single point;
-    elements None means empty intersection.
+    Returns (elements, point, df):  point set for a pinch to a single
+    point; elements None means empty intersection; df is q's distance
+    function, for the clips that follow.
     """
     q = Point2(q[0], q[1])
     charts, ext_segs = _charts(region, q, r)
@@ -335,10 +336,10 @@ def _clip(region: Region, elements: List[Element], q: Point2, r: float,
             if dx < best_d:
                 best_d, best_p = dx, x
         if best_p is not None and abs(best_d - r) <= 10 * tol:
-            return [], best_p
-        return None, None
+            return [], best_p, df
+        return None, None, df
 
-    return _assemble(all_pieces, tols.join), None
+    return _assemble(all_pieces, tols.join), None, df
 
 
 def _piece_heading(p: Element, t: float) -> float:
@@ -412,11 +413,10 @@ def disks_intersection(region: Region, sites: Sequence[Point2],
             if region.distance(q, pinch) > r + 10 * tol:
                 return None
             continue
-        elements, pinch = _clip(region, elements, q, r, prev)
+        elements, pinch, df = _clip(region, elements, q, r, prev)
         if elements is None and pinch is None:
             return None
-        charts, _ = _charts(region, q, r)
-        prev.append(_DistFn(region, q, charts))
+        prev.append(df)
     if pinch is not None:
         return ArcBoundary([], r, tuple(sites), point=pinch)
     assert elements is not None

@@ -217,8 +217,7 @@ def _certify(h: GeodesicHull, sol: TwoCenterSolution, pts: Sequence[Point2]):
 
 def _solve_on(tp: TriangulatedPolygon, pts: List[Point2]) -> TwoCenterSolution:
     stats: Counter = Counter()
-    old_hook = decision.BRANCH_HOOK
-    decision.BRANCH_HOOK = lambda br, feas: stats.update([f"{br}:{'y' if feas else 'n'}"])
+    token = decision.BRANCH_COUNTS.set(stats)
     try:
         uniq = unique_points(pts)
         if len(uniq) == 1:
@@ -264,7 +263,7 @@ def _solve_on(tp: TriangulatedPolygon, pts: List[Point2]) -> TwoCenterSolution:
         sol.branch_stats = dict(sorted(stats.items()))
         return sol
     finally:
-        decision.BRANCH_HOOK = old_hook
+        decision.BRANCH_COUNTS.reset(token)
 
 
 def two_center(poly: SimplePolygon, points: Sequence) -> TwoCenterSolution:
@@ -275,19 +274,15 @@ def two_center(poly: SimplePolygon, points: Sequence) -> TwoCenterSolution:
     for q in pts:
         if point_in_polygon(poly, q) == "outside":
             raise PointOutsidePolygon(f"{tuple(q)} outside the polygon")
-    tp0 = triangulate(poly)
-    diam = tp0.diameter
     scale = 1.0
-    if diam > 0:
-        scale = 2.0 ** round(math.log2(64.0 / diam))
+    if poly.diameter > 0:
+        scale = 2.0 ** round(math.log2(64.0 / poly.diameter))
     if scale != 1.0:
-        sp = SimplePolygon([(v.x * scale, v.y * scale) for v in poly.vertices])
-        tp = triangulate(sp)
+        poly = SimplePolygon([(v.x * scale, v.y * scale) for v in poly.vertices])
         spts = [Point2(q.x * scale, q.y * scale) for q in pts]
     else:
-        tp = tp0
         spts = pts
-    sol = _solve_on(tp, spts)
+    sol = _solve_on(triangulate(poly), spts)
     if scale != 1.0:
         inv = 1.0 / scale
         assign = {}

@@ -103,6 +103,16 @@ def test_shared_vertex_split(qsym_hull):
     assert dec.shared_vertex_decide(qsym_hull, i, j, 0.9) is None
 
 
+def test_chain_infeasible_before_shared_vertex(qsym_hull, monkeypatch):
+    # the 3-point chain alone needs sqrt(2), so no shared-vertex set fits
+    def boom(*args, **kwargs):
+        raise AssertionError("shared_vertex_decide must not run")
+
+    monkeypatch.setattr(dec, "shared_vertex_decide", boom)
+    res = dec.decide(qsym_hull, 0, 1, SQRT2 - 1e-6)
+    assert not res.feasible and res.branch == "chain-infeasible"
+
+
 def test_hull_radius_shortcut(sq4_tp):
     h = geodesic_hull(sq4_tp, [Point2(1, 2), Point2(3, 2), Point2(2, 1),
                                Point2(2, 3)])
@@ -129,6 +139,21 @@ def test_scan_branch_fires():
     # at a lower radius the free point sees only one side
     res2 = dec.decide(h, 1, 3, 1.3)
     assert res2.feasible and res2.branch == "one-side-quiet"
+
+
+def test_split_enum_cap_is_undecided(monkeypatch):
+    sq6 = SimplePolygon([Point2(0, 0), Point2(6, 0), Point2(6, 6), Point2(0, 6)])
+    free = [Point2(2.5 + 0.02 * (k % 5), 2.9 + 0.05 * (k // 5))
+            for k in range(dec.SPLIT_ENUM_CAP + 1)]
+    h = geodesic_hull(triangulate(sq6), [Point2(1, 2), Point2(1, 4), Point2(5, 2),
+                                         Point2(5, 4)] + free)
+    assert len(dec.pair_chains(h, 1, 3).free) > dec.SPLIT_ENUM_CAP
+    assert dec.decide(h, 1, 3, 1.6).branch == "scan"
+    # with the scan missing, only split enumeration is left, and it is
+    # not run on this many free points
+    monkeypatch.setattr(dec, "scan_decide", lambda *args: None)
+    res = dec.decide(h, 1, 3, 1.6)
+    assert not res.feasible and res.branch == "undecided"
 
 
 def test_witness_covers_extremes(solved_pool):

@@ -4,12 +4,14 @@ import warnings
 
 import pytest
 
+from twocenter import decision, driver
 from twocenter.decision import decide
 from twocenter.driver import (CandidatePair, assistant_interval, candidate_pairs,
                               two_center)
 from twocenter.errors import PointOutsidePolygon
 from twocenter.geom import Point2
-from twocenter.polygon import SimplePolygon
+from twocenter.instances import generate
+from twocenter.polygon import SimplePolygon, triangulate
 
 SQ4 = [Point2(0, 0), Point2(4, 0), Point2(4, 4), Point2(0, 4)]
 L6 = [Point2(0, 0), Point2(4, 0), Point2(4, 2), Point2(2, 2),
@@ -102,10 +104,26 @@ def test_assistant_interval_brackets_optimum(qsym_hull):
 
 def test_branch_stats_recorded():
     sol = two_center(SimplePolygon(SQ4), QSYM)
+    assert decision.BRANCH_COUNTS.get() is None
     assert sol.branch_stats
     for key, cnt in sol.branch_stats.items():
         br, flag = key.rsplit(":", 1)
         assert flag in ("y", "n") and br and cnt > 0
+
+
+def test_triangulates_once(monkeypatch):
+    inst = generate("convex", 12, 6, 0)
+    poly = SimplePolygon(inst.polygon)
+    assert round(math.log2(64.0 / poly.diameter)) != 0   # two_center rescales
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return triangulate(p)
+
+    monkeypatch.setattr(driver, "triangulate", counting)
+    two_center(poly, inst.points)
+    assert len(calls) == 1
 
 
 def test_determinism(solved_pool):
