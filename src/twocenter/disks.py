@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .errors import BoundaryAssemblyError, NoArcs
 from .geom import (TAU, Point2, angle_of, circle_circle_intersections,
                    circle_segment_intersections, cw_delta, dist, point_at,
-                   polyline_length, ring_area2)
+                   polyline_length, ring_area2, unique_points)
 from .polygon import TriangulatedPolygon
 from .region import Region
 
@@ -274,17 +274,16 @@ def _circle_subarcs(w: Point2, R: float, angs: List[float], owner, dqw) -> List[
 
 # -- incremental clipping ---------------------------------------------
 
-def _elem_min_dist_samples(e: Element, n: int = 9) -> List[Point2]:
-    return [e.point(k / (n - 1)) for k in range(n)]
-
-
 def _clip(region: Region, elements: List[Element], q: Point2, r: float,
           prev: Sequence[_DistFn]):
     """Intersect the region bounded by `elements` with D_r(q).
 
     Returns (elements, point, df):  point set for a pinch to a single
     point; elements None means empty intersection; df is q's distance
-    function, for the clips that follow.
+    function, for the clips that follow.  When no piece survives, the
+    intersection is the pinch at the one-center of the sites of prev and
+    q if its radius is r within 10 tol and its center lies in the
+    region, and empty otherwise.
     """
     q = Point2(q[0], q[1])
     charts, ext_segs = _charts(region, q, r)
@@ -315,28 +314,11 @@ def _clip(region: Region, elements: List[Element], q: Point2, r: float,
     all_pieces += [a for a in new_arcs if a.length() > tols.piece]
 
     if not all_pieces:
-        # everything got clipped: empty, or pinched to a tangency point
-        best_d, best_p = math.inf, None
-        for e in elements:
-            for x in _elem_min_dist_samples(e):
-                dx = df(x)
-                if dx < best_d:
-                    best_d, best_p = dx, x
-        for e in elements:
-            lo, hi = 0.0, 1.0
-            for _ in range(40):
-                m1 = lo + (hi - lo) / 3
-                m2 = hi - (hi - lo) / 3
-                if df(e.point(m1)) <= df(e.point(m2)):
-                    hi = m2
-                else:
-                    lo = m1
-            x = e.point((lo + hi) / 2)
-            dx = df(x)
-            if dx < best_d:
-                best_d, best_p = dx, x
-        if best_p is not None and abs(best_d - r) <= 10 * tol:
-            return [], best_p, df
+        # everything got clipped: the disks of prev and q meet exactly when
+        # r reaches their one-center radius, and then only at its center
+        oc = one_center(region, [p.q for p in prev] + [q])
+        if abs(oc.radius - r) <= 10 * tol and region.contains(oc.center, eps=tol):
+            return [], oc.center, df
         return None, None, df
 
     return _assemble(all_pieces, tols.join), None, df
@@ -401,7 +383,10 @@ def disks_intersection(region: Region, sites: Sequence[Point2],
     """Boundary of (intersection of D_r(site) for all sites) within region.
 
     None when the intersection is empty.  Starts from the region ring as
-    the universe and clips one disk at a time.
+    the universe and clips one disk at a time.  A clip that leaves no
+    boundary pinches the intersection to the sites' one-center when r is
+    their one-center radius and that center lies in the region; every
+    later site must then reach the pinch point within r.
     """
     sites = [Point2(s[0], s[1]) for s in sites]
     elements = ring_elements_cw(region.ring)
@@ -710,17 +695,10 @@ def one_center(space, pts: Sequence[Point2]) -> OneCenterResult:
     equalization point, with constrained-boundary and simplex fallbacks.
     """
     region = _as_region(space)
-    uniq: List[Point2] = []
-    seen = set()
-    for p in pts:
-        p = Point2(p[0], p[1])
-        k = (p.x, p.y)
-        if k not in seen:
-            seen.add(k)
-            uniq.append(p)
+    uniq: List[Point2] = unique_points([Point2(p[0], p[1]) for p in pts])
     if not uniq:
         raise ValueError("no points")
-    key = frozenset(seen)
+    key = frozenset((p.x, p.y) for p in uniq)
     cache = region._onecenter_cache
     hit = cache.get(key)
     if hit is not None:

@@ -10,7 +10,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .disks import OneCenterResult, one_center
 from .errors import HullConvergenceError, PointOutsidePolygon
-from .geom import Point2, convex_hull_ccw, ring_area2, ring_contains
+from .geom import (Point2, convex_hull_ccw, ring_area2, ring_contains,
+                   unique_points)
 from .polygon import TriangulatedPolygon, point_in_polygon
 from .region import Region
 
@@ -36,16 +37,7 @@ class GeodesicHull:
         self.region = Region.of(tp)
         self.extremes = extremes
         self.k = len(extremes)
-        ring: List[Point2] = []
-        self.pos: List[int] = []
-        if self.k == 1:
-            ring = [extremes[0]]
-            self.pos = [0]
-        else:
-            for i in range(self.k):
-                self.pos.append(len(ring))
-                ring.extend(self.region.path(extremes[i],
-                                             extremes[(i + 1) % self.k])[:-1])
+        ring, self.pos = _trace_ring(self.region, extremes)
         self.ring: Tuple[Point2, ...] = tuple(ring)
         self.hull_region = Region(tp, self.ring)
         ex_keys = {(p.x, p.y) for p in extremes}
@@ -131,14 +123,17 @@ class GeodesicHull:
         return f"GeodesicHull(k={self.k}, interior={len(self.interior_points)})"
 
 
-def _trace_ring(region: Region, extremes: List[Point2]) -> List[Point2]:
+def _trace_ring(region: Region, extremes: List[Point2]) -> Tuple[List[Point2], List[int]]:
+    """The extremes joined by geodesics, and each extreme's ring index."""
     if len(extremes) == 1:
-        return [extremes[0]]
+        return [extremes[0]], [0]
     ring: List[Point2] = []
+    pos: List[int] = []
     k = len(extremes)
     for i in range(k):
+        pos.append(len(ring))
         ring.extend(region.path(extremes[i], extremes[(i + 1) % k])[:-1])
-    return ring
+    return ring, pos
 
 
 def geodesic_hull(tp: TriangulatedPolygon, Q: Sequence[Point2]) -> GeodesicHull:
@@ -150,15 +145,11 @@ def geodesic_hull(tp: TriangulatedPolygon, Q: Sequence[Point2]) -> GeodesicHull:
     extremes engulfed by the rest, until stable.
     """
     region = Region.of(tp)
-    pts: List[Point2] = []
-    seen = set()
-    for q in Q:
-        p = Point2(float(q[0]), float(q[1]))
+    pts = [Point2(float(q[0]), float(q[1])) for q in Q]
+    for p in pts:
         if point_in_polygon(tp.polygon, p) == "outside":
             raise PointOutsidePolygon(f"{p} outside the polygon")
-        if (p.x, p.y) not in seen:
-            seen.add((p.x, p.y))
-            pts.append(p)
+    pts = unique_points(pts)
     if not pts:
         raise ValueError("no points")
     if len(pts) == 1:
@@ -174,7 +165,7 @@ def geodesic_hull(tp: TriangulatedPolygon, Q: Sequence[Point2]) -> GeodesicHull:
         guard += 1
         if guard > limit:
             raise HullConvergenceError("hull construction did not stabilize")
-        ring = _trace_ring(region, extremes)
+        ring, _ = _trace_ring(region, extremes)
         ex_keys = {(p.x, p.y) for p in extremes}
         outside = [q for q in pts if (q.x, q.y) not in ex_keys
                    and ring_contains(q, ring, eps) == "outside"]
@@ -198,7 +189,7 @@ def geodesic_hull(tp: TriangulatedPolygon, Q: Sequence[Point2]) -> GeodesicHull:
             removed = False
             for i in range(len(extremes)):
                 rest = extremes[:i] + extremes[i + 1:]
-                rring = _trace_ring(region, rest)
+                rring, _ = _trace_ring(region, rest)
                 if ring_contains(extremes[i], rring, eps) != "outside":
                     extremes.pop(i)
                     removed = True
@@ -207,7 +198,7 @@ def geodesic_hull(tp: TriangulatedPolygon, Q: Sequence[Point2]) -> GeodesicHull:
                 continue
         break
 
-    ring = _trace_ring(region, extremes)
+    ring, _ = _trace_ring(region, extremes)
     if ring_area2(ring) > 0:
         extremes.reverse()
     start = min(range(len(extremes)), key=lambda i: (extremes[i].x, extremes[i].y))

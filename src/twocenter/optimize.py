@@ -12,9 +12,10 @@ import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from .decision import DecisionResult, PairChains, decide, pair_chains
-from .disks import disks_intersection, one_center
-from .errors import InfeasibleInterval
+from .decision import (DecisionResult, PairChains, _prepare_side, decide,
+                       pair_chains)
+from .disks import _boundary_pair_candidates, disks_intersection, one_center
+from .errors import InfeasibleInterval, NoArcs
 from .geom import Point2
 from .hull import GeodesicHull
 from .region import Region
@@ -51,7 +52,6 @@ class CriticalRadiusSet:
 
 
 def _boundary_pair_radii(region: Region, space, a: Point2, b: Point2) -> List[float]:
-    from .disks import _boundary_pair_candidates
     vals = []
     for c in _boundary_pair_candidates(space, (a, b)):
         vals.append(region.distance(c, a))
@@ -90,8 +90,6 @@ def interval_candidates(h: GeodesicHull, i: int, j: int) -> List[float]:
 
 def _event_signature(h: GeodesicHull, pc: PairChains, r: float):
     """Owner/flag multisets of both event sets at radius r."""
-    from .decision import _prepare_side
-    from .errors import NoArcs
     sig = []
     for chain in (pc.chain1, pc.chain2):
         b = disks_intersection(h.hull_region, chain, r)

@@ -57,6 +57,16 @@ def test_tangent_disks_pinch_to_point(sq4_tp):
     b = disks_intersection(reg, [Point2(1, 1), Point2(1, 3)], 1.0)
     assert b is not None and b.is_point
     assert dist(b.point, Point2(1, 2)) <= 1e-6
+    # an asymmetric pair pinches exactly at its one-center
+    sites = [Point2(1.1, 1.3), Point2(2.7, 2.9)]
+    oc = one_center(reg, sites)
+    b = disks_intersection(reg, sites, oc.radius)
+    assert b is not None and b.is_point
+    assert b.point == oc.center
+    # the first two disks overlap; the third pinches them at (1, 2)
+    b = disks_intersection(reg, [Point2(1, 1), Point2(1, 2), Point2(1, 3)], 1.0)
+    assert b is not None and b.is_point
+    assert dist(b.point, Point2(1, 2)) <= 1e-6
 
 
 def test_lens_two_arcs(sq4_tp):
@@ -78,6 +88,14 @@ def test_lens_two_arcs(sq4_tp):
 def test_far_disks_empty(sq4_tp):
     reg = small_square_region(sq4_tp)
     assert disks_intersection(reg, [Point2(1, 1), Point2(3, 3)], 1.0) is None
+    # a site beyond the pinch point of the first two
+    assert disks_intersection(reg, [Point2(1, 1), Point2(1, 3), Point2(3, 2)],
+                              1.0) is None
+    # the disks meet only at (2.5, 2.5), the notch cut out of an L ring
+    ring = Region(sq4_tp, [Point2(0, 0), Point2(4, 0), Point2(4, 2),
+                           Point2(2, 2), Point2(2, 4), Point2(0, 4)])
+    assert disks_intersection(ring, [Point2(3.5, 1.5), Point2(1.5, 3.5)],
+                              SQRT2) is None
 
 
 def test_one_center_single():
