@@ -1,0 +1,72 @@
+#!/usr/bin/env python3
+"""Compare two output corpora written by scripts/corpus_outputs.py.
+
+    python3 scripts/corpus_diff.py OLD.json NEW.json
+
+Prints how many instances moved in each field (radius, centers, pair,
+branch_stats, error class) and the largest relative radius move, then
+lists every instance that moved.  Exits 1 when a radius moves by more
+than 1e-12 relative, or when a pair, a branch_stats entry or an error
+class changes (an instance that solves on one side and raises on the
+other, or that is missing on one side, counts as an error-class change).
+Centers may move without failing the check.
+"""
+
+import json
+import sys
+
+REL_TOL = 1e-12
+FIELDS = ("radius", "centers", "pair", "branch_stats", "error")
+
+
+def _load(path: str) -> dict:
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _rel_move(old: str, new: str) -> float:
+    a, b = float.fromhex(old), float.fromhex(new)
+    return abs(b - a) / max(abs(a), abs(b), 1e-300)
+
+
+def diff(old: dict, new: dict):
+    """Per-field lists of moved instance keys, and the largest relative
+    radius move with its key."""
+    moved = {f: [] for f in FIELDS}
+    worst = (0.0, None)
+    for key in sorted(set(old) | set(new)):
+        a, b = old.get(key), new.get(key)
+        if a is None or b is None or a.get("error") != b.get("error"):
+            moved["error"].append(key)
+            continue
+        if "error" in a:
+            continue
+        for f in ("radius", "centers", "pair", "branch_stats"):
+            if a[f] != b[f]:
+                moved[f].append(key)
+        rel = _rel_move(a["radius"], b["radius"])
+        if rel > worst[0]:
+            worst = (rel, key)
+    return moved, worst
+
+
+def main() -> int:
+    if len(sys.argv) != 3:
+        sys.exit("usage: corpus_diff.py OLD.json NEW.json")
+    old, new = _load(sys.argv[1]), _load(sys.argv[2])
+    moved, (worst, worst_key) = diff(old, new)
+    print(f"instances: {len(old)} old, {len(new)} new")
+    for f in FIELDS:
+        print(f"{f} moved: {len(moved[f])}")
+    print(f"largest relative radius move: {worst:.3g}"
+          + (f" ({worst_key})" if worst_key else ""))
+    for f in FIELDS:
+        for key in moved[f]:
+            print(f"  {f}: {key}")
+    bad = (worst > REL_TOL or moved["pair"] or moved["branch_stats"]
+           or moved["error"])
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

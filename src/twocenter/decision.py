@@ -231,8 +231,8 @@ def _prepare_side(region: Region, boundary: ArcBoundary,
     # locate the reference position on the boundary
     ref_pos = _pos_at_param(boundary, (ref_param + base) % total if total > 0 else 0.0)
     shifted = [Event(e.position, e.owner, e.flag,
-                     (e.param - ref_param) % total if total > 0 else 0.0,
-                     e.elem_index) for e in events]
+                     (e.param - ref_param) % total if total > 0 else 0.0)
+               for e in events]
     shifted.sort(key=lambda e: (e.param, e.flag == "out", e.owner.x, e.owner.y))
     return SideData(boundary, shifted, sides, ref_pos, total)
 

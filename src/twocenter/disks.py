@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .errors import BoundaryAssemblyError, NoArcs
+from .errors import BoundaryAssemblyError, CertificateError, NoArcs
 from .geom import (TAU, Point2, angle_of, circle_circle_intersections,
                    circle_segment_intersections, cw_delta, dist, point_at,
                    polyline_length, ring_area2, unique_points)
@@ -116,7 +116,6 @@ class Event:
     owner: Point2
     flag: str              # "in" | "out"
     param: float           # clockwise length from the reference point
-    elem_index: int
 
 
 @dataclass(frozen=True)
@@ -172,10 +171,9 @@ def _charts(region: Region, q: Point2, r: float):
 class _DistFn:
     """Geodesic distance from a fixed site with cheap Euclidean bounds."""
 
-    def __init__(self, region: Region, q: Point2, charts):
+    def __init__(self, region: Region, q: Point2):
         self.region = region
         self.q = Point2(q[0], q[1])
-        self.anchors = [(c, dc) for (c, dc, _R) in charts]
 
     def lower(self, x) -> float:
         return math.hypot(x[0] - self.q.x, x[1] - self.q.y)
@@ -287,7 +285,7 @@ def _clip(region: Region, elements: List[Element], q: Point2, r: float,
     """
     q = Point2(q[0], q[1])
     charts, ext_segs = _charts(region, q, r)
-    df = _DistFn(region, q, charts)
+    df = _DistFn(region, q)
     tols = region.tp.tol
     tol = tols.check
 
@@ -450,7 +448,7 @@ def compute_events(region: Region, boundary: ArcBoundary,
     for q in interior:
         q = Point2(q[0], q[1])
         charts, _ = _charts(region, q, r)
-        df = _DistFn(region, q, charts)
+        df = _DistFn(region, q)
         # split every arc at q's circle crossings, classify sub-arcs
         runs: List[Tuple[int, Element, bool]] = []
         for idx, arc in arcs:
@@ -482,12 +480,10 @@ def compute_events(region: Region, boundary: ArcBoundary,
             pout = last_piece.point(1.0)
             events.append(Event(pin, q, "in",
                                 rel(cum[first_idx] +
-                                    _param_on_elem(boundary.elements[first_idx], pin)),
-                                first_idx))
+                                    _param_on_elem(boundary.elements[first_idx], pin))))
             events.append(Event(pout, q, "out",
                                 rel(cum[last_idx] +
-                                    _param_on_elem(boundary.elements[last_idx], pout)),
-                                last_idx))
+                                    _param_on_elem(boundary.elements[last_idx], pout))))
             i = j
     events.sort(key=lambda e: (e.param, e.flag == "out",
                                e.owner.x, e.owner.y))
@@ -529,170 +525,131 @@ def _disk2(region: Region, a: Point2, b: Point2) -> OneCenterResult:
     return OneCenterResult(p[-1], half, (a, b))
 
 
-def _grad_unit(region: Region, x: Point2, s: Point2) -> Tuple[float, float]:
-    p = region.path(s, x)
-    w = p[-2] if len(p) >= 2 else s
-    dx, dy = x.x - w.x, x.y - w.y
-    n = math.hypot(dx, dy)
-    if n <= 1e-15:
-        return 0.0, 0.0
-    return dx / n, dy / n
+def _cross3(p, q) -> Tuple[float, float, float]:
+    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2],
+            p[0] * q[1] - p[1] * q[0])
 
 
-def _equalize3(region: Region, a: Point2, b: Point2, c: Point2) -> Optional[Point2]:
-    """Point with equal geodesic distance to a, b, c, by damped Newton on
-    the local straight-leg charts; None if no seed converges."""
-    seeds: List[Point2] = []
-    d = 2 * (a.x * (b.y - c.y) + b.x * (c.y - a.y) + c.x * (a.y - b.y))
-    if abs(d) > 1e-12:
-        ux = ((a.x ** 2 + a.y ** 2) * (b.y - c.y) + (b.x ** 2 + b.y ** 2) * (c.y - a.y)
-              + (c.x ** 2 + c.y ** 2) * (a.y - b.y)) / d
-        uy = ((a.x ** 2 + a.y ** 2) * (c.x - b.x) + (b.x ** 2 + b.y ** 2) * (a.x - c.x)
-              + (c.x ** 2 + c.y ** 2) * (b.x - a.x)) / d
-        seeds.append(Point2(ux, uy))
-    seeds.append(_disk2(region, a, b).center)
-    seeds.append(_disk2(region, b, c).center)
-    seeds.append(_disk2(region, a, c).center)
-    seeds.append(Point2((a.x + b.x + c.x) / 3, (a.y + b.y + c.y) / 3))
-    tols = region.tp.tol
-    best: Optional[Tuple[float, Point2]] = None
-    for seed in seeds:
-        x = seed
-        if not region.contains(x, eps=tols.near):
-            x = Point2((a.x + b.x + c.x) / 3, (a.y + b.y + c.y) / 3)
-        ok = False
-        for _ in range(100):
-            da, db, dc = (region.distance(x, a), region.distance(x, b),
-                          region.distance(x, c))
-            f1, f2 = da - db, db - dc
-            res = math.hypot(f1, f2)
-            if res <= tols.radius:
-                ok = True
-                break
-            ga = _grad_unit(region, x, a)
-            gb = _grad_unit(region, x, b)
-            gc = _grad_unit(region, x, c)
-            j11, j12 = ga[0] - gb[0], ga[1] - gb[1]
-            j21, j22 = gb[0] - gc[0], gb[1] - gc[1]
-            det = j11 * j22 - j12 * j21
-            if abs(det) <= 1e-14:
-                break
-            sx = (-f1 * j22 + f2 * j12) / det
-            sy = (-f2 * j11 + f1 * j21) / det
-            n = math.hypot(sx, sy)
-            cap = tols.scale / 4
-            if n > cap:
-                sx, sy = sx / n * cap, sy / n * cap
-            # damped: halve until residual does not grow
-            lam = 1.0
-            improved = False
-            for _ in range(20):
-                xn = Point2(x.x + lam * sx, x.y + lam * sy)
-                if region.contains(xn, eps=tols.near):
-                    dn = math.hypot(
-                        region.distance(xn, a) - region.distance(xn, b),
-                        region.distance(xn, b) - region.distance(xn, c))
-                    if dn < res:
-                        x = xn
-                        improved = True
-                        break
-                lam /= 2
-            if not improved:
-                break
-        if ok:
-            rad = max(region.distance(x, a), region.distance(x, b),
-                      region.distance(x, c))
-            if best is None or rad < best[0]:
-                best = (rad, x)
-    return best[1] if best else None
+def _chart_roots(charts) -> List[Point2]:
+    """Points x with |x - w| + d equal over the three charts (w, d).
 
+    Subtracting the first squared equation |x - w1|^2 = (R - d1)^2 from
+    the other two leaves two linear equations in (x, y, R); on their
+    solution line z0 + t n the first equation is a quadratic in t, so
+    there are at most two roots (Apollonius).  Roots with R < d for some
+    chart are not on that chart's circle and are dropped.
+    """
+    (w1, d1), (w2, d2), (w3, d3) = charts
+    # unknowns z = (u, v, rho): x = w1 + (u, v), R = d1 + rho
+    rows, rhs = [], []
+    for w, d in ((w2, d2), (w3, d3)):
+        ex, ey, de = w.x - w1.x, w.y - w1.y, d - d1
+        rows.append((ex, ey, -de))
+        rhs.append((ex * ex + ey * ey - de * de) / 2)
+    n = _cross3(rows[0], rows[1])
+    nn = n[0] * n[0] + n[1] * n[1] + n[2] * n[2]
+    if nn == 0.0:
+        return []
+    # the solution of the two linear equations that is orthogonal to n
+    p0, p1 = _cross3(rows[1], n), _cross3(n, rows[0])
+    z0 = tuple((rhs[0] * p0[k] + rhs[1] * p1[k]) / nn for k in range(3))
 
-def _nm_polish(region: Region, pts: Sequence[Point2], x0: Point2) -> Optional[OneCenterResult]:
-    from scipy.optimize import minimize
+    def form(p, q) -> float:
+        return p[0] * q[0] + p[1] * q[1] - p[2] * q[2]
 
-    tols = region.tp.tol
-    big = 1e6 * tols.scale
-
-    def obj(v):
-        p = Point2(v[0], v[1])
-        if not region.contains(p, eps=tols.near):
-            return big
-        return max(region.distance(p, s) for s in pts)
-
-    res = minimize(obj, [x0.x, x0.y], method="Nelder-Mead",
-                   options={"xatol": 1e-12, "fatol": 1e-12, "maxiter": 3000})
-    val = obj(res.x)
-    if val >= big:
-        return None
-    c = Point2(res.x[0], res.x[1])
-    return OneCenterResult(c, val, ())
-
-
-def _boundary_pair_candidates(region: Region, pts: Sequence[Point2]) -> List[Point2]:
-    """Centers constrained to the ring: corners plus pair-equalization
-    roots along each ring segment (used when no interior solution fits)."""
-    out = list(region.corners)
-    segs = region.ring_segments()
-    for a, b in segs:
-        L = dist(a, b)
-        if L <= 1e-12:
-            continue
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                p1, p2 = pts[i], pts[j]
-
-                def g(t):
-                    x = Point2(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
-                    return region.distance(x, p1) - region.distance(x, p2)
-
-                K = 8
-                vals = [g(k / K) for k in range(K + 1)]
-                for k in range(K):
-                    if vals[k] == 0 or vals[k] * vals[k + 1] < 0:
-                        lo, hi = k / K, (k + 1) / K
-                        flo = vals[k]
-                        for _ in range(60):
-                            mid = (lo + hi) / 2
-                            fm = g(mid)
-                            if flo * fm <= 0:
-                                hi = mid
-                            else:
-                                lo, flo = mid, fm
-                        t = (lo + hi) / 2
-                        out.append(Point2(a.x + (b.x - a.x) * t,
-                                          a.y + (b.y - a.y) * t))
+    # form(z, z) = u^2 + v^2 - rho^2 = 0 at z = z0 + t n
+    qa, qb, qc = form(n, n), form(z0, n), form(z0, z0)
+    if qa == 0.0:
+        ts = [-qc / (2 * qb)] if qb != 0.0 else []
+    else:
+        disc = qb * qb - qa * qc
+        if disc < 0.0:
+            return []
+        q = -(qb + math.copysign(math.sqrt(disc), qb))
+        ts = [q / qa, qc / q] if q != 0.0 else [0.0]
+    out = []
+    for t in ts:
+        u, v, rho = (z0[k] + t * n[k] for k in range(3))
+        if min(rho, rho + d1 - d2, rho + d1 - d3) >= 0.0:
+            out.append(Point2(w1.x + u, w1.y + v))
     return out
 
 
+def _anchor(path: Sequence[Point2]) -> Tuple[Point2, float]:
+    """Last bend of a path and the path length up to it."""
+    return path[-2] if len(path) > 1 else path[0], polyline_length(path[:-1])
+
+
+def _equalize3(region: Region, a: Point2, b: Point2, c: Point2,
+               starts: Sequence[Point2]) -> Optional[Point2]:
+    """Point of the region with equal geodesic distance to a, b, c; None
+    if no chart walk finds one.
+
+    A chart walk solves the three anchor charts exactly (`_chart_roots`)
+    and, at each root inside the region whose true distances still
+    differ, re-reads the anchors there and solves again, until the
+    anchors repeat.  It starts from the sites' own charts (the Euclidean
+    circumcenter), and from the charts at every point of `starts` when
+    that finds nothing.  Of several equalizers, the one of least radius.
+    """
+    sites = (a, b, c)
+    tols = region.tp.tol
+    seen = set()
+
+    def walk(charts):
+        """(radius, point) of every equalizer the walk from charts meets."""
+        todo = [charts]
+        while todo:
+            charts = todo.pop()
+            key = tuple(w for w, _d in charts)
+            if key in seen:
+                continue
+            seen.add(key)
+            for x in _chart_roots(charts):
+                if not region.contains(x, eps=tols.near):
+                    continue
+                paths = [region.path(s, x) for s in sites]
+                da, db, dc = (polyline_length(p) for p in paths)
+                if math.hypot(da - db, db - dc) <= tols.radius:
+                    yield max(da, db, dc), x
+                else:
+                    todo.append(tuple(_anchor(p) for p in paths))
+
+    found = list(walk(tuple((s, 0.0) for s in sites)))
+    if not found:
+        for x in starts:
+            found += walk(tuple(_anchor(region.path(s, x)) for s in sites))
+    return min(found, key=lambda f: f[0])[1] if found else None
+
+
 def _solve3(region: Region, a: Point2, b: Point2, c: Point2) -> OneCenterResult:
+    """One-center of three points: a pair disk that covers the third
+    point, or the equalizer of all three, whichever is smaller."""
     tol = region.tp.tol.near
     cands: List[OneCenterResult] = []
-    for (u, v, w) in ((a, b, c), (a, c, b), (b, c, a)):
-        d2 = _disk2(region, u, v)
+    pairs = [_disk2(region, u, v) for (u, v) in ((a, b), (a, c), (b, c))]
+    for d2, w in zip(pairs, (c, b, a)):
         if region.distance(d2.center, w) <= d2.radius + tol:
             cands.append(d2)
-    eq = _equalize3(region, a, b, c)
+    eq = _equalize3(region, a, b, c, [d2.center for d2 in pairs])
     if eq is not None:
         rad = max(region.distance(eq, p) for p in (a, b, c))
         cands.append(OneCenterResult(eq, rad, (a, b, c)))
     if not cands:
-        for x in _boundary_pair_candidates(region, (a, b, c)):
-            rad = max(region.distance(x, p) for p in (a, b, c))
-            cands.append(OneCenterResult(x, rad, ()))
-        nm = _nm_polish(region, (a, b, c), Point2((a.x + b.x + c.x) / 3,
-                                                  (a.y + b.y + c.y) / 3))
-        if nm is not None:
-            cands.append(nm)
-    best = min(cands, key=lambda d: d.radius)
-    return best
+        raise CertificateError(
+            f"no geodesic one-center for {a}, {b}, {c}: no pair disk covers "
+            "the third point and no equidistant point was found")
+    return min(cands, key=lambda d: d.radius)
 
 
 def one_center(space, pts: Sequence[Point2]) -> OneCenterResult:
     """Smallest geodesic disk covering pts; center anywhere in the space.
 
-    Move-to-front elimination over support sets of size at most three;
-    the three-point subproblem uses pair midpoints and a Newton-refined
-    equalization point, with constrained-boundary and simplex fallbacks.
+    Move-to-front elimination over support sets of at most three points.
+    A pair's disk is centered at the midpoint of its geodesic.  A triple's
+    is the smallest pair disk that covers the third point, or the disk at
+    the point equidistant from all three, solved exactly in anchor charts
+    (`_equalize3`).  Raises CertificateError when a triple has neither.
     """
     region = _as_region(space)
     uniq: List[Point2] = unique_points([Point2(p[0], p[1]) for p in pts])
@@ -729,14 +686,7 @@ def one_center(space, pts: Sequence[Point2]) -> OneCenterResult:
         if not covers(d, p):
             d = mtf1(uniq[:i], p)
 
-    # the support-set result can only be short through numeric slack;
-    # verify full coverage and repair with a global fallback if needed
     rad = max(region.distance(d.center, p) for p in uniq)
-    if rad > d.radius + 10 * tol and len(uniq) > 3:
-        nm = _nm_polish(region, uniq, d.center)
-        if nm is not None and nm.radius < rad:
-            d = nm
-            rad = nm.radius
     dets = sorted(uniq, key=lambda p: (-region.distance(d.center, p), p.x, p.y))
     dets = tuple(p for p in dets
                  if region.distance(d.center, p) >= rad - tols.check)[:3]

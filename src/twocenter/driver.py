@@ -232,7 +232,6 @@ def _solve_on(tp: TriangulatedPolygon, pts: List[Point2]) -> TwoCenterSolution:
         else:
             h = geodesic_hull(tp, uniq)
             if h.k == 1:
-                c = h.extreme(0)
                 oc = one_center(h.region, uniq)
                 sol = TwoCenterSolution(oc.center, oc.center, oc.radius,
                                         CandidatePair(0, 0, "Type1"),

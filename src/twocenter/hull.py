@@ -16,18 +16,6 @@ from .polygon import TriangulatedPolygon, point_in_polygon
 from .region import Region
 
 
-class ChainRegion(Region):
-    """Region bounded by a hull boundary portion and a closing geodesic.
-
-    `degenerate` marks zero-area regions (a doubled path or a single
-    point); they still carry corners usable for radius queries.
-    """
-
-    def __init__(self, tp: TriangulatedPolygon, ring, degenerate: bool):
-        super().__init__(tp, ring)
-        self.degenerate = degenerate
-
-
 class GeodesicHull:
     """Extreme cycle v_1..v_k (clockwise) with its traced boundary."""
 
@@ -84,18 +72,16 @@ class GeodesicHull:
             out.append(self.ring[i])
         return out
 
-    def subpolygon(self, a: int, b: int) -> ChainRegion:
-        """Region between the clockwise boundary portion v_a -> v_b and
-        the geodesic from v_b back to v_a."""
+    def chain_corners(self, a: int, b: int) -> List[Point2]:
+        """Distinct corners, in ring order, of the subregion between the
+        clockwise boundary portion v_a -> v_b and the geodesic from v_b
+        back to v_a."""
         a %= self.k
         b %= self.k
         if a == b:
-            return ChainRegion(self.ambient, [self.extremes[a]], True)
-        portion = self.boundary_portion(a, b)
+            return [self.extremes[a]]
         closing = self.region.path(self.extremes[b], self.extremes[a])
-        ring = portion + closing[1:-1]
-        degen = abs(ring_area2(ring)) <= self.ambient.tol.area
-        return ChainRegion(self.ambient, ring, degen)
+        return unique_points(self.boundary_portion(a, b) + closing[1:-1])
 
     def chain_radius(self, a: int, b: int) -> float:
         """One-center radius of the subregion between v_a and v_b."""
@@ -108,8 +94,7 @@ class GeodesicHull:
         if a == b:
             r = 0.0
         else:
-            sub = self.subpolygon(a, b)
-            r = one_center(self.region, sub.corners).radius
+            r = one_center(self.region, self.chain_corners(a, b)).radius
         self._radius_cache[key] = r
         return r
 

@@ -14,9 +14,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from .decision import (DecisionResult, PairChains, _prepare_side, decide,
                        pair_chains)
-from .disks import _boundary_pair_candidates, disks_intersection, one_center
+from .disks import disks_intersection, one_center
 from .errors import InfeasibleInterval, NoArcs
-from .geom import Point2
+from .geom import Point2, dist
 from .hull import GeodesicHull
 from .region import Region
 
@@ -51,11 +51,37 @@ class CriticalRadiusSet:
         return out
 
 
-def _boundary_pair_radii(region: Region, space, a: Point2, b: Point2) -> List[float]:
-    vals = []
-    for c in _boundary_pair_candidates(space, (a, b)):
-        vals.append(region.distance(c, a))
-    return vals
+def _boundary_pair_radii(ring: Region, a: Point2, b: Point2) -> List[float]:
+    """Radii at which the circles of a and b meet on a segment of the
+    ring: d(x, a) at each root of d(x, a) - d(x, b) along the segment,
+    bracketed on 8 samples and bisected 60 times."""
+    out = []
+    for u, v in ring.ring_segments():
+        if dist(u, v) <= 1e-12:
+            continue
+
+        def point(t: float) -> Point2:
+            return Point2(u.x + (v.x - u.x) * t, u.y + (v.y - u.y) * t)
+
+        def g(t: float) -> float:
+            x = point(t)
+            return ring.distance(x, a) - ring.distance(x, b)
+
+        K = 8
+        vals = [g(k / K) for k in range(K + 1)]
+        for k in range(K):
+            if vals[k] == 0 or vals[k] * vals[k + 1] < 0:
+                lo, hi = k / K, (k + 1) / K
+                flo = vals[k]
+                for _ in range(60):
+                    mid = (lo + hi) / 2
+                    fm = g(mid)
+                    if flo * fm <= 0:
+                        hi = mid
+                    else:
+                        lo, flo = mid, fm
+                out.append(ring.distance(point((lo + hi) / 2), a))
+    return out
 
 
 def interval_candidates(h: GeodesicHull, i: int, j: int) -> List[float]:
@@ -83,8 +109,7 @@ def interval_candidates(h: GeodesicHull, i: int, j: int) -> List[float]:
                 vals.append(region.distance(w, x))
         for a in range(len(pts)):
             for b in range(a + 1, len(pts)):
-                vals.extend(_boundary_pair_radii(region, h.hull_region,
-                                                 pts[a], pts[b]))
+                vals.extend(_boundary_pair_radii(h.hull_region, pts[a], pts[b]))
     return vals
 
 

@@ -3,8 +3,10 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from twocenter import disks
 from twocenter.disks import (CircArc, Seg, disk_contains, disks_intersection,
                              geodesic_circle, one_center)
+from twocenter.errors import CertificateError
 from twocenter.geom import TAU, Point2, dist
 from twocenter.hull import geodesic_hull
 from twocenter.instances import generate
@@ -114,6 +116,66 @@ def test_one_center_right_triangle(sq4_tp):
     res = one_center(sq4_tp, [Point2(1, 1), Point2(3, 1), Point2(1, 3)])
     assert res.radius == pytest.approx(SQRT2)
     assert dist(res.center, Point2(2, 2)) <= 1e-6
+
+
+def _circumcenter(a, b, c):
+    d = 2 * (a.x * (b.y - c.y) + b.x * (c.y - a.y) + c.x * (a.y - b.y))
+    ux = ((a.x ** 2 + a.y ** 2) * (b.y - c.y) + (b.x ** 2 + b.y ** 2) * (c.y - a.y)
+          + (c.x ** 2 + c.y ** 2) * (a.y - b.y)) / d
+    uy = ((a.x ** 2 + a.y ** 2) * (c.x - b.x) + (b.x ** 2 + b.y ** 2) * (a.x - c.x)
+          + (c.x ** 2 + c.y ** 2) * (b.x - a.x)) / d
+    return Point2(ux, uy)
+
+
+def test_equalizer_in_square_is_circumcenter(sq4_tp):
+    reg = Region.of(sq4_tp)
+    a, b, c = Point2(0.5, 0.7), Point2(3.2, 1.1), Point2(1.4, 3.6)
+    x = disks._equalize3(reg, a, b, c, [])
+    assert dist(x, _circumcenter(a, b, c)) <= 1e-12
+
+
+def test_equalizer_bent_at_reflex_corner(l6, l6_tp):
+    # the path from a to the equalizer bends at the reflex corner (2, 2)
+    reg = Region.of(l6_tp)
+    a, b, c = Point2(2.5, 1.9), Point2(0.1, 3.9), Point2(1.9, 3.9)
+    x = disks._equalize3(reg, a, b, c, [])
+    assert x is not None
+    assert Point2(2, 2) in reg.path(a, x)
+    d = [reg.distance(x, s) for s in (a, b, c)]
+    assert max(d) - min(d) <= l6_tp.tol.radius
+    res = one_center(l6_tp, [a, b, c])
+    _c, r_ref = oracle_one_center(l6, [a, b, c])
+    assert res.radius == pytest.approx(r_ref, rel=1e-9)
+
+
+def test_equalizer_from_pair_disk_charts():
+    # star/24x12/s0 as two_center rescales it: in the geodesic hull of the
+    # sites, this triple's Euclidean circumcenter lies outside, so the
+    # chart walk has to start from the charts at the pair-disk centers
+    inst = generate("star", 24, 12, 0)
+    poly = SimplePolygon(inst.polygon)
+    scale = 2.0 ** round(math.log2(64.0 / poly.diameter))
+    tp = triangulate(SimplePolygon([(v.x * scale, v.y * scale)
+                                    for v in poly.vertices]))
+    reg = geodesic_hull(tp, [Point2(q.x * scale, q.y * scale)
+                             for q in inst.points]).hull_region
+    a = Point2(23.319283208056085, 35.446311609565065)
+    b = Point2(5.032842261296786, 28.337704106863903)
+    c = Point2(9.217535600422451, 23.93674094267816)
+    assert not reg.contains(_circumcenter(a, b, c))
+    assert disks._equalize3(reg, a, b, c, []) is None
+    starts = [disks._disk2(reg, u, v).center for u, v in ((a, b), (a, c), (b, c))]
+    x = disks._equalize3(reg, a, b, c, starts)
+    assert x is not None and reg.contains(x)
+    d = [reg.distance(x, s) for s in (a, b, c)]
+    assert max(d) - min(d) <= tp.tol.radius
+
+
+def test_no_one_center_candidate_raises(sq4, monkeypatch):
+    # an acute triangle: no pair disk covers the third point
+    monkeypatch.setattr(disks, "_equalize3", lambda *args: None)
+    with pytest.raises(CertificateError):
+        one_center(triangulate(sq4), [Point2(1, 1), Point2(3, 1), Point2(2, 2.7)])
 
 
 @given(st.integers(0, 60))

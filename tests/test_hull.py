@@ -58,22 +58,20 @@ def test_chain_extremes(qsym_hull):
     assert h.chain_extremes(1, 1) == [h.extremes[1]]
 
 
-def test_subpolygon_adjacent_is_degenerate(qsym_hull):
+def test_chain_corners_adjacent(qsym_hull):
     idx = {(p.x, p.y): i for i, p in enumerate(qsym_hull.extremes)}
     a, b = idx[(1, 1)], idx[(1, 3)]
     if (a + 1) % 4 != b:
         a, b = b, a
-    sub = qsym_hull.subpolygon(a, b)
-    assert sub.degenerate
-    assert _keyset(sub.corners) <= {(1, 1), (1, 3)}
+    assert _keyset(qsym_hull.chain_corners(a, b)) == {(1, 1), (1, 3)}
+    assert qsym_hull.chain_corners(a, a) == [qsym_hull.extremes[a]]
 
 
-def test_subpolygon_diagonal_half(qsym_hull):
+def test_chain_corners_diagonal_half(qsym_hull):
     idx = {(p.x, p.y): i for i, p in enumerate(qsym_hull.extremes)}
-    sub = qsym_hull.subpolygon(idx[(1, 1)], idx[(3, 3)])
-    assert not sub.degenerate
-    ks = _keyset(sub.corners)
-    assert (1, 1) in ks and (3, 3) in ks and len(ks) == 3
+    corners = qsym_hull.chain_corners(idx[(1, 1)], idx[(3, 3)])
+    assert corners[0] == Point2(1, 1)
+    assert len(corners) == 3 and _keyset(corners) == {(1, 1), (1, 3), (3, 3)}
 
 
 def test_chain_radius_values(qsym_hull):

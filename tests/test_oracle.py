@@ -86,12 +86,17 @@ def test_two_center_rejects_large_input():
 
 
 def test_package_import_does_not_load_numpy():
-    # numpy is an oracle-only dependency, imported inside the oracle functions
+    # numpy and scipy are oracle-only dependencies, imported inside the
+    # oracle functions; importing the package and solving loads neither
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
     subprocess.run(
         [sys.executable, "-c",
-         "import twocenter, sys; assert 'numpy' not in sys.modules"],
+         "import sys, twocenter\n"
+         "sq = twocenter.SimplePolygon([(0, 0), (4, 0), (4, 4), (0, 4)])\n"
+         "sol = twocenter.two_center(sq, [(1, 1), (3, 1), (2, 2.5), (3, 3), (1, 3)])\n"
+         "assert sol.radius > 0\n"
+         "assert 'numpy' not in sys.modules and 'scipy' not in sys.modules"],
         env=env, check=True)
