@@ -5,10 +5,13 @@
 
 Prints how many instances moved in each field (radius, centers, pair,
 branch_stats, error class) and the largest relative radius move, then
-lists every instance that moved.  Exits 1 when a radius moves by more
-than 1e-12 relative, or when a pair, a branch_stats entry or an error
-class changes (an instance that solves on one side and raises on the
-other, or that is missing on one side, counts as an error-class change).
+lists every instance that moved.  An instance whose error outcome
+changed is listed with its old and new outcome (an error class, a radius
+or "missing"), so that an error -> radius change can be checked against
+the oracle directly.  Exits 1 when a radius moves by more than 1e-12
+relative, or when a pair, a branch_stats entry or an error class changes
+(an instance that solves on one side and raises on the other, or that is
+missing on one side, counts as an error-class change).
 Centers may move without failing the check.
 """
 
@@ -27,6 +30,14 @@ def _load(path: str) -> dict:
 def _rel_move(old: str, new: str) -> float:
     a, b = float.fromhex(old), float.fromhex(new)
     return abs(b - a) / max(abs(a), abs(b), 1e-300)
+
+
+def _outcome(rec) -> str:
+    if rec is None:
+        return "missing"
+    if "error" in rec:
+        return rec["error"]
+    return repr(float.fromhex(rec["radius"]))
 
 
 def diff(old: dict, new: dict):
@@ -62,7 +73,9 @@ def main() -> int:
           + (f" ({worst_key})" if worst_key else ""))
     for f in FIELDS:
         for key in moved[f]:
-            print(f"  {f}: {key}")
+            change = (f" {_outcome(old.get(key))} -> {_outcome(new.get(key))}"
+                      if f == "error" else "")
+            print(f"  {f}: {key}{change}")
     bad = (worst > REL_TOL or moved["pair"] or moved["branch_stats"]
            or moved["error"])
     return 1 if bad else 0

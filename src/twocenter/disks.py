@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .errors import BoundaryAssemblyError, CertificateError, NoArcs
 from .geom import (TAU, Point2, angle_of, circle_circle_intersections,
                    circle_segment_intersections, cw_delta, dist, point_at,
-                   polyline_length, ring_area2, unique_points)
+                   polyline_length, quadratic_roots, ring_area2, unique_points)
 from .polygon import TriangulatedPolygon
 from .region import Region
 
@@ -558,17 +558,8 @@ def _chart_roots(charts) -> List[Point2]:
         return p[0] * q[0] + p[1] * q[1] - p[2] * q[2]
 
     # form(z, z) = u^2 + v^2 - rho^2 = 0 at z = z0 + t n
-    qa, qb, qc = form(n, n), form(z0, n), form(z0, z0)
-    if qa == 0.0:
-        ts = [-qc / (2 * qb)] if qb != 0.0 else []
-    else:
-        disc = qb * qb - qa * qc
-        if disc < 0.0:
-            return []
-        q = -(qb + math.copysign(math.sqrt(disc), qb))
-        ts = [q / qa, qc / q] if q != 0.0 else [0.0]
     out = []
-    for t in ts:
+    for t in quadratic_roots(form(n, n), form(z0, n), form(z0, z0)):
         u, v, rho = (z0[k] + t * n[k] for k in range(3))
         if min(rho, rho + d1 - d2, rho + d1 - d3) >= 0.0:
             out.append(Point2(w1.x + u, w1.y + v))

@@ -203,6 +203,17 @@ def cw_delta(frm: float, to: float) -> float:
     return (frm - to) % TAU
 
 
+def quadratic_roots(a: float, b: float, c: float) -> List[float]:
+    """Real roots of a t^2 + 2 b t + c = 0, free of cancellation."""
+    if a == 0.0:
+        return [-c / (2 * b)] if b != 0.0 else []
+    disc = b * b - a * c
+    if disc < 0.0:
+        return []
+    q = -(b + math.copysign(math.sqrt(disc), b))
+    return [q / a, c / q] if q != 0.0 else [0.0]
+
+
 def polyline_length(pts: Sequence[Point2]) -> float:
     return sum(dist(pts[i], pts[i + 1]) for i in range(len(pts) - 1))
 

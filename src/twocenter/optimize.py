@@ -14,9 +14,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from .decision import (DecisionResult, PairChains, _prepare_side, decide,
                        pair_chains)
-from .disks import disks_intersection, one_center
+from .disks import _anchor, disks_intersection, one_center
 from .errors import InfeasibleInterval, NoArcs
-from .geom import Point2, dist
+from .geom import Point2, dist, quadratic_roots, seg_point_distance
 from .hull import GeodesicHull
 from .region import Region
 
@@ -52,35 +52,44 @@ class CriticalRadiusSet:
 
 
 def _boundary_pair_radii(ring: Region, a: Point2, b: Point2) -> List[float]:
-    """Radii at which the circles of a and b meet on a segment of the
-    ring: d(x, a) at each root of d(x, a) - d(x, b) along the segment,
-    bracketed on 8 samples and bisected 60 times."""
+    """Radii at which the circles of a and b meet on a segment of the ring.
+
+    The sites' shortest-path-map points cut each segment into pieces on
+    which both distances are anchor charts |x - w| + d, read at the
+    piece's midpoint.  Ordered so that c = d_b - d_a >= 0, the crossing
+    squares to c |x - w_b| = L(x), L linear (the bisector L = 0 when
+    c = 0), and once more to a quadratic; its roots in the piece with
+    L >= 0 are the crossings.
+    """
+    near = ring.tp.tol.near
+    cuts = [p for s in (a, b) for p, _d in ring.spm_points(s)]
     out = []
     for u, v in ring.ring_segments():
-        if dist(u, v) <= 1e-12:
+        ex, ey = v.x - u.x, v.y - u.y
+        ee = ex * ex + ey * ey
+        if ee == 0.0:
             continue
-
-        def point(t: float) -> Point2:
-            return Point2(u.x + (v.x - u.x) * t, u.y + (v.y - u.y) * t)
-
-        def g(t: float) -> float:
-            x = point(t)
-            return ring.distance(x, a) - ring.distance(x, b)
-
-        K = 8
-        vals = [g(k / K) for k in range(K + 1)]
-        for k in range(K):
-            if vals[k] == 0 or vals[k] * vals[k + 1] < 0:
-                lo, hi = k / K, (k + 1) / K
-                flo = vals[k]
-                for _ in range(60):
-                    mid = (lo + hi) / 2
-                    fm = g(mid)
-                    if flo * fm <= 0:
-                        hi = mid
-                    else:
-                        lo, flo = mid, fm
-                out.append(ring.distance(point((lo + hi) / 2), a))
+        proj = (((p.x - u.x) * ex + (p.y - u.y) * ey) / ee
+                for p in cuts if seg_point_distance(p, u, v) <= near)
+        ts = sorted({0.0, 1.0} | {t for t in proj if 0.0 < t < 1.0})
+        for t0, t1 in zip(ts, ts[1:]):
+            tm = (t0 + t1) / 2
+            mid = Point2(u.x + ex * tm, u.y + ey * tm)
+            (wa, da), (wb, db) = sorted((_anchor(ring.path(s, mid)) for s in (a, b)),
+                                        key=lambda wd: wd[1])
+            # with x = u + t e: L(x) / 2 = h1 t + h0
+            cc = (db - da) * (db - da)
+            dx, dy = wb.x - wa.x, wb.y - wa.y
+            bx, by = u.x - wb.x, u.y - wb.y
+            h1 = ex * dx + ey * dy
+            h0 = (dx * (u.x - wa.x + bx) + dy * (u.y - wa.y + by) - cc) / 2
+            roots = (quadratic_roots(0.0, h1 / 2, h0) if cc == 0.0 else
+                     [t for t in quadratic_roots(cc * ee - h1 * h1,
+                                                 cc * (bx * ex + by * ey) - h1 * h0,
+                                                 cc * (bx * bx + by * by) - h0 * h0)
+                      if h1 * t + h0 >= 0.0])
+            out += [dist(Point2(u.x + ex * t, u.y + ey * t), wa) + da
+                    for t in set(roots) if t0 <= t <= t1]
     return out
 
 
@@ -176,22 +185,6 @@ def narrow_interval(h: GeodesicHull, i: int, j: int,
     return out
 
 
-def _coincidence(region: Region, chain: Sequence[Point2], q1: Point2,
-                 q2: Point2, iv: RadiusInterval) -> Optional[float]:
-    oc = one_center(region, list(chain) + [q1, q2])
-    rho = oc.radius
-    tol = region.tp.tol.check
-    if abs(region.distance(oc.center, q1) - rho) > tol:
-        return None
-    if abs(region.distance(oc.center, q2) - rho) > tol:
-        return None
-    if chain and abs(max(region.distance(oc.center, e) for e in chain) - rho) > tol:
-        return None
-    if not iv.contains(rho):
-        return None
-    return rho
-
-
 def pair_coincidence_radius(h: GeodesicHull, i: int, j: int, t: int, q1: Point2,
                             q2: Point2, iv: RadiusInterval) -> Optional[float]:
     """Smallest radius whose side-t disk intersection can host both q1's
@@ -201,7 +194,16 @@ def pair_coincidence_radius(h: GeodesicHull, i: int, j: int, t: int, q1: Point2,
         raise ValueError("q1 == q2")
     pc = pair_chains(h, i, j)
     chain = pc.chain1 if t == 1 else pc.chain2
-    return _coincidence(h.region, chain, q1, q2, iv)
+    region = h.region
+    oc = one_center(region, list(chain) + [q1, q2])
+    tol = region.tp.tol.check
+
+    def pinned(pts) -> bool:
+        return abs(max(region.distance(oc.center, e) for e in pts) - oc.radius) <= tol
+
+    if pinned([q1]) and pinned([q2]) and (not chain or pinned(chain)):
+        return oc.radius if iv.contains(oc.radius) else None
+    return None
 
 
 def critical_radius_set(h: GeodesicHull, i: int, j: int,
@@ -222,9 +224,6 @@ def critical_radius_set(h: GeodesicHull, i: int, j: int,
 def optimize_pair(h: GeodesicHull, i: int, j: int, iv: RadiusInterval
                   ) -> Optional[Tuple[float, Point2, Point2]]:
     """r*_ij with witness centers, or None when iv.hi is infeasible."""
-    hi_res = decide(h, i, j, iv.hi)
-    if not hi_res.feasible:
-        return None
     try:
         nv = narrow_interval(h, i, j, iv)
     except InfeasibleInterval:
@@ -247,10 +246,7 @@ def optimize_pair(h: GeodesicHull, i: int, j: int, iv: RadiusInterval
             hi_i = mid - 1
         else:
             lo_i = mid + 1
-    if best is None:
-        best = decide(h, i, j, nv.hi)
-        best_r = nv.hi
-        if not best.feasible:
-            return None
+    if best is None:    # narrow_interval decided nv.hi feasible
+        best, best_r = decide(h, i, j, nv.hi), nv.hi
     assert best.centers is not None
     return best_r, best.centers[0], best.centers[1]

@@ -180,3 +180,28 @@ def test_not_locally_improvable(solved_pool):
             got = max(min(reg.distance(q, cs[0]), reg.distance(q, cs[1]))
                       for q in si.pts)
             assert got >= floor, (si, cs, got, r)
+
+
+# Oracle radii of instances where decide answers "no-arc-anomaly:n" at
+# feasible radii: one side's disk intersection has no arcs, the coverage
+# check of the hull center fails, and the split the oracle finds optimal
+# is rejected, so two_center returns a larger radius.  Treating an
+# arcless side as a side with no events fixes all four; random/16x8/s3
+# waits for perfbench/refs.json, which froze its larger radius.
+NO_ARC_ANOMALY = [
+    (("random", 16, 8, 3), 22.332111164873137),
+    (("comb", 48, 6, 3), 11.060028812948593),
+    (("random", 48, 6, 5), 37.299961966925906),
+    (("random", 48, 6, 3), 54.419981466965794),
+]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="no-arc-anomaly:n rejects a feasible split")
+@pytest.mark.parametrize("cell,oracle_radius", NO_ARC_ANOMALY,
+                         ids=[f"{f}/{n}x{m}/s{s}"
+                              for (f, n, m, s), _ in NO_ARC_ANOMALY])
+def test_no_arc_anomaly_reaches_oracle(cell, oracle_radius):
+    inst = generate(*cell)
+    sol = two_center(SimplePolygon(inst.polygon), inst.points)
+    assert sol.radius <= oracle_radius * (1 + 1e-9)

@@ -4,9 +4,11 @@ import pytest
 
 import twocenter.decision as dec
 import twocenter.optimize as opt
+from twocenter.driver import candidate_pairs
 from twocenter.errors import InfeasibleInterval
-from twocenter.geom import Point2
+from twocenter.geom import Point2, dist, unique_points
 from twocenter.hull import geodesic_hull
+from twocenter.instances import FAMILIES, generate
 from twocenter.polygon import SimplePolygon, triangulate
 
 SQRT2 = math.sqrt(2.0)
@@ -130,3 +132,63 @@ def test_critical_radius_set_collects_pairs():
     assert "endpoint" in crit.tags
     assert any(t == "pair" and abs(v - SQRT2) <= 1e-6
                for v, t in zip(crit.values, crit.tags))
+
+
+def test_boundary_pair_radii_square(qsym_hull):
+    # the bisector x = 2 of (1,1) and (3,1) meets the hull square at (2,1)
+    # and (2,3)
+    got = opt._boundary_pair_radii(qsym_hull.hull_region, Point2(1, 1), Point2(3, 1))
+    assert len(got) == 2
+    for v, want in zip(sorted(got), (1.0, math.sqrt(5.0))):
+        assert abs(v - want) <= 1e-12
+
+
+def _bisected_pair_radii(ring, a, b, K=64):
+    """Slow reference: d(x, a) at each root of d(x, a) - d(x, b) along a
+    ring segment, bracketed on K samples and bisected 60 times."""
+    out = []
+    for u, v in ring.ring_segments():
+        if dist(u, v) <= 1e-12:
+            continue
+
+        def point(t):
+            return Point2(u.x + (v.x - u.x) * t, u.y + (v.y - u.y) * t)
+
+        def g(t):
+            x = point(t)
+            return ring.distance(x, a) - ring.distance(x, b)
+
+        vals = [g(k / K) for k in range(K + 1)]
+        for k in range(K):
+            if vals[k] == 0 or vals[k] * vals[k + 1] < 0:
+                lo, hi, flo = k / K, (k + 1) / K, vals[k]
+                for _ in range(60):
+                    mid = (lo + hi) / 2
+                    fm = g(mid)
+                    if flo * fm <= 0:
+                        hi = mid
+                    else:
+                        lo, flo = mid, fm
+                out.append(ring.distance(point((lo + hi) / 2), a))
+    return out
+
+
+@pytest.mark.parametrize("fam", FAMILIES)
+def test_boundary_pair_radii_match_bisection(fam):
+    inst = generate(fam, 16, 8, 0)
+    h = geodesic_hull(triangulate(SimplePolygon(inst.polygon)),
+                      unique_points(inst.points))
+    p = candidate_pairs(h)[0]
+    pc = dec.pair_chains(h, p.i, p.j)
+
+    def near(v, vals):
+        return any(abs(v - w) <= 1e-12 * max(abs(v), abs(w)) for w in vals)
+
+    for chain in (pc.chain1, pc.chain2):
+        pts = list(chain) + list(pc.free)
+        for a in range(len(pts)):
+            for b in range(a + 1, len(pts)):
+                got = opt._boundary_pair_radii(h.hull_region, pts[a], pts[b])
+                ref = _bisected_pair_radii(h.hull_region, pts[a], pts[b])
+                assert all(near(v, ref) for v in got), (pts[a], pts[b])
+                assert all(near(v, got) for v in ref), (pts[a], pts[b])
