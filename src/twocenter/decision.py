@@ -8,7 +8,8 @@ interior-free exit, empty or pinched intersections, forced points.  Then
 one stage runs, chosen by which sides have events: "no-events",
 "one-side-quiet", or the three-cursor "scan" from either side.  When it
 finds no witness, exhaustive split enumeration settles the answer; above
-SPLIT_ENUM_CAP free points the answer is an infeasible "undecided".
+SPLIT_ENUM_CAP free points nothing settles it and CertificateError is
+raised.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .disks import (ArcBoundary, Event, compute_events, disks_intersection,
                     one_center)
-from .errors import InvalidPair, NoArcs
+from .errors import CertificateError, InvalidPair, NoArcs
 from .geom import Point2, dist, seg_point_distance
 from .hull import GeodesicHull
 from .region import Key, Region, _key
@@ -383,7 +384,7 @@ def scan_decide(region: Region, pc: PairChains, r: float,
 BRANCH_COUNTS: ContextVar[Optional[Counter]] = ContextVar("BRANCH_COUNTS", default=None)
 
 # largest free-point count `_split_enumerate` is run on; above it the
-# cascade answers "undecided"
+# cascade cannot decide and raises CertificateError
 SPLIT_ENUM_CAP = 14
 
 
@@ -505,7 +506,9 @@ def _decide(h: GeodesicHull, i: int, j: int, r: float) -> DecisionResult:
                 return _result(h, pc, stage, r, c1c, c2c)
 
     if len(pc.free) > SPLIT_ENUM_CAP:
-        return DecisionResult(False, "undecided")
+        raise CertificateError(
+            f"pair ({i},{j}) at r={r}: {len(pc.free)} free points exceed "
+            f"SPLIT_ENUM_CAP={SPLIT_ENUM_CAP} and the scan found no witness")
     hit = _split_enumerate(region, pc, r, tol)
     if hit is not None:
         return _result(h, pc, found, r, hit[0], hit[1])

@@ -17,7 +17,7 @@ from .geom import (TAU, Point2, angle_of, circle_circle_intersections,
                    circle_segment_intersections, cw_delta, dist, point_at,
                    polyline_length, quadratic_roots, ring_area2, unique_points)
 from .polygon import TriangulatedPolygon
-from .region import Region
+from .region import Region, _key
 
 
 @dataclass(frozen=True)
@@ -157,36 +157,18 @@ def _charts(region: Region, q: Point2, r: float):
         if dist(w, q) <= 1e-12:
             continue
         charts.append((w, dqw, R))
-        pred = tree.parent_of(w)
-        if pred is None:
-            pred = q
-        dvec = Point2(w.x - pred.x, w.y - pred.y)
-        if region._ray_enters(w, dvec):
-            h = region.ray_to_boundary(w, dvec)
-            if h is not None:
-                ext_segs.append((w, h))
+        h = tree.ext.get(_key(w))
+        if h is not None:
+            ext_segs.append((w, h))
     return charts, ext_segs
 
 
-class _DistFn:
-    """Geodesic distance from a fixed site with cheap Euclidean bounds."""
-
-    def __init__(self, region: Region, q: Point2):
-        self.region = region
-        self.q = Point2(q[0], q[1])
-
-    def lower(self, x) -> float:
-        return math.hypot(x[0] - self.q.x, x[1] - self.q.y)
-
-    def __call__(self, x) -> float:
-        return self.region.distance(self.q, x)
-
-    def within(self, x, r: float, tol: float) -> bool:
-        # Euclidean distance is a valid lower bound; anything farther than
-        # r straight-line is farther geodesically
-        if self.lower(x) > r + tol:
-            return False
-        return self(x) <= r + tol
+def _within(region: Region, q: Point2, x, r: float, tol: float) -> bool:
+    """d(q, x) <= r + tol, with the Euclidean distance as a cheap lower
+    bound: anything farther than r straight-line is farther geodesically."""
+    if math.hypot(x[0] - q.x, x[1] - q.y) > r + tol:
+        return False
+    return region.distance(q, x) <= r + tol
 
 
 # -- element cutting ---------------------------------------------------
@@ -273,26 +255,25 @@ def _circle_subarcs(w: Point2, R: float, angs: List[float], owner, dqw) -> List[
 # -- incremental clipping ---------------------------------------------
 
 def _clip(region: Region, elements: List[Element], q: Point2, r: float,
-          prev: Sequence[_DistFn]):
-    """Intersect the region bounded by `elements` with D_r(q).
+          prev: Sequence[Point2]):
+    """Intersect the region bounded by `elements`, already clipped to the
+    disks of the sites in prev, with D_r(q).
 
-    Returns (elements, point, df):  point set for a pinch to a single
-    point; elements None means empty intersection; df is q's distance
-    function, for the clips that follow.  When no piece survives, the
-    intersection is the pinch at the one-center of the sites of prev and
-    q if its radius is r within 10 tol and its center lies in the
-    region, and empty otherwise.
+    Returns (elements, point):  point set for a pinch to a single point;
+    elements None means empty intersection.  When no piece survives, the
+    intersection is the pinch at the one-center of prev and q if its
+    radius is r within 10 tol and its center lies in the region, and
+    empty otherwise.
     """
     q = Point2(q[0], q[1])
     charts, ext_segs = _charts(region, q, r)
-    df = _DistFn(region, q)
     tols = region.tp.tol
     tol = tols.check
 
     pieces: List[Element] = []
     for e in elements:
         for s in _split_elem(e, _cut_points_on_elem(e, charts)):
-            if df.within(s.point(0.5), r, tol):
+            if _within(region, q, s.point(0.5), r, tol):
                 pieces.append(s)
 
     new_arcs: List[CircArc] = []
@@ -300,11 +281,11 @@ def _clip(region: Region, elements: List[Element], q: Point2, r: float,
         angs = _cut_chart_circle(region, w, R, elements, charts, ext_segs)
         for arc in _circle_subarcs(w, R, angs, q, dqw):
             mid = arc.point(0.5)
-            if abs(df(mid) - r) > tol:
+            if abs(region.distance(q, mid) - r) > tol:
                 continue
             if region.classify(mid, eps=tol) == "outside":
                 continue
-            if any(not p.within(mid, r, tol) for p in prev):
+            if any(not _within(region, p, mid, r, tol) for p in prev):
                 continue
             new_arcs.append(arc)
 
@@ -314,12 +295,12 @@ def _clip(region: Region, elements: List[Element], q: Point2, r: float,
     if not all_pieces:
         # everything got clipped: the disks of prev and q meet exactly when
         # r reaches their one-center radius, and then only at its center
-        oc = one_center(region, [p.q for p in prev] + [q])
+        oc = one_center(region, list(prev) + [q])
         if abs(oc.radius - r) <= 10 * tol and region.contains(oc.center, eps=tol):
-            return [], oc.center, df
-        return None, None, df
+            return [], oc.center
+        return None, None
 
-    return _assemble(all_pieces, tols.join), None, df
+    return _assemble(all_pieces, tols.join), None
 
 
 def _piece_heading(p: Element, t: float) -> float:
@@ -388,7 +369,7 @@ def disks_intersection(region: Region, sites: Sequence[Point2],
     """
     sites = [Point2(s[0], s[1]) for s in sites]
     elements = ring_elements_cw(region.ring)
-    prev: List[_DistFn] = []
+    prev: List[Point2] = []
     tol = region.tp.tol.check
     pinch: Optional[Point2] = None
     for q in sites:
@@ -396,10 +377,10 @@ def disks_intersection(region: Region, sites: Sequence[Point2],
             if region.distance(q, pinch) > r + 10 * tol:
                 return None
             continue
-        elements, pinch, df = _clip(region, elements, q, r, prev)
+        elements, pinch = _clip(region, elements, q, r, prev)
         if elements is None and pinch is None:
             return None
-        prev.append(df)
+        prev.append(q)
     if pinch is not None:
         return ArcBoundary([], r, tuple(sites), point=pinch)
     assert elements is not None
@@ -448,13 +429,12 @@ def compute_events(region: Region, boundary: ArcBoundary,
     for q in interior:
         q = Point2(q[0], q[1])
         charts, _ = _charts(region, q, r)
-        df = _DistFn(region, q)
         # split every arc at q's circle crossings, classify sub-arcs
         runs: List[Tuple[int, Element, bool]] = []
         for idx, arc in arcs:
             ts = _cut_points_on_elem(arc, charts)
             for s in _split_elem(arc, ts):
-                runs.append((idx, s, df.within(s.point(0.5), r, tol)))
+                runs.append((idx, s, _within(region, q, s.point(0.5), r, tol)))
         if all(c for (_i, _s, c) in runs):
             sides[(q.x, q.y)] = "covers"
             continue

@@ -106,10 +106,8 @@ def interval_candidates(h: GeodesicHull, i: int, j: int) -> List[float]:
                 for c in range(b + 1, len(ext)):
                     vals.append(one_center(region, [ext[a], ext[b], ext[c]]).radius)
         for q in pc.free:
-            if ext:
-                vals.append(0.5 * max(region.distance(q, e) for e in ext))
-                for e in ext:
-                    vals.append(0.5 * region.distance(q, e))
+            for e in ext:
+                vals.append(0.5 * region.distance(q, e))
             vals.append(one_center(region, ext + [q]).radius)
         pts = ext + list(pc.free)
         # radii at which an arc endpoint crosses a hull corner
@@ -231,8 +229,6 @@ def optimize_pair(h: GeodesicHull, i: int, j: int, iv: RadiusInterval
     eps = h.ambient.tol.radius
     crit = critical_radius_set(h, i, j, nv)
     values = crit.sorted_unique(eps)
-    if not values or abs(values[-1] - nv.hi) > eps:
-        values.append(nv.hi)
     # leftmost feasible value; monotone in r
     lo_i, hi_i = 0, len(values) - 1
     best: Optional[DecisionResult] = None

@@ -91,8 +91,11 @@ class TriangulatedPolygon:
 
     Triangles are index triples into `polygon.vertices`, counterclockwise.
     The dual graph of a triangulated simple polygon is a tree; `dual[t]`
-    lists (neighbor_triangle, shared_edge_index_pair).  `tol` holds the
-    solver's tolerances for this polygon's scale.
+    lists (neighbor_triangle, shared_edge_index_pair).  Rooted at
+    triangle 0, `up[t]` is t's parent (-1 at the root), `depth[t]` its
+    depth, and `gate[t]` the edge t shares with its parent, as t's
+    counterclockwise vertex pair.  `tol` holds the solver's tolerances
+    for this polygon's scale.
     """
 
     def __init__(self, polygon: SimplePolygon, triangles):
@@ -113,6 +116,27 @@ class TriangulatedPolygon:
                 else:
                     self.dual[t].append((other, key))
                     self.dual[other].append((t, key))
+        m = len(self.triangles)
+        self.up: List[int] = [-1] * m
+        self.depth: List[int] = [-1] * m
+        self.gate: List[Tuple[int, int]] = [(-1, -1)] * m
+        for root in range(m):
+            if self.depth[root] >= 0:
+                continue
+            # one root per connected piece of the dual graph
+            self.depth[root] = 0
+            order = [root]
+            for t in order:
+                for nb, key in self.dual[t]:
+                    if self.depth[nb] >= 0:
+                        continue
+                    self.up[nb] = t
+                    self.depth[nb] = self.depth[t] + 1
+                    tri = self.triangles[nb]
+                    # the gate follows the corner opposite it
+                    k = next(k for k in range(3) if tri[k - 1] not in key)
+                    self.gate[nb] = (tri[k], tri[(k + 1) % 3])
+                    order.append(nb)
         # caches shared by every geodesic query over this polygon
         self._path_cache = {}
         self._locate_cache = {}

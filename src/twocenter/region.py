@@ -29,53 +29,27 @@ def _same(a, b) -> bool:
     return a[0] == b[0] and a[1] == b[1]
 
 
-def _corridor(tp: TriangulatedPolygon, ts: int, tt: int) -> List[int]:
-    """Triangle chain from ts to tt in the dual tree (BFS, unique path)."""
-    if ts == tt:
-        return [ts]
-    prev: Dict[int, Optional[int]] = {ts: None}
-    queue = [ts]
-    qi = 0
-    while qi < len(queue):
-        cur = queue[qi]
-        qi += 1
-        if cur == tt:
-            break
-        for nb, _ in tp.dual[cur]:
-            if nb not in prev:
-                prev[nb] = cur
-                queue.append(nb)
-    chain = [tt]
-    while prev[chain[-1]] is not None:
-        nxt = prev[chain[-1]]
-        assert nxt is not None
-        chain.append(nxt)
-    chain.reverse()
-    return chain
+def _portals(tp: TriangulatedPolygon, ts: int, tt: int):
+    """(left, right) portal endpoints for each crossing from triangle ts
+    to triangle tt, climbing the rooted dual tree from both ends.
 
-
-def _portals(tp: TriangulatedPolygon, chain: Sequence[int]):
-    """(left, right) portal endpoints for each crossing along the chain.
-
-    Crossing the directed edge u -> v of the source triangle (ccw order)
-    puts v on the traveller's left and u on the right.
+    Crossing a child's gate u -> v upward puts v on the traveller's left
+    and u on the right; crossing it downward puts u on the left.
     """
-    V = tp.vertices
-    out = []
-    for a, b in zip(chain, chain[1:]):
-        shared = None
-        for nb, key in tp.dual[a]:
-            if nb == b:
-                shared = key
-                break
-        assert shared is not None
-        tri = tp.triangles[a]
-        for k in range(3):
-            u, v = tri[k], tri[(k + 1) % 3]
-            if (min(u, v), max(u, v)) == shared:
-                out.append((V[v], V[u]))
-                break
-    return out
+    V, up, depth, gate = tp.vertices, tp.up, tp.depth, tp.gate
+    rise, fall = [], []
+    while ts != tt:
+        if depth[ts] >= depth[tt]:
+            u, v = gate[ts]
+            rise.append((V[v], V[u]))
+            ts = up[ts]
+        else:
+            u, v = gate[tt]
+            fall.append((V[u], V[v]))
+            tt = up[tt]
+        if ts < 0 or tt < 0:
+            raise ValueError("triangles in different pieces of the dual graph")
+    return rise + fall[::-1]
 
 
 def _narrows_right(apex, right, p) -> bool:
@@ -154,10 +128,15 @@ def _funnel(portals, s: Point2, t: Point2) -> List[Point2]:
 
 @dataclass
 class ShortestPathTree:
-    """Distances and predecessors from one source to a set of corners."""
+    """Distances and predecessors from one source to a set of corners.
+
+    `ext` maps each corner whose path, extended straight past it, runs
+    into the region to the point where that extension meets the ring.
+    """
     source: Point2
     dist: Dict[Key, float]
     parent: Dict[Key, Optional[Point2]]
+    ext: Dict[Key, Point2]
 
     def distance_to(self, p) -> float:
         return self.dist[_key(p)]
@@ -182,7 +161,6 @@ class Region:
         self.corners: Tuple[Point2, ...] = tuple(corners)
         self.diameter = tp.diameter
         self._tree_cache: Dict[Key, ShortestPathTree] = {}
-        self._spm_cache: Dict[Key, List[Tuple[Point2, float]]] = {}
         # disks.one_center results keyed by the frozenset of point keys
         self._onecenter_cache: Dict[frozenset, object] = {}
 
@@ -214,9 +192,7 @@ class Region:
         hit = cache.get(key)
         if hit is None:
             s, t = (b, a) if flip else (a, b)
-            ts, tt = self.tp.locate(s), self.tp.locate(t)
-            chain = _corridor(self.tp, ts, tt)
-            hit = _funnel(_portals(self.tp, chain), s, t)
+            hit = _funnel(_portals(self.tp, self.tp.locate(s), self.tp.locate(t)), s, t)
             cache[key] = hit
         return list(reversed(hit)) if flip else list(hit)
 
@@ -233,11 +209,16 @@ class Region:
             return hit
         d: Dict[Key, float] = {ks: 0.0}
         par: Dict[Key, Optional[Point2]] = {ks: None}
+        ext: Dict[Key, Point2] = {}
         for v in self.corners:
             p = self.path(s, v)
-            d[_key(v)] = polyline_length(p)
-            par[_key(v)] = p[-2] if len(p) >= 2 else None
-        tree = ShortestPathTree(s, d, par)
+            kv = _key(v)
+            d[kv] = polyline_length(p)
+            par[kv] = p[-2] if len(p) >= 2 else None
+            h = self._extend(p)
+            if h is not None:
+                ext[kv] = h
+        tree = ShortestPathTree(s, d, par, ext)
         self._tree_cache[ks] = tree
         return tree
 
@@ -271,21 +252,24 @@ class Region:
                        origin[1] + direction[1] / norm * step)
         return self.contains(probe, eps=step * 1e-3)
 
-    def extension_point(self, frm, to) -> Point2:
-        """Where the path frm -> to, extended straight past `to`, first
-        meets the ring.  Returns `to` itself when the extension leaves the
-        region immediately (endpoint on the boundary, ray pointing out).
-        """
-        to = Point2(to[0], to[1])
-        p = self.path(frm, to)
-        if len(p) < 2:
-            return to
-        pred = p[-2]
+    def _extend(self, path) -> Optional[Point2]:
+        """Where `path`, extended straight past its last point, first
+        meets the ring; None for a one-point path or when the extension
+        leaves the region immediately (endpoint on the boundary, ray
+        pointing out)."""
+        if len(path) < 2:
+            return None
+        to, pred = path[-1], path[-2]
         d = Point2(to.x - pred.x, to.y - pred.y)
         if not self._ray_enters(to, d):
-            return to
-        hit = self.ray_to_boundary(to, d)
-        return hit if hit is not None else to
+            return None
+        return self.ray_to_boundary(to, d)
+
+    def extension_point(self, frm, to) -> Point2:
+        """Where the path frm -> to, extended straight past `to`, first
+        meets the ring; `to` itself when the extension leaves at once."""
+        hit = self._extend(self.path(frm, to))
+        return Point2(to[0], to[1]) if hit is None else hit
 
     # -- shortest path map vertices -----------------------------------
 
@@ -297,25 +281,14 @@ class Region:
         path bends around, the point where the bent path's straight
         continuation meets the ring again.
         """
-        ks = _key(s)
-        hit = self._spm_cache.get(ks)
-        if hit is not None:
-            return hit
         tree = self.tree(s)
         out: List[Tuple[Point2, float]] = []
         for v in self.corners:
             dv = tree.distance_to(v)
             out.append((v, dv))
-            pred = tree.parent_of(v)
-            if pred is None:
-                continue
-            d = Point2(v.x - pred.x, v.y - pred.y)
-            if not self._ray_enters(v, d):
-                continue
-            h = self.ray_to_boundary(v, d)
+            h = tree.ext.get(_key(v))
             if h is not None:
                 out.append((h, dv + dist(v, h)))
-        self._spm_cache[ks] = out
         return out
 
 

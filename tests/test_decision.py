@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import twocenter.decision as dec
-from twocenter.errors import InvalidPair
+from twocenter.errors import CertificateError, InvalidPair
 from twocenter.disks import disks_intersection
 from twocenter.geom import Point2, dist
 from twocenter.hull import geodesic_hull
@@ -150,10 +150,10 @@ def test_split_enum_cap_is_undecided(monkeypatch):
     assert len(dec.pair_chains(h, 1, 3).free) > dec.SPLIT_ENUM_CAP
     assert dec.decide(h, 1, 3, 1.6).branch == "scan"
     # with the scan missing, only split enumeration is left, and it is
-    # not run on this many free points
+    # not run on this many free points: no answer is certified
     monkeypatch.setattr(dec, "scan_decide", lambda *args: None)
-    res = dec.decide(h, 1, 3, 1.6)
-    assert not res.feasible and res.branch == "undecided"
+    with pytest.raises(CertificateError):
+        dec.decide(h, 1, 3, 1.6)
 
 
 def test_witness_covers_extremes(solved_pool):

@@ -8,7 +8,7 @@ from twocenter import decision, driver
 from twocenter.decision import decide
 from twocenter.driver import (CandidatePair, assistant_interval, candidate_pairs,
                               two_center)
-from twocenter.errors import PointOutsidePolygon
+from twocenter.errors import CertificateError, PointOutsidePolygon
 from twocenter.geom import Point2
 from twocenter.instances import generate
 from twocenter.polygon import SimplePolygon, triangulate
@@ -205,3 +205,12 @@ def test_no_arc_anomaly_reaches_oracle(cell, oracle_radius):
     inst = generate(*cell)
     sol = two_center(SimplePolygon(inst.polygon), inst.points)
     assert sol.radius <= oracle_radius * (1 + 1e-9)
+
+
+def test_undecided_split_raises():
+    # convex/16x32/s0 reaches a split whose scan finds no witness with
+    # more free points than split enumeration runs on; returning a radius
+    # anyway gave 26.3083 where the solver can certify 24.8488
+    inst = generate("convex", 16, 32, 0)
+    with pytest.raises(CertificateError, match="SPLIT_ENUM_CAP"):
+        two_center(SimplePolygon(inst.polygon), inst.points)

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from twocenter.geom import Point2, dist, ring_contains
+from twocenter.geom import Point2, dist, orientation, ring_contains
 from twocenter.hull import geodesic_hull
 from twocenter.instances import generate
 from twocenter.polygon import SimplePolygon, triangulate
@@ -137,3 +137,29 @@ def test_hull_geodesically_convex(seed):
         for b in pts:
             for w in h.region.path(a, b):
                 assert ring_contains(w, h.ring, 1e-7 * sc) != "outside"
+
+
+# Hulls whose traced ring turns left at an extreme: a site in a pocket
+# behind a reflex vertex shared by two hull paths, while the extremes
+# keep their Euclidean cyclic order (the hull only ever inserts or drops
+# one).  The lobe then runs counterclockwise inside the clockwise ring.
+_HULL_ORDER_DEFECT = {("comb", 12, 6, 5), ("comb", 16, 8, 1), ("random", 16, 8, 1),
+                      ("random", 16, 8, 4), ("random", 48, 6, 2)}
+_HULL_ORDER_CELLS = ([(fam, 16, 8, s) for fam in ("convex", "star", "comb", "random")
+                      for s in range(6)] + [("comb", 12, 6, 5), ("random", 48, 6, 2)])
+
+
+@pytest.mark.parametrize("cell", [
+    pytest.param(c, marks=pytest.mark.xfail(strict=True, reason="hull order defect"))
+    if c in _HULL_ORDER_DEFECT else c for c in _HULL_ORDER_CELLS],
+    ids=lambda c: "{}/{}x{}/s{}".format(*c))
+def test_ring_turns_right_at_every_extreme(cell):
+    inst = generate(*cell)
+    poly = SimplePolygon(inst.polygon)
+    # scaled as two_center scales it
+    s = 2.0 ** round(math.log2(64.0 / poly.diameter))
+    poly = SimplePolygon([(v.x * s, v.y * s) for v in poly.vertices])
+    h = geodesic_hull(triangulate(poly), [Point2(q.x * s, q.y * s) for q in inst.points])
+    ring, n = h.ring, len(h.ring)
+    for i in h.pos:
+        assert orientation(ring[i - 1], ring[i], ring[(i + 1) % n]) <= 0, ring[i]

@@ -1,17 +1,20 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from twocenter.errors import PointOutsidePolygon
 from twocenter.geom import Point2, dist
+from twocenter.hull import geodesic_hull
 from twocenter.instances import generate
 from twocenter.oracle import oracle_distance
 from twocenter.polygon import SimplePolygon, point_in_polygon, triangulate
-from twocenter.region import (geodesic_distance, shortest_path,
-                              shortest_path_tree, spm_vertices)
+from twocenter.region import (Region, _portals, geodesic_distance,
+                              shortest_path, shortest_path_tree, spm_vertices)
 
 SQRT2 = math.sqrt(2.0)
+L6_ARMS = [Point2(3, 1), Point2(3, 1.5), Point2(1, 3), Point2(1.5, 3)]
 
 
 def test_straight_path(sq4_tp):
@@ -128,3 +131,135 @@ def test_matches_visibility_oracle(seed):
     got = geodesic_distance(tp, a, b)
     want = oracle_distance(poly, a, b)
     assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+# -- reference: the dual-tree BFS corridor and shared-edge portal scan --
+
+def _bfs_corridor(tp, ts, tt):
+    """Triangle chain from ts to tt in the dual tree (BFS, unique path)."""
+    if ts == tt:
+        return [ts]
+    prev = {ts: None}
+    queue = [ts]
+    qi = 0
+    while qi < len(queue):
+        cur = queue[qi]
+        qi += 1
+        if cur == tt:
+            break
+        for nb, _ in tp.dual[cur]:
+            if nb not in prev:
+                prev[nb] = cur
+                queue.append(nb)
+    chain = [tt]
+    while prev[chain[-1]] is not None:
+        chain.append(prev[chain[-1]])
+    chain.reverse()
+    return chain
+
+
+def _scan_portals(tp, chain):
+    """(left, right) portals found by scanning each triangle's edges."""
+    V = tp.vertices
+    out = []
+    for a, b in zip(chain, chain[1:]):
+        shared = None
+        for nb, key in tp.dual[a]:
+            if nb == b:
+                shared = key
+                break
+        assert shared is not None
+        tri = tp.triangles[a]
+        for k in range(3):
+            u, v = tri[k], tri[(k + 1) % 3]
+            if (min(u, v), max(u, v)) == shared:
+                out.append((V[v], V[u]))
+                break
+    return out
+
+
+def _assert_portals_match(tp, pairs):
+    for ts, tt in pairs:
+        assert _portals(tp, ts, tt) == _scan_portals(tp, _bfs_corridor(tp, ts, tt)), (ts, tt)
+
+
+@pytest.mark.parametrize("name", ["sq4_tp", "l6_tp"])
+def test_portals_match_reference_on_fixtures(name, request):
+    tp = request.getfixturevalue(name)
+    m = len(tp.triangles)
+    _assert_portals_match(tp, [(a, b) for a in range(m) for b in range(m)])
+
+
+@pytest.mark.parametrize("family", ["comb", "random"])
+def test_portals_match_reference_on_128_gons(family):
+    tp = triangulate(SimplePolygon(generate(family, 128, 2, 0).polygon))
+    m = len(tp.triangles)
+    rng = random.Random(0)
+    _assert_portals_match(tp, [(rng.randrange(m), rng.randrange(m))
+                               for _ in range(2000)])
+
+
+# -- reference: the extension ray cast once inlined in disks._charts ----
+
+def _charts_ray(region, tree, q, w):
+    """Verbatim ray cast from w along the path q -> w, or None."""
+    pred = tree.parent_of(w)
+    if pred is None:
+        pred = q
+    dvec = Point2(w.x - pred.x, w.y - pred.y)
+    if region._ray_enters(w, dvec):
+        h = region.ray_to_boundary(w, dvec)
+        if h is not None:
+            return h
+    return None
+
+
+def _assert_ext_matches(region, sites):
+    for q in sites:
+        q = Point2(q[0], q[1])
+        tree = region.tree(q)
+        for w in region.corners:
+            assert tree.ext.get((w.x, w.y)) == _charts_ray(region, tree, q, w), (q, w)
+
+
+def test_tree_ext_matches_ray_cast_l6(l6_tp, arms_hull):
+    _assert_ext_matches(Region.of(l6_tp), L6_ARMS)
+    _assert_ext_matches(arms_hull.hull_region, L6_ARMS)
+
+
+def test_tree_ext_matches_ray_cast_48x6():
+    inst = generate("random", 48, 6, 0)
+    h = geodesic_hull(triangulate(SimplePolygon(inst.polygon)), inst.points)
+    _assert_ext_matches(h.hull_region, inst.points)
+
+
+def test_extension_point_reads_the_ray(l6_tp):
+    region = Region.of(l6_tp)
+    hit = region.extension_point(Point2(3, 0.5), Point2(2, 2))
+    assert hit.y == pytest.approx(4) and hit.x == pytest.approx(2 / 3)
+    # a path ending on the boundary with its extension pointing out
+    assert region.extension_point(Point2(1, 1), Point2(4, 0)) == Point2(4, 0)
+
+
+# Ear clipping drops a vertex left exactly straight between two of its
+# diagonals, (0, -1) between (0, -4) and (0, 1) here, without linking
+# the triangles on either side: the dual graph falls into two pieces.
+SPLIT_DUAL = [Point2(1, 1), Point2(0, 1), Point2(-2, 5), Point2(-1, -1),
+              Point2(-3, -2), Point2(-1, -2), Point2(0, -4), Point2(0, -1)]
+
+
+def test_split_dual_paths_within_a_piece():
+    poly = SimplePolygon(SPLIT_DUAL)
+    tp = triangulate(poly)
+    assert tp.depth.count(0) == 2
+    a, b = Point2(-1, 0), Point2(-5 / 3, -5 / 3)
+    assert geodesic_distance(tp, a, b) == pytest.approx(oracle_distance(poly, a, b))
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError,
+                   reason="ear clipping splits the dual graph")
+def test_split_dual_paths_across_pieces():
+    poly = SimplePolygon(SPLIT_DUAL)
+    a, b = Point2(1 / 3, 1 / 3), Point2(-1, 0)
+    assert geodesic_distance(triangulate(poly), a, b) == \
+        pytest.approx(oracle_distance(poly, a, b))
