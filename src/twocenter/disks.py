@@ -281,9 +281,9 @@ def _clip(region: Region, elements: List[Element], q: Point2, r: float,
         angs = _cut_chart_circle(region, w, R, elements, charts, ext_segs)
         for arc in _circle_subarcs(w, R, angs, q, dqw):
             mid = arc.point(0.5)
-            if abs(region.distance(q, mid) - r) > tol:
-                continue
             if region.classify(mid, eps=tol) == "outside":
+                continue
+            if abs(region.distance(q, mid) - r) > tol:
                 continue
             if any(not _within(region, p, mid, r, tol) for p in prev):
                 continue

@@ -1,6 +1,8 @@
-"""Simple polygons, validation, and ear-clipping triangulation."""
+"""Simple polygons, validation, ear-clipping triangulation and point
+location."""
 from __future__ import annotations
 
+import math
 from typing import List, Tuple
 
 from .errors import InvalidPolygon
@@ -43,23 +45,36 @@ class SimplePolygon:
     def _check_simple(self):
         n = self.n
         V = self.vertices
+        # edge bounding boxes prune both tests: exact orientation signs that
+        # show a proper crossing imply that the two boxes meet
+        boxes = [(min(a.x, b.x), min(a.y, b.y), max(a.x, b.x), max(a.y, b.y))
+                 for a, b in zip(V, V[1:] + V[:1])]
         for i in range(n):
             a, b = V[i], V[(i + 1) % n]
-            for j in range(i + 1, n):
-                c, d = V[j], V[(j + 1) % n]
-                if j == i or (j + 1) % n == i or (i + 1) % n == j:
+            x0, y0, x1, y1 = boxes[i]
+            # skip edge i + 1, and edge n - 1 when i = 0: both are adjacent
+            for j in range(i + 2, n if i else n - 1):
+                u0, v0, u1, v1 = boxes[j]
+                if x1 < u0 or u1 < x0 or y1 < v0 or v1 < y0:
                     continue
-                if segments_properly_cross(a, b, c, d):
+                if segments_properly_cross(a, b, V[j], V[(j + 1) % n]):
                     raise InvalidPolygon(f"edges {i} and {j} cross")
         # a vertex sitting in the interior of a non-adjacent edge also
         # breaks simplicity
         for i in range(n):
             p = V[i]
+            th = 1e-12 * max(1.0, abs(p.x), abs(p.y))
+            # within th of an edge means within th of its box; 2 th absorbs
+            # the rounding of seg_point_distance
+            xlo, xhi, ylo, yhi = p.x - 2 * th, p.x + 2 * th, p.y - 2 * th, p.y + 2 * th
             for j in range(n):
                 if j == i or (j + 1) % n == i:
                     continue
+                u0, v0, u1, v1 = boxes[j]
+                if xhi < u0 or u1 < xlo or yhi < v0 or v1 < ylo:
+                    continue
                 a, b = V[j], V[(j + 1) % n]
-                if seg_point_distance(p, a, b) <= 1e-12 * max(1.0, abs(p.x), abs(p.y)):
+                if seg_point_distance(p, a, b) <= th:
                     # touching is allowed only at shared endpoints
                     if dist(p, a) > 1e-12 and dist(p, b) > 1e-12:
                         raise InvalidPolygon(f"vertex {i} lies on edge {j}")
@@ -137,20 +152,82 @@ class TriangulatedPolygon:
                     k = next(k for k in range(3) if tri[k - 1] not in key)
                     self.gate[nb] = (tri[k], tri[(k + 1) % 3])
                     order.append(nb)
+        self._bucket_triangles()
         # caches shared by every geodesic query over this polygon
         self._path_cache = {}
         self._locate_cache = {}
         self._region = None
 
-    # Point location by scanning; n is small and results are cached.
+    def _reach_boxes(self) -> List[Tuple[float, float, float, float]]:
+        """Per triangle, a box holding every point of the polygon's box
+        that locate's 1e-12 containment test accepts for that triangle.
+
+        The test accepts p when every barycentric coordinate is at least
+        -(tol + err) / A, for A twice the triangle's area, tol the test's
+        slack at the box's largest coordinate and err the rounding of one
+        cross product.  Such a p lies within 2 (tol + err) D / A of the
+        triangle's own box of extent D; the rest is rounding slack.
+        """
+        x0, y0, x1, y1 = self.polygon.bbox
+        big = max(1.0, abs(x0), abs(y0), abs(x1), abs(y1))
+        tol, slack = 1e-12 * big, 1e-15 * big
+        ext = max(x1 - x0, y1 - y0)
+        V = self.vertices
+        boxes = []
+        for i, j, k in self.triangles:
+            a, b, c = V[i], V[j], V[k]
+            tx0, tx1 = min(a.x, b.x, c.x), max(a.x, b.x, c.x)
+            ty0, ty1 = min(a.y, b.y, c.y), max(a.y, b.y, c.y)
+            d = max(tx1 - tx0, ty1 - ty0)
+            area2 = cross(a, b, c) - 1e-15 * d * d
+            if area2 > 0.0:
+                pad = 2.0 * (tol + 1e-15 * d * ext) * d / area2 * (1.0 + 1e-9) + slack
+            else:
+                pad = math.inf
+            boxes.append((tx0 - pad, ty0 - pad, tx1 + pad, ty1 + pad))
+        return boxes
+
+    def _bucket_triangles(self):
+        """Bucket the triangles into a uniform grid over the polygon's box
+        (Edahiro, Kokubo and Asano 1984), about sqrt(T) cells a side.  A
+        cell lists, in index order, every triangle whose reach box meets
+        it."""
+        x0, y0, x1, y1 = self.polygon.bbox
+        k = max(1, math.isqrt(len(self.triangles)))
+        self._grid_k = k
+        self._grid_scale = (k / (x1 - x0), k / (y1 - y0))
+        self._cells: List[List[int]] = [[] for _ in range(k * k)]
+        for t, (bx0, by0, bx1, by1) in enumerate(self._reach_boxes()):
+            for cy in range(self._cell(by0, 1), self._cell(by1, 1) + 1):
+                for cx in range(self._cell(bx0, 0), self._cell(bx1, 0) + 1):
+                    self._cells[cy * k + cx].append(t)
+
+    def _cell(self, v: float, axis: int) -> int:
+        """Grid column (axis 0) or row (axis 1) of coordinate v, clamped;
+        monotone in v, so a padded box's cells cover its points' cells."""
+        f = (v - self.polygon.bbox[axis]) * self._grid_scale[axis]
+        if f < 1.0:
+            return 0
+        if f >= self._grid_k:
+            return self._grid_k - 1
+        return int(f)
+
+    # Point location: the grid cell first, the full scan as fallback;
+    # results are cached.
     def locate(self, p) -> int:
         key = (p[0], p[1])
         hit = self._locate_cache.get(key)
         if hit is not None:
             return hit
         V = self.vertices
+        x0, y0, x1, y1 = self.polygon.bbox
+        if x0 <= p[0] <= x1 and y0 <= p[1] <= y1:
+            cands = self._cells[self._cell(p[1], 1) * self._grid_k + self._cell(p[0], 0)]
+        else:
+            cands = range(len(self.triangles))
         best = -1
-        for t, (i, j, k) in enumerate(self.triangles):
+        for t in cands:
+            i, j, k = self.triangles[t]
             if _tri_contains(V[i], V[j], V[k], p, 1e-12):
                 best = t
                 break
@@ -176,13 +253,19 @@ class TriangulatedPolygon:
 def triangulate(poly: SimplePolygon) -> TriangulatedPolygon:
     """Ear-clipping triangulation.
 
-    Collinear vertices produce zero-area ears, which are dropped without
-    emitting a triangle.  Runs in O(n^2), fine at this scale.
+    A vertex lying straight between two pieces of the polygon boundary
+    carries no area and is dropped without emitting a triangle.  One next
+    to a diagonal stays for ear clipping, so that the triangles on either
+    side of it remain linked and the dual graph stays one tree.  Runs in
+    O(n^2), fine at this scale.
     """
     V = poly.vertices
     n = poly.n
     idx = list(range(n))
     tris: List[Tuple[int, int, int]] = []
+    # on_ring[v]: the edge from v to its current successor in idx lies on
+    # the polygon boundary (not a diagonal left by a clipped ear)
+    on_ring = [True] * n
 
     def is_ear(ii: int) -> bool:
         m = len(idx)
@@ -203,10 +286,10 @@ def triangulate(poly: SimplePolygon) -> TriangulatedPolygon:
             raise InvalidPolygon("ear clipping failed to converge")
         m = len(idx)
         clipped = False
-        # drop exactly-straight vertices first, they carry no area
+        # drop exactly-straight boundary vertices first, they carry no area
         for ii in range(m):
             a, b, c = idx[(ii - 1) % m], idx[ii], idx[(ii + 1) % m]
-            if orientation(V[a], V[b], V[c]) == 0 and \
+            if on_ring[a] and on_ring[b] and orientation(V[a], V[b], V[c]) == 0 and \
                     seg_point_distance(V[b], V[a], V[c]) <= EPS * max(1.0, poly.diameter):
                 del idx[ii]
                 clipped = True
@@ -217,6 +300,7 @@ def triangulate(poly: SimplePolygon) -> TriangulatedPolygon:
             if is_ear(ii):
                 a, b, c = idx[(ii - 1) % m], idx[ii], idx[(ii + 1) % m]
                 tris.append((a, b, c))
+                on_ring[a] = False
                 del idx[ii]
                 clipped = True
                 break

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import PointOutsidePolygon
 from .geom import (Point2, dist, orientation, polyline_length, ray_segment_hit,
-                   ring_contains)
+                   ring_contains, unique_points)
 from .polygon import TriangulatedPolygon, point_in_polygon
 
 Key = Tuple[float, float]
@@ -151,14 +151,7 @@ class Region:
     def __init__(self, tp: TriangulatedPolygon, ring: Optional[Sequence[Point2]] = None):
         self.tp = tp
         self.ring: Tuple[Point2, ...] = tuple(ring) if ring is not None else tp.vertices
-        seen = set()
-        corners: List[Point2] = []
-        for p in self.ring:
-            k = _key(p)
-            if k not in seen:
-                seen.add(k)
-                corners.append(p)
-        self.corners: Tuple[Point2, ...] = tuple(corners)
+        self.corners: Tuple[Point2, ...] = tuple(unique_points(self.ring))
         self.diameter = tp.diameter
         self._tree_cache: Dict[Key, ShortestPathTree] = {}
         # disks.one_center results keyed by the frozenset of point keys

@@ -1,10 +1,11 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from twocenter.errors import PointOutsidePolygon
+from twocenter.errors import InvalidPolygon, PointOutsidePolygon
 from twocenter.geom import Point2, dist
 from twocenter.hull import geodesic_hull
 from twocenter.instances import generate
@@ -241,9 +242,9 @@ def test_extension_point_reads_the_ray(l6_tp):
     assert region.extension_point(Point2(1, 1), Point2(4, 0)) == Point2(4, 0)
 
 
-# Ear clipping drops a vertex left exactly straight between two of its
-# diagonals, (0, -1) between (0, -4) and (0, 1) here, without linking
-# the triangles on either side: the dual graph falls into two pieces.
+# (0, -1) ends up exactly straight between two diagonals, from (0, -4) and
+# to (0, 1).  Dropping it there would leave the triangles on either side
+# unlinked and split the dual graph in two; ear clipping keeps it.
 SPLIT_DUAL = [Point2(1, 1), Point2(0, 1), Point2(-2, 5), Point2(-1, -1),
               Point2(-3, -2), Point2(-1, -2), Point2(0, -4), Point2(0, -1)]
 
@@ -251,15 +252,74 @@ SPLIT_DUAL = [Point2(1, 1), Point2(0, 1), Point2(-2, 5), Point2(-1, -1),
 def test_split_dual_paths_within_a_piece():
     poly = SimplePolygon(SPLIT_DUAL)
     tp = triangulate(poly)
-    assert tp.depth.count(0) == 2
+    assert tp.depth.count(0) == 1
     a, b = Point2(-1, 0), Point2(-5 / 3, -5 / 3)
     assert geodesic_distance(tp, a, b) == pytest.approx(oracle_distance(poly, a, b))
 
 
-@pytest.mark.xfail(strict=True, raises=ValueError,
-                   reason="ear clipping splits the dual graph")
 def test_split_dual_paths_across_pieces():
     poly = SimplePolygon(SPLIT_DUAL)
     a, b = Point2(1 / 3, 1 / 3), Point2(-1, 0)
     assert geodesic_distance(triangulate(poly), a, b) == \
         pytest.approx(oracle_distance(poly, a, b))
+
+
+def _integer_star(rng):
+    n = rng.randint(5, 10)
+    angles = sorted(rng.uniform(0, 2 * math.pi) for _ in range(n))
+    return [(round(r * math.cos(a)), round(r * math.sin(a)))
+            for a, r in ((a, rng.uniform(1, 5)) for a in angles)]
+
+
+def test_integer_stars_have_one_dual_tree():
+    # rounding to integers leaves many exactly straight vertices
+    rng = random.Random(0)
+    checked = 0
+    for _ in range(2000):
+        try:
+            poly = SimplePolygon(_integer_star(rng))
+        except InvalidPolygon:
+            continue
+        if len(set(poly.vertices)) < poly.n:
+            continue    # a ring through one point twice is not simple
+        tp = triangulate(poly)
+        assert tp.depth.count(0) == 1, poly.vertices
+        checked += 1
+    assert checked > 1500
+
+
+def _one_ulp_case():
+    """random/48x6/s3 as two_center scales it, the site (43.0085...,
+    8.0995...), the reflex vertex v = (14.2479..., 3.1730...) with its
+    neighbours u and w, and the point one ulp above v."""
+    inst = generate("random", 48, 6, 3)
+    base = SimplePolygon(inst.polygon)
+    s = 2.0 ** round(math.log2(64.0 / base.diameter))
+    poly = SimplePolygon([(w.x * s, w.y * s) for w in base.vertices])
+    site = Point2(inst.points[2][0] * s, inst.points[2][1] * s)
+    i = min(range(poly.n), key=lambda k: dist(poly.vertices[k], Point2(14.2479, 3.1730)))
+    u, v, w = poly.vertices[i - 1], poly.vertices[i], poly.vertices[(i + 1) % poly.n]
+    return poly, site, (u, v, w), Point2(v.x, math.nextafter(v.y, math.inf))
+
+
+def _exact_cross(o, a, b):
+    return (Fraction(a[0]) - Fraction(o[0])) * (Fraction(b[1]) - Fraction(o[1])) \
+        - (Fraction(a[1]) - Fraction(o[1])) * (Fraction(b[0]) - Fraction(o[0]))
+
+
+def test_one_ulp_point_is_outside():
+    poly, site, (u, v, w), p = _one_ulp_case()
+    assert site.x == pytest.approx(43.0085, abs=1e-4)
+    assert v.x == pytest.approx(14.2479, abs=1e-4)
+    assert _exact_cross(u, v, w) < 0            # v is reflex
+    # right of both edges at a reflex vertex: outside P
+    assert _exact_cross(u, v, p) < 0 and _exact_cross(v, w, p) < 0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a path to a point one ulp off a reflex vertex "
+                          "runs straight through the exterior")
+def test_path_one_ulp_off_a_reflex_vertex():
+    poly, site, (u, v, w), p = _one_ulp_case()
+    length = Region.of(triangulate(poly)).distance(site, p)
+    assert length == pytest.approx(oracle_distance(poly, site, v), rel=1e-9)
