@@ -78,12 +78,12 @@ class DecisionResult:
 
 def _coverage_ok(region: Region, pc: PairChains, r: float,
                  c1: Point2, c2: Point2, tol: float) -> bool:
-    if any(region.distance(c1, e) > r + tol for e in pc.chain1):
+    if any(region.site_map(e).distance(c1) > r + tol for e in pc.chain1):
         return False
-    if any(region.distance(c2, e) > r + tol for e in pc.chain2):
+    if any(region.site_map(e).distance(c2) > r + tol for e in pc.chain2):
         return False
-    return all(min(region.distance(c1, q), region.distance(c2, q)) <= r + tol
-               for q in pc.free)
+    return all(min(sq.distance(c1), sq.distance(c2)) <= r + tol
+               for sq in map(region.site_map, pc.free))
 
 
 def _result(h: GeodesicHull, pc: PairChains, branch: str, r: float,
@@ -97,7 +97,8 @@ def _result(h: GeodesicHull, pc: PairChains, branch: str, r: float,
     for q in list(pc.free) + h.boundary_points + h.interior_points:
         if _key(q) in assign:
             continue
-        assign[_key(q)] = 1 if region.distance(c1, q) <= region.distance(c2, q) else 2
+        sq = region.site_map(q)
+        assign[_key(q)] = 1 if sq.distance(c1) <= sq.distance(c2) else 2
     return DecisionResult(True, branch, (c1, c2), assign)
 
 
@@ -271,8 +272,8 @@ def scan_decide(region: Region, pc: PairChains, r: float,
     pos2c = side2.ref_pos
     pos2cc = side2.ref_pos
 
-    in1 = {k_: region.distance(qmap[k_], pos1) <= r + tol for k_ in keys}
-    in2c = {k_: region.distance(qmap[k_], pos2c) <= r + tol for k_ in keys}
+    in1 = {k_: region.site_map(qmap[k_]).distance(pos1) <= r + tol for k_ in keys}
+    in2c = {k_: region.site_map(qmap[k_]).distance(pos2c) <= r + tol for k_ in keys}
     in2cc = dict(in2c)
 
     def check() -> Optional[Tuple[Point2, Point2]]:
@@ -435,7 +436,7 @@ def _decide(h: GeodesicHull, i: int, j: int, r: float) -> DecisionResult:
             return DecisionResult(False, "pinched")
         fixed, other_chain = (c1, pc.chain2) if c1 is not None else (c2, pc.chain1)
         assert fixed is not None
-        rest = [q for q in pc.free if region.distance(q, fixed) > r + tol]
+        rest = [q for q in pc.free if region.site_map(q).distance(fixed) > r + tol]
         oc = one_center(region, list(other_chain) + rest)
         if oc.radius <= r + eps:
             cc1, cc2 = (fixed, oc.center) if c1 is not None else (oc.center, fixed)
@@ -490,7 +491,8 @@ def _decide(h: GeodesicHull, i: int, j: int, r: float) -> DecisionResult:
         pts = [q for q in pc.free if _key(q) in need]
         oc = one_center(region, list(cb) + pts)
         if oc.radius <= r + eps:
-            rest = [q for q in pc.free if region.distance(q, oc.center) > r + tol]
+            rest = [q for q in pc.free
+                    if region.site_map(q).distance(oc.center) > r + tol]
             oca = one_center(region, list(ca) + rest)
             for c_a in (oca.center, sa.ref_pos):
                 c1c, c2c = (oc.center, c_a) if flip else (c_a, oc.center)

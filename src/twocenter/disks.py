@@ -168,7 +168,7 @@ def _within(region: Region, q: Point2, x, r: float, tol: float) -> bool:
     bound: anything farther than r straight-line is farther geodesically."""
     if math.hypot(x[0] - q.x, x[1] - q.y) > r + tol:
         return False
-    return region.distance(q, x) <= r + tol
+    return region.site_map(q).distance(x) <= r + tol
 
 
 # -- element cutting ---------------------------------------------------
@@ -269,6 +269,7 @@ def _clip(region: Region, elements: List[Element], q: Point2, r: float,
     charts, ext_segs = _charts(region, q, r)
     tols = region.tp.tol
     tol = tols.check
+    sq = region.site_map(q)
 
     pieces: List[Element] = []
     for e in elements:
@@ -283,7 +284,7 @@ def _clip(region: Region, elements: List[Element], q: Point2, r: float,
             mid = arc.point(0.5)
             if region.classify(mid, eps=tol) == "outside":
                 continue
-            if abs(region.distance(q, mid) - r) > tol:
+            if abs(sq.distance(mid) - r) > tol:
                 continue
             if any(not _within(region, p, mid, r, tol) for p in prev):
                 continue
@@ -374,7 +375,7 @@ def disks_intersection(region: Region, sites: Sequence[Point2],
     pinch: Optional[Point2] = None
     for q in sites:
         if pinch is not None:
-            if region.distance(q, pinch) > r + 10 * tol:
+            if region.site_map(q).distance(pinch) > r + 10 * tol:
                 return None
             continue
         elements, pinch = _clip(region, elements, q, r, prev)
@@ -491,7 +492,7 @@ def _as_region(obj) -> Region:
 
 
 def _disk2(region: Region, a: Point2, b: Point2) -> OneCenterResult:
-    p = region.path(a, b)
+    p = region.site_map(a).path(b)
     L = polyline_length(p)
     half = L / 2
     acc = 0.0
@@ -546,11 +547,6 @@ def _chart_roots(charts) -> List[Point2]:
     return out
 
 
-def _anchor(path: Sequence[Point2]) -> Tuple[Point2, float]:
-    """Last bend of a path and the path length up to it."""
-    return path[-2] if len(path) > 1 else path[0], polyline_length(path[:-1])
-
-
 def _equalize3(region: Region, a: Point2, b: Point2, c: Point2,
                starts: Sequence[Point2]) -> Optional[Point2]:
     """Point of the region with equal geodesic distance to a, b, c; None
@@ -563,7 +559,7 @@ def _equalize3(region: Region, a: Point2, b: Point2, c: Point2,
     circumcenter), and from the charts at every point of `starts` when
     that finds nothing.  Of several equalizers, the one of least radius.
     """
-    sites = (a, b, c)
+    maps = [region.site_map(s) for s in (a, b, c)]
     tols = region.tp.tol
     seen = set()
 
@@ -579,17 +575,17 @@ def _equalize3(region: Region, a: Point2, b: Point2, c: Point2,
             for x in _chart_roots(charts):
                 if not region.contains(x, eps=tols.near):
                     continue
-                paths = [region.path(s, x) for s in sites]
-                da, db, dc = (polyline_length(p) for p in paths)
+                anchors = tuple(m.anchor(x) for m in maps)
+                da, db, dc = (d + dist(w, x) for w, d in anchors)
                 if math.hypot(da - db, db - dc) <= tols.radius:
                     yield max(da, db, dc), x
                 else:
-                    todo.append(tuple(_anchor(p) for p in paths))
+                    todo.append(anchors)
 
-    found = list(walk(tuple((s, 0.0) for s in sites)))
+    found = list(walk(tuple((s, 0.0) for s in (a, b, c))))
     if not found:
         for x in starts:
-            found += walk(tuple(_anchor(region.path(s, x)) for s in sites))
+            found += walk(tuple(m.anchor(x) for m in maps))
     return min(found, key=lambda f: f[0])[1] if found else None
 
 
@@ -600,11 +596,11 @@ def _solve3(region: Region, a: Point2, b: Point2, c: Point2) -> OneCenterResult:
     cands: List[OneCenterResult] = []
     pairs = [_disk2(region, u, v) for (u, v) in ((a, b), (a, c), (b, c))]
     for d2, w in zip(pairs, (c, b, a)):
-        if region.distance(d2.center, w) <= d2.radius + tol:
+        if region.site_map(w).distance(d2.center) <= d2.radius + tol:
             cands.append(d2)
     eq = _equalize3(region, a, b, c, [d2.center for d2 in pairs])
     if eq is not None:
-        rad = max(region.distance(eq, p) for p in (a, b, c))
+        rad = max(region.site_map(p).distance(eq) for p in (a, b, c))
         cands.append(OneCenterResult(eq, rad, (a, b, c)))
     if not cands:
         raise CertificateError(
@@ -636,7 +632,7 @@ def one_center(space, pts: Sequence[Point2]) -> OneCenterResult:
     tol = tols.near
 
     def covers(d: OneCenterResult, p: Point2) -> bool:
-        return region.distance(d.center, p) <= d.radius + tol
+        return region.site_map(p).distance(d.center) <= d.radius + tol
 
     def mtf2(P, q1, q2):
         d = _disk2(region, q1, q2)
@@ -657,10 +653,10 @@ def one_center(space, pts: Sequence[Point2]) -> OneCenterResult:
         if not covers(d, p):
             d = mtf1(uniq[:i], p)
 
-    rad = max(region.distance(d.center, p) for p in uniq)
-    dets = sorted(uniq, key=lambda p: (-region.distance(d.center, p), p.x, p.y))
-    dets = tuple(p for p in dets
-                 if region.distance(d.center, p) >= rad - tols.check)[:3]
+    far = {p: region.site_map(p).distance(d.center) for p in uniq}
+    rad = max(far.values())
+    dets = sorted(uniq, key=lambda p: (-far[p], p.x, p.y))
+    dets = tuple(p for p in dets if far[p] >= rad - tols.check)[:3]
     result = OneCenterResult(d.center, rad, dets)
     cache[key] = result
     return result

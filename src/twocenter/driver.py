@@ -21,8 +21,7 @@ from .geom import Point2, dist, ring_area2, unique_points
 from .hull import GeodesicHull, geodesic_hull
 from .optimize import RadiusInterval, optimize_pair
 from .polygon import SimplePolygon, TriangulatedPolygon, point_in_polygon, triangulate
-
-Key = Tuple[float, float]
+from .region import Key
 
 
 @dataclass(frozen=True)
@@ -155,10 +154,11 @@ def _line_solution(h: GeodesicHull, pts: List[Point2]) -> TwoCenterSolution:
     """All of Q on one geodesic path: a prefix split in path order."""
     region = h.region
     far = max(((a, b) for a in h.extremes for b in h.extremes),
-              key=lambda ab: region.distance(ab[0], ab[1]))
+              key=lambda ab: region.site_map(ab[0]).distance(ab[1]))
     a, b = far
-    path = region.path(a, b)
-    coord = sorted(set((region.distance(a, q), q) for q in pts))
+    sa = region.site_map(a)
+    path = sa.path(b)
+    coord = sorted(set((sa.distance(q), q) for q in pts))
     svals = [s for s, _q in coord]
     best = None
     for cut in range(1, len(svals) + 1):
@@ -197,7 +197,8 @@ def _assignment(h: GeodesicHull, pr: CandidatePair, c1: Point2, c2: Point2,
         if key in forced:
             out[key] = forced[key]
         else:
-            out[key] = 1 if region.distance(q, c1) <= region.distance(q, c2) else 2
+            sq = region.site_map(q)
+            out[key] = 1 if sq.distance(c1) <= sq.distance(c2) else 2
     return out
 
 
@@ -205,8 +206,8 @@ def _certify(h: GeodesicHull, sol: TwoCenterSolution, pts: Sequence[Point2]):
     region = h.region
     worst = 0.0
     for q in pts:
-        worst = max(worst, min(region.distance(q, sol.c1),
-                               region.distance(q, sol.c2)))
+        sq = region.site_map(q)
+        worst = max(worst, min(sq.distance(sol.c1), sq.distance(sol.c2)))
     if worst > sol.radius * (1 + 1e-6) + h.ambient.tol.near:
         raise CertificateError(
             f"coverage {worst} exceeds radius {sol.radius}")

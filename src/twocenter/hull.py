@@ -80,7 +80,7 @@ class GeodesicHull:
         b %= self.k
         if a == b:
             return [self.extremes[a]]
-        closing = self.region.path(self.extremes[b], self.extremes[a])
+        closing = self.region.site_map(self.extremes[b]).path(self.extremes[a])
         return unique_points(self.boundary_portion(a, b) + closing[1:-1])
 
     def chain_radius(self, a: int, b: int) -> float:
@@ -117,7 +117,7 @@ def _trace_ring(region: Region, extremes: List[Point2]) -> Tuple[List[Point2], L
     k = len(extremes)
     for i in range(k):
         pos.append(len(ring))
-        ring.extend(region.path(extremes[i], extremes[(i + 1) % k])[:-1])
+        ring.extend(region.site_map(extremes[i]).path(extremes[(i + 1) % k])[:-1])
     return ring, pos
 
 
@@ -161,8 +161,9 @@ def geodesic_hull(tp: TriangulatedPolygon, Q: Sequence[Point2]) -> GeodesicHull:
                 for i in range(len(extremes)):
                     a = extremes[i]
                     b = extremes[(i + 1) % len(extremes)]
-                    inc = region.distance(a, q) + region.distance(q, b) \
-                        - region.distance(a, b)
+                    sa = region.site_map(a)
+                    inc = sa.distance(q) + region.site_map(q).distance(b) \
+                        - sa.distance(b)
                     if best is None or inc < best[0]:
                         best = (inc, i)
                 return best

@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .decision import (DecisionResult, PairChains, _prepare_side, decide,
                        pair_chains)
-from .disks import _anchor, disks_intersection, one_center
+from .disks import disks_intersection, one_center
 from .errors import InfeasibleInterval, NoArcs
 from .geom import Point2, dist, quadratic_roots, seg_point_distance
 from .hull import GeodesicHull
@@ -75,7 +75,7 @@ def _boundary_pair_radii(ring: Region, a: Point2, b: Point2) -> List[float]:
         for t0, t1 in zip(ts, ts[1:]):
             tm = (t0 + t1) / 2
             mid = Point2(u.x + ex * tm, u.y + ey * tm)
-            (wa, da), (wb, db) = sorted((_anchor(ring.path(s, mid)) for s in (a, b)),
+            (wa, da), (wb, db) = sorted((ring.site_map(s).anchor(mid) for s in (a, b)),
                                         key=lambda wd: wd[1])
             # with x = u + t e: L(x) / 2 = h1 t + h0
             cc = (db - da) * (db - da)
@@ -107,13 +107,14 @@ def interval_candidates(h: GeodesicHull, i: int, j: int) -> List[float]:
                     vals.append(one_center(region, [ext[a], ext[b], ext[c]]).radius)
         for q in pc.free:
             for e in ext:
-                vals.append(0.5 * region.distance(q, e))
+                vals.append(0.5 * region.site_map(q).distance(e))
             vals.append(one_center(region, ext + [q]).radius)
         pts = ext + list(pc.free)
         # radii at which an arc endpoint crosses a hull corner
         for w in h.hull_region.corners:
+            sw = region.site_map(w)
             for x in pts:
-                vals.append(region.distance(w, x))
+                vals.append(sw.distance(x))
         for a in range(len(pts)):
             for b in range(a + 1, len(pts)):
                 vals.extend(_boundary_pair_radii(h.hull_region, pts[a], pts[b]))
@@ -197,7 +198,8 @@ def pair_coincidence_radius(h: GeodesicHull, i: int, j: int, t: int, q1: Point2,
     tol = region.tp.tol.check
 
     def pinned(pts) -> bool:
-        return abs(max(region.distance(oc.center, e) for e in pts) - oc.radius) <= tol
+        return abs(max(region.site_map(e).distance(oc.center) for e in pts)
+                   - oc.radius) <= tol
 
     if pinned([q1]) and pinned([q2]) and (not chain or pinned(chain)):
         return oc.radius if iv.contains(oc.radius) else None

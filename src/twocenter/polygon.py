@@ -59,8 +59,8 @@ class SimplePolygon:
                     continue
                 if segments_properly_cross(a, b, V[j], V[(j + 1) % n]):
                     raise InvalidPolygon(f"edges {i} and {j} cross")
-        # a vertex sitting in the interior of a non-adjacent edge also
-        # breaks simplicity
+        # a vertex sitting on a non-adjacent edge also breaks simplicity,
+        # in its interior or at an end (the ring passes one point twice)
         for i in range(n):
             p = V[i]
             th = 1e-12 * max(1.0, abs(p.x), abs(p.y))
@@ -75,9 +75,11 @@ class SimplePolygon:
                     continue
                 a, b = V[j], V[(j + 1) % n]
                 if seg_point_distance(p, a, b) <= th:
-                    # touching is allowed only at shared endpoints
-                    if dist(p, a) > 1e-12 and dist(p, b) > 1e-12:
+                    k = next((k for k in (j, (j + 1) % n) if dist(p, V[k]) <= 1e-12), -1)
+                    if k < 0:
                         raise InvalidPolygon(f"vertex {i} lies on edge {j}")
+                    if k not in ((i - 1) % n, (i + 1) % n):
+                        raise InvalidPolygon(f"vertex {i} coincides with vertex {k}")
 
     def edges(self):
         V = self.vertices
@@ -106,7 +108,9 @@ class TriangulatedPolygon:
 
     Triangles are index triples into `polygon.vertices`, counterclockwise.
     The dual graph of a triangulated simple polygon is a tree; `dual[t]`
-    lists (neighbor_triangle, shared_edge_index_pair).  Rooted at
+    lists (neighbor_triangle, shared_edge_index_pair), and `across[t][k]`
+    is the triangle across t's edge (tri[k], tri[k + 1]), -1 on the
+    polygon boundary.  Rooted at
     triangle 0, `up[t]` is t's parent (-1 at the root), `depth[t]` its
     depth, and `gate[t]` the edge t shares with its parent, as t's
     counterclockwise vertex pair.  `tol` holds the solver's tolerances
@@ -121,16 +125,19 @@ class TriangulatedPolygon:
         self.tol = Tolerances.for_diameter(self.diameter)
         edge_map = {}
         self.dual: List[List[Tuple[int, Tuple[int, int]]]] = [[] for _ in self.triangles]
+        self.across: List[List[int]] = [[-1, -1, -1] for _ in self.triangles]
         for t, tri in enumerate(self.triangles):
             for k in range(3):
                 e = (tri[k], tri[(k + 1) % 3])
                 key = (min(e), max(e))
                 other = edge_map.get(key)
                 if other is None:
-                    edge_map[key] = t
+                    edge_map[key] = (t, k)
                 else:
-                    self.dual[t].append((other, key))
-                    self.dual[other].append((t, key))
+                    o, ko = other
+                    self.dual[t].append((o, key))
+                    self.dual[o].append((t, key))
+                    self.across[t][k], self.across[o][ko] = o, t
         m = len(self.triangles)
         self.up: List[int] = [-1] * m
         self.depth: List[int] = [-1] * m
@@ -156,6 +163,7 @@ class TriangulatedPolygon:
         # caches shared by every geodesic query over this polygon
         self._path_cache = {}
         self._locate_cache = {}
+        self._site_maps = {}
         self._region = None
 
     def _reach_boxes(self) -> List[Tuple[float, float, float, float]]:

@@ -1,11 +1,13 @@
 """Geodesic shortest paths inside a simple polygon.
 
-Paths are computed with the funnel algorithm over the triangulation's dual
-tree.  A Region bundles the triangulated polygon with a boundary ring; the
-ring may differ from the polygon boundary (a geodesically convex subregion
-traced as a cycle, possibly with repeated vertices), in which case geodesic
-queries still run in the full polygon but membership and ray casts use the
-ring.
+Paths from a site are read from its shortest-path map (`SiteMap`): one
+funnel sweep over the triangulation's dual tree from the site.  A path
+between two arbitrary points runs the two-point funnel algorithm over the
+corridor of triangles joining them.  A Region bundles the triangulated
+polygon with a boundary ring; the ring may differ from the polygon
+boundary (a geodesically convex subregion traced as a cycle, possibly
+with repeated vertices), in which case geodesic queries still run in the
+full polygon but membership and ray casts use the ring.
 """
 from __future__ import annotations
 
@@ -126,6 +128,122 @@ def _funnel(portals, s: Point2, t: Point2) -> List[Point2]:
     return path
 
 
+def _wrap(P, chain, ai: int, x) -> int:
+    """Position in `chain` of the funnel vertex that the path to x leaves
+    from: walk outward from the apex while x lies past the next vertex,
+    with `_funnel`'s tests and collinear rule."""
+    i, w = ai, P[chain[ai]]
+    while i > 0:
+        nxt = P[chain[i - 1]]
+        if not _past_left(w, nxt, x):
+            break
+        i, w = i - 1, nxt
+    if i == ai:
+        last = len(chain) - 1
+        while i < last:
+            nxt = P[chain[i + 1]]
+            if not _past_right(w, nxt, x):
+                break
+            i, w = i + 1, nxt
+    return i
+
+
+class SiteMap:
+    """Shortest-path map of one source over the whole polygon (Guibas,
+    Hershberger, Leven, Sharir and Tarjan 1987).
+
+    One walk over the dual tree from the source's triangles splits each
+    triangle's funnel at its far corner.  `funnels[t]` is the funnel at
+    the edge by which the walk entered triangle t: vertex indices from
+    the edge's left end through the apex to its right end, and the
+    apex's position in that list.  A triangle that holds the source, or
+    has it as a corner, has an empty funnel; one the walk never reaches
+    (another piece of the dual graph) has None.  Index n, one past the
+    polygon's vertices, is the source.  `parent[v]` is v's predecessor
+    on its path and `dist[v]` the path's length, summed from the source
+    as `polyline_length` sums it.
+    """
+
+    def __init__(self, tp: TriangulatedPolygon, source):
+        V, T, across = tp.vertices, tp.triangles, tp.across
+        n = len(V)
+        s = Point2(source[0], source[1])
+        self.tp = tp
+        self.points = P = V + (s,)
+        self.parent = parent = [-1] * (n + 1)
+        self.dist = d = [math.inf] * n + [0.0]
+        self.funnels: List[Optional[Tuple[List[int], int]]] = [None] * len(T)
+        funnels = self.funnels
+        # a funnel side from a source on a polygon vertex to that vertex
+        # has no direction; the vertex sees its whole fan straight instead
+        k = next((k for k in range(n) if _same(V[k], s)), -1)
+        direct = {tp.locate(s)} | {t for t, tri in enumerate(T) if k in tri}
+        for t in direct:
+            funnels[t] = ([], 0)
+        stack = []
+        for t in sorted(direct):
+            tri = T[t]
+            for i, v in enumerate(tri):
+                if parent[v] < 0:
+                    parent[v], d[v] = n, dist(s, V[v])
+                nb = across[t][i]
+                if nb >= 0 and funnels[nb] is None:
+                    funnels[nb] = ([tri[(i + 1) % 3], n, tri[i]], 1)
+                    stack.append(nb)
+        while stack:
+            t = stack.pop()
+            chain, ai = funnels[t]
+            # t is (left, right, c) counterclockwise from its entry edge
+            tri = T[t]
+            i = tri.index(chain[0])
+            c = tri[(i + 2) % 3]
+            j = _wrap(P, chain, ai, V[c])
+            w = chain[j]
+            parent[c], d[c] = w, d[w] + dist(P[w], V[c])
+            nb = across[t][(i + 1) % 3]     # edge right -> c: c on the left
+            if nb >= 0 and funnels[nb] is None:
+                funnels[nb] = ([c] + chain[j:], max(ai, j) - j + 1)
+                stack.append(nb)
+            nb = across[t][(i + 2) % 3]     # edge c -> left: c on the right
+            if nb >= 0 and funnels[nb] is None:
+                funnels[nb] = (chain[:j + 1] + [c], min(ai, j))
+                stack.append(nb)
+
+    def _anchor(self, x) -> int:
+        """Index of the last point before x on the path from the source."""
+        f = self.funnels[self.tp.locate(x)]
+        if f is None:
+            raise ValueError("triangles in different pieces of the dual graph")
+        chain, ai = f
+        if not chain:
+            return len(self.points) - 1
+        w = chain[_wrap(self.points, chain, ai, x)]
+        if self.parent[w] >= 0 and _same(self.points[w], x):
+            w = self.parent[w]
+        return w
+
+    def anchor(self, x) -> Tuple[Point2, float]:
+        """The last bend of the path to x (the source when there is none)
+        and the path's length up to it."""
+        w = self._anchor(x)
+        return self.points[w], self.dist[w]
+
+    def distance(self, x) -> float:
+        w = self._anchor(x)
+        return self.dist[w] + dist(self.points[w], x)
+
+    def path(self, x) -> List[Point2]:
+        x = Point2(x[0], x[1])
+        w = self._anchor(x)
+        # the anchor is x itself only when x is the source
+        out = [] if _same(self.points[w], x) else [x]
+        while w >= 0:
+            out.append(self.points[w])
+            w = self.parent[w]
+        out.reverse()
+        return out
+
+
 @dataclass
 class ShortestPathTree:
     """Distances and predecessors from one source to a set of corners.
@@ -192,6 +310,14 @@ class Region:
     def distance(self, a, b) -> float:
         return polyline_length(self.path(a, b))
 
+    def site_map(self, s) -> SiteMap:
+        """The shortest-path map of s, built once per polygon."""
+        maps = self.tp._site_maps
+        hit = maps.get(_key(s))
+        if hit is None:
+            hit = maps[_key(s)] = SiteMap(self.tp, s)
+        return hit
+
     # -- trees over the ring corners ----------------------------------
 
     def tree(self, s) -> ShortestPathTree:
@@ -200,11 +326,12 @@ class Region:
         hit = self._tree_cache.get(ks)
         if hit is not None:
             return hit
+        sm = self.site_map(s)
         d: Dict[Key, float] = {ks: 0.0}
         par: Dict[Key, Optional[Point2]] = {ks: None}
         ext: Dict[Key, Point2] = {}
         for v in self.corners:
-            p = self.path(s, v)
+            p = sm.path(v)
             kv = _key(v)
             d[kv] = polyline_length(p)
             par[kv] = p[-2] if len(p) >= 2 else None

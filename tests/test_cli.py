@@ -76,6 +76,18 @@ def test_solve_invalid_polygon(capsys):
     assert code == 1 and out == "" and "error" in err
 
 
+def test_solve_repeated_vertex(capsys, tmp_path):
+    # the ring passes (2, 4) twice; triangulating it would find no ear
+    bad = tmp_path / "spike.json"
+    bad.write_text(json.dumps({
+        "polygon": [[0, 0], [4, 0], [4, 4], [2, 4], [2, 6], [2, 4], [0, 4]],
+        "points": [[1, 1], [3, 3], [1, 3]]}))
+    code, out, err = _run(capsys, "solve", str(bad))
+    assert code == 1 and out == ""
+    assert err.startswith("error: vertex 3 coincides with vertex 5")
+    assert "Traceback" not in err
+
+
 def test_solve_missing_file(capsys):
     code, _, err = _run(capsys, "solve", str(FIXTURES / "nope.json"))
     assert code == 1 and "error" in err

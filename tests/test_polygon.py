@@ -36,6 +36,21 @@ def test_zero_area_rejected():
         SimplePolygon([Point2(0, 0), Point2(2, 0), Point2(4, 0)])
 
 
+# rings through one point twice: a zero-width spike out of the top edge,
+# and two triangles pinched together at (1, 1)
+SPIKE = [(0, 0), (4, 0), (4, 4), (2, 4), (2, 6), (2, 4), (0, 4)]
+PINCH = [(0, 0), (2, 0), (1, 1), (2, 2), (0, 2), (1, 1)]
+
+
+@pytest.mark.parametrize("ring,msg", [(SPIKE, "vertex 3 coincides with vertex 5"),
+                                      (PINCH, "vertex 2 coincides with vertex 5")])
+def test_repeated_vertex_rejected(ring, msg):
+    with pytest.raises(InvalidPolygon, match=msg):
+        SimplePolygon(ring)
+    V = [Point2(*p) for p in ring]
+    assert _check_simple_message(V) == _reference_check_simple(V) == msg
+
+
 def test_duplicate_vertex_merge():
     poly = SimplePolygon([Point2(0, 0), Point2(4, 0), Point2(4, 0),
                           Point2(4, 4), Point2(0, 4)])
@@ -104,8 +119,11 @@ def _reference_check_simple(V):
                 continue
             a, b = V[j], V[(j + 1) % n]
             if seg_point_distance(p, a, b) <= 1e-12 * max(1.0, abs(p.x), abs(p.y)):
-                if dist(p, a) > 1e-12 and dist(p, b) > 1e-12:
+                ends = [k for k in (j, (j + 1) % n) if dist(p, V[k]) <= 1e-12]
+                if not ends:
                     return f"vertex {i} lies on edge {j}"
+                if ends[0] not in ((i - 1) % n, (i + 1) % n):
+                    return f"vertex {i} coincides with vertex {ends[0]}"
     return None
 
 

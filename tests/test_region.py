@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from twocenter.errors import InvalidPolygon, PointOutsidePolygon
-from twocenter.geom import Point2, dist
+from twocenter.geom import Point2, dist, polyline_length
 from twocenter.hull import geodesic_hull
 from twocenter.instances import generate
 from twocenter.oracle import oracle_distance
-from twocenter.polygon import SimplePolygon, point_in_polygon, triangulate
+from twocenter.polygon import (SimplePolygon, TriangulatedPolygon, point_in_polygon,
+                               triangulate)
 from twocenter.region import (Region, _portals, geodesic_distance,
                               shortest_path, shortest_path_tree, spm_vertices)
 
@@ -280,8 +281,8 @@ def test_integer_stars_have_one_dual_tree():
             poly = SimplePolygon(_integer_star(rng))
         except InvalidPolygon:
             continue
-        if len(set(poly.vertices)) < poly.n:
-            continue    # a ring through one point twice is not simple
+        # SimplePolygon rejects a ring through one point twice
+        assert len(set(poly.vertices)) == poly.n, poly.vertices
         tp = triangulate(poly)
         assert tp.depth.count(0) == 1, poly.vertices
         checked += 1
@@ -323,3 +324,93 @@ def test_path_one_ulp_off_a_reflex_vertex():
     poly, site, (u, v, w), p = _one_ulp_case()
     length = Region.of(triangulate(poly)).distance(site, p)
     assert length == pytest.approx(oracle_distance(poly, site, v), rel=1e-9)
+
+
+def test_site_map_one_ulp_off_a_reflex_vertex():
+    # the site's map routes every one-ulp neighbour of v around v, inside
+    # P or just outside it alike
+    poly, site, (_u, v, _w), _p = _one_ulp_case()
+    sm = Region.of(triangulate(poly)).site_map(site)
+    want = oracle_distance(poly, site, v)
+    for dx, dy in ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)):
+        p = Point2(math.nextafter(v.x, v.x + dx * math.inf) if dx else v.x,
+                   math.nextafter(v.y, v.y + dy * math.inf) if dy else v.y)
+        assert sm.distance(p) == pytest.approx(want, rel=1e-9), (dx, dy)
+
+
+# -- reference: the two-point funnel -------------------------------------
+
+def _interior_points(tp, rng, count):
+    V = tp.vertices
+    out = []
+    for _ in range(count):
+        a, b, c = (V[i] for i in tp.triangles[rng.randrange(len(tp.triangles))])
+        u, v = rng.random(), rng.random()
+        if u + v > 1:
+            u, v = 1 - u, 1 - v
+        out.append(Point2(a.x + u * (b.x - a.x) + v * (c.x - a.x),
+                          a.y + u * (b.y - a.y) + v * (c.y - a.y)))
+    return out
+
+
+def _edge_points(tp, rng, count):
+    """Points on polygon edges and on diagonals of the triangulation."""
+    V = tp.vertices
+    edges = [(V[i], V[(i + 1) % len(V)]) for i in range(len(V))]
+    edges += [(V[u], V[v]) for t in range(len(tp.triangles)) for _nb, (u, v) in tp.dual[t]]
+    out = []
+    for _ in range(count):
+        a, b = edges[rng.randrange(len(edges))]
+        t = rng.random()
+        out.append(Point2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)))
+    return out
+
+
+@pytest.mark.parametrize("n", [16, 48, 128])
+@pytest.mark.parametrize("family", ["convex", "star", "comb", "random"])
+def test_site_map_matches_two_point_funnel(family, n):
+    inst = generate(family, n, 4, n)
+    tp = triangulate(SimplePolygon(inst.polygon))
+    region = Region.of(tp)
+    rng = random.Random(f"{family}/{n}")
+    sites = list(inst.points)
+    targets = sites + list(tp.vertices) + _interior_points(tp, rng, 12) + \
+        _edge_points(tp, rng, 6)
+    for s in sites + list(tp.vertices) + _edge_points(tp, rng, 2):
+        sm = region.site_map(s)
+        assert region.site_map(s) is sm
+        for x in targets:
+            want = region.path(s, x)
+            assert sm.path(x) == want, (s, x)
+            assert sm.distance(x) == polyline_length(want), (s, x)
+            bend = want[-2] if len(want) > 1 else want[0]
+            assert sm.anchor(x) == (bend, polyline_length(want[:-1])), (s, x)
+
+
+def test_site_map_bends_in_the_l6_notch(l6_tp):
+    sm = Region.of(l6_tp).site_map(Point2(3, 1))
+    assert sm.path(Point2(1, 3)) == [Point2(3, 1), Point2(2, 2), Point2(1, 3)]
+    assert sm.anchor(Point2(1, 3)) == (Point2(2, 2), math.sqrt(2.0))
+    assert sm.distance(Point2(1, 3)) == 2 * math.sqrt(2.0)
+    assert sm.path(Point2(3, 1)) == [Point2(3, 1)]
+    assert sm.distance(Point2(3, 1)) == 0.0
+
+
+# Three pieces: the diagonal from (0, 1) to (2, 1) touches the reflex vertex
+# (1, 1), so the top triangle shares no edge with the two below it, and
+# those two quadrilaterals share none with each other.
+PIECES = [Point2(0, 0), Point2(0.8, 0), Point2(1, 1), Point2(1.2, 0),
+          Point2(2, 0), Point2(2, 1), Point2(1, 3), Point2(0, 1)]
+PIECES_TRIANGLES = [(0, 1, 2), (0, 2, 7), (3, 4, 5), (3, 5, 2), (5, 6, 7)]
+
+
+def test_site_map_across_pieces_raises():
+    tp = TriangulatedPolygon(SimplePolygon(PIECES), PIECES_TRIANGLES)
+    assert tp.depth.count(0) == 3
+    sm = Region.of(tp).site_map(Point2(1, 2))
+    assert sm.distance(Point2(0.5, 2)) == 0.5
+    for x in (Point2(0.3, 0.5), Point2(1.7, 0.5)):
+        with pytest.raises(ValueError, match="different pieces"):
+            sm.distance(x)
+        with pytest.raises(ValueError, match="different pieces"):
+            Region.of(tp).path(Point2(1, 2), x)
