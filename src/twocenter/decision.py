@@ -239,6 +239,34 @@ def _prepare_side(region: Region, boundary: ArcBoundary,
     return SideData(boundary, shifted, sides, ref_pos, total)
 
 
+def chain_side(h: GeodesicHull, pc: PairChains, chain: Tuple[Point2, ...],
+               r: float) -> Tuple[str, object]:
+    """One chain's disk intersection on the hull ring at radius r, as the
+    cascade reads it: ("empty", None), ("point", the pinch point),
+    ("noarcs", None), or ("arcs", its SideData over pc.free).
+
+    Computed once per hull, chain and radius, so that a probe of
+    `optimize._event_signature` and a `decide` at the same radius share
+    it.  An error is not cached; a repeat call raises it again.
+    """
+    cache = h.hull_region._side_cache
+    key = (chain, pc.free, r)
+    hit = cache.get(key)
+    if hit is None:
+        b = disks_intersection(h.hull_region, chain, r)
+        if b is None:
+            hit = ("empty", None)
+        elif b.is_point:
+            hit = ("point", b.point)
+        else:
+            try:
+                hit = ("arcs", _prepare_side(h.region, b, pc.free))
+            except NoArcs:
+                hit = ("noarcs", None)
+        cache[key] = hit
+    return hit
+
+
 def _pos_at_param(boundary: ArcBoundary, param: float) -> Point2:
     cum = boundary.cum_lengths()
     total = cum[-1]
@@ -422,14 +450,13 @@ def _decide(h: GeodesicHull, i: int, j: int, r: float) -> DecisionResult:
     if not pc.free:
         return _result(h, pc, "no-free-points", r, oc1.center, oc2.center)
 
-    b1 = disks_intersection(h.hull_region, pc.chain1, r)
-    b2 = disks_intersection(h.hull_region, pc.chain2, r)
-    if b1 is None or b2 is None:
+    (t1, s1), (t2, s2) = (chain_side(h, pc, c, r) for c in (pc.chain1, pc.chain2))
+    if "empty" in (t1, t2):
         return DecisionResult(False, "intersection-empty")
 
-    if b1.is_point or b2.is_point:
-        c1 = b1.point if b1.is_point else None
-        c2 = b2.point if b2.is_point else None
+    if "point" in (t1, t2):
+        c1 = s1 if t1 == "point" else None
+        c2 = s2 if t2 == "point" else None
         if c1 is not None and c2 is not None:
             if _coverage_ok(region, pc, r, c1, c2, tol):
                 return _result(h, pc, "pinched", r, c1, c2)
@@ -444,10 +471,7 @@ def _decide(h: GeodesicHull, i: int, j: int, r: float) -> DecisionResult:
                 return _result(h, pc, "pinched", r, cc1, cc2)
         return DecisionResult(False, "pinched")
 
-    try:
-        s1 = _prepare_side(region, b1, pc.free)
-        s2 = _prepare_side(region, b2, pc.free)
-    except NoArcs:
+    if "noarcs" in (t1, t2):
         # an arcless intersection equals the hull, so the hull disk works
         if _coverage_ok(region, pc, r, hc.center, hc.center, tol):
             return _result(h, pc, "no-arc", r, hc.center, hc.center)

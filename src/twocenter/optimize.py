@@ -12,10 +12,10 @@ import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from .decision import (DecisionResult, PairChains, _prepare_side, decide,
+from .decision import (DecisionResult, PairChains, chain_side, decide,
                        pair_chains)
-from .disks import disks_intersection, one_center
-from .errors import InfeasibleInterval, NoArcs
+from .disks import one_center
+from .errors import InfeasibleInterval
 from .geom import Point2, dist, quadratic_roots, seg_point_distance
 from .hull import GeodesicHull
 from .region import Region
@@ -122,23 +122,13 @@ def interval_candidates(h: GeodesicHull, i: int, j: int) -> List[float]:
 
 
 def _event_signature(h: GeodesicHull, pc: PairChains, r: float):
-    """Owner/flag multisets of both event sets at radius r."""
+    """Owner/flag multisets of both event sets at radius r, read through
+    `chain_side`, so that a later `decide` at r reuses them."""
     sig = []
     for chain in (pc.chain1, pc.chain2):
-        b = disks_intersection(h.hull_region, chain, r)
-        if b is None:
-            sig.append(("empty",))
-            continue
-        if b.is_point:
-            sig.append(("point",))
-            continue
-        try:
-            side = _prepare_side(h.region, b, pc.free)
-        except NoArcs:
-            sig.append(("noarcs",))
-            continue
+        tag, side = chain_side(h, pc, chain, r)
         sig.append(tuple(sorted(((e.owner.x, e.owner.y), e.flag)
-                                for e in side.events)))
+                                for e in side.events)) if tag == "arcs" else (tag,))
     return tuple(sig)
 
 

@@ -162,6 +162,11 @@ class SiteMap:
     polygon's vertices, is the source.  `parent[v]` is v's predecessor
     on its path and `dist[v]` the path's length, summed from the source
     as `polyline_length` sums it.
+
+    Cache: `_anchors` maps a query point's coordinates (x, y) to its
+    anchor index, so `distance`, `anchor` and `path` locate and walk each
+    point once.  It lives as long as the map, which `Region.site_map`
+    keeps on the TriangulatedPolygon.  A failed query is not cached.
     """
 
     def __init__(self, tp: TriangulatedPolygon, source):
@@ -208,9 +213,17 @@ class SiteMap:
             if nb >= 0 and funnels[nb] is None:
                 funnels[nb] = (chain[:j + 1] + [c], min(ai, j))
                 stack.append(nb)
+        self._anchors: Dict[Key, int] = {}
 
     def _anchor(self, x) -> int:
         """Index of the last point before x on the path from the source."""
+        key = (x[0], x[1])
+        w = self._anchors.get(key)
+        if w is None:
+            w = self._anchors[key] = self._walk(x)
+        return w
+
+    def _walk(self, x) -> int:
         f = self.funnels[self.tp.locate(x)]
         if f is None:
             raise ValueError("triangles in different pieces of the dual graph")
@@ -264,7 +277,24 @@ class ShortestPathTree:
 
 
 class Region:
-    """Geodesic queries restricted to a ring inside a triangulated polygon."""
+    """Geodesic queries restricted to a ring inside a triangulated polygon.
+
+    Caches, each filled on first use and never evicted:
+
+    - `_tree_cache`: `tree(s)` by the source's (x, y).
+    - `_onecenter_cache`: `disks.one_center` by the frozenset of the
+      points' (x, y).
+    - `_side_cache`: `decision.chain_side`, the disk intersection of a
+      chain at radius r and its prepared side, by (chain, free points, r);
+      filled on a hull's ring region only.  Errors are not cached.
+
+    Shortest-path maps (`site_map`) and two-point paths (`path`) are
+    cached on the TriangulatedPolygon instead, in `tp._site_maps` and
+    `tp._path_cache`, and shared by every Region over it.  A Region lives
+    as long as its holder: `Region.of(tp)` keeps the polygon's own on tp
+    and a GeodesicHull keeps its ring's, so within one solve every cache
+    lives as long as the solve's TriangulatedPolygon.
+    """
 
     def __init__(self, tp: TriangulatedPolygon, ring: Optional[Sequence[Point2]] = None):
         self.tp = tp
@@ -272,8 +302,8 @@ class Region:
         self.corners: Tuple[Point2, ...] = tuple(unique_points(self.ring))
         self.diameter = tp.diameter
         self._tree_cache: Dict[Key, ShortestPathTree] = {}
-        # disks.one_center results keyed by the frozenset of point keys
         self._onecenter_cache: Dict[frozenset, object] = {}
+        self._side_cache: Dict[tuple, object] = {}
 
     @staticmethod
     def of(tp: TriangulatedPolygon) -> "Region":
@@ -387,8 +417,9 @@ class Region:
 
     def extension_point(self, frm, to) -> Point2:
         """Where the path frm -> to, extended straight past `to`, first
-        meets the ring; `to` itself when the extension leaves at once."""
-        hit = self._extend(self.path(frm, to))
+        meets the ring; `to` itself when the extension leaves at once.
+        The path is read from frm's shortest-path map."""
+        hit = self._extend(self.site_map(frm).path(to))
         return Point2(to[0], to[1]) if hit is None else hit
 
     # -- shortest path map vertices -----------------------------------

@@ -6,11 +6,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 import twocenter.decision as dec
-from twocenter.errors import CertificateError, InvalidPair
+import twocenter.disks as disks
+import twocenter.optimize as opt
+from twocenter.driver import two_center
+from twocenter.errors import BoundaryAssemblyError, CertificateError, InvalidPair
 from twocenter.disks import disks_intersection
 from twocenter.geom import Point2, dist
 from twocenter.hull import geodesic_hull
 from twocenter.instances import generate
+from twocenter.optimize import _event_signature
 from twocenter.polygon import SimplePolygon, triangulate
 
 SQRT2 = math.sqrt(2.0)
@@ -267,3 +271,43 @@ def test_swapped_scan_decides_alone():
     assert s1.events and s2.events
     assert dec.scan_decide(reg, pc, r, s1, s2, tol) is None
     assert dec.scan_decide(reg, dec._swap(pc), r, s2, s1, tol) is not None
+
+
+def test_decide_reuses_the_probe_intersections(monkeypatch):
+    cell, (i, j), r = ("comb", 16, 8, 6), (2, 4), 14.82111759785373
+    clips = []
+    clip = disks._clip
+    monkeypatch.setattr(disks, "_clip", lambda *a: clips.append(a) or clip(*a))
+    _, h = _solver_hull(*cell)
+    want = dec.decide(h, i, j, r)
+    assert want.branch == "one-side-quiet" and clips    # the cascade clips
+    _, h = _solver_hull(*cell)
+    _event_signature(h, dec.pair_chains(h, i, j), r)
+    clips.clear()
+    assert dec.decide(h, i, j, r) == want
+    assert not clips
+
+
+@pytest.mark.parametrize("cell", [("comb", 16, 8, 1), ("random", 16, 8, 1)],
+                         ids=["comb/16x8/s1", "random/16x8/s1"])
+def test_assembly_errors_are_not_cached(cell, monkeypatch):
+    inst = generate(*cell)
+    poly = SimplePolygon(inst.polygon)
+    calls = []
+    chain_side = dec.chain_side
+
+    def recording(*args):
+        calls.append(args)
+        return chain_side(*args)
+
+    monkeypatch.setattr(dec, "chain_side", recording)
+    monkeypatch.setattr(opt, "chain_side", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for _ in range(2):
+            calls.clear()
+            with pytest.raises(BoundaryAssemblyError):
+                two_center(poly, inst.points)
+            # the failing intersection fails again on the same hull
+            with pytest.raises(BoundaryAssemblyError):
+                chain_side(*calls[-1])

@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from twocenter import decision, driver
+from twocenter import decision, driver, region
 from twocenter.decision import decide
 from twocenter.driver import (CandidatePair, assistant_interval, candidate_pairs,
                               two_center)
@@ -214,3 +214,27 @@ def test_undecided_split_raises():
     inst = generate("convex", 16, 32, 0)
     with pytest.raises(CertificateError, match="SPLIT_ENUM_CAP"):
         two_center(SimplePolygon(inst.polygon), inst.points)
+
+
+@pytest.mark.filterwarnings("ignore:event structure varies")
+@pytest.mark.parametrize("cell", [("star", 12, 6, 2), ("comb", 16, 8, 2),
+                                  ("random", 16, 8, 2), ("convex", 48, 6, 1),
+                                  ("comb", 48, 6, 2)],
+                         ids=lambda c: "{}/{}x{}/s{}".format(*c))
+def test_solve_runs_no_two_point_funnel(cell, monkeypatch):
+    inst = generate(*cell)
+    poly = SimplePolygon(inst.polygon)
+    want = two_center(poly, inst.points)
+    extensions = []
+    extension_point = region.Region.extension_point
+
+    def counting(self, frm, to):
+        extensions.append((frm, to))
+        return extension_point(self, frm, to)
+
+    monkeypatch.setattr(region.Region, "extension_point", counting)
+    monkeypatch.setattr(region, "_funnel",
+                        lambda *a: pytest.fail("two-point funnel in a solve"))
+    got = two_center(poly, inst.points)
+    assert extensions    # the shared-vertex search ran
+    assert (got.radius, got.c1, got.c2) == (want.radius, want.c1, want.c2)

@@ -12,7 +12,7 @@ from twocenter.instances import generate
 from twocenter.oracle import oracle_distance
 from twocenter.polygon import (SimplePolygon, TriangulatedPolygon, point_in_polygon,
                                triangulate)
-from twocenter.region import (Region, _portals, geodesic_distance,
+from twocenter.region import (Region, SiteMap, _portals, geodesic_distance,
                               shortest_path, shortest_path_tree, spm_vertices)
 
 SQRT2 = math.sqrt(2.0)
@@ -414,3 +414,31 @@ def test_site_map_across_pieces_raises():
             sm.distance(x)
         with pytest.raises(ValueError, match="different pieces"):
             Region.of(tp).path(Point2(1, 2), x)
+
+
+@pytest.mark.parametrize("family", ["comb", "star"])
+def test_site_map_repeats_its_first_answer(family, monkeypatch):
+    inst = generate(family, 48, 4, 11)
+    tp = triangulate(SimplePolygon(inst.polygon))
+    rng = random.Random(family)
+    xs = _interior_points(tp, rng, 30) + _edge_points(tp, rng, 10) + list(tp.vertices[:8])
+    for s in inst.points:
+        sm = Region.of(tp).site_map(s)
+        first = [(sm.distance(x), sm.anchor(x), sm.path(x)) for x in xs]
+        # every repeat is answered from the map's memo, in any order
+        monkeypatch.setattr(sm, "_walk", lambda x: pytest.fail(f"{x} walked twice"))
+        assert [(sm.distance(x), sm.anchor(x), sm.path(x)) for x in xs] == first
+        assert [(sm.path(x), sm.anchor(x), sm.distance(x)) for x in reversed(xs)] == \
+            [(p, a, d) for d, a, p in reversed(first)]
+        fresh = SiteMap(tp, s)
+        assert [(fresh.distance(x), fresh.anchor(x), fresh.path(x)) for x in xs] == first
+
+
+def test_site_map_does_not_cache_a_failed_query():
+    tp = TriangulatedPolygon(SimplePolygon(PIECES), PIECES_TRIANGLES)
+    sm = Region.of(tp).site_map(Point2(1, 2))
+    x = Point2(0.3, 0.5)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="different pieces"):
+            sm.anchor(x)
+    assert (x.x, x.y) not in sm._anchors
