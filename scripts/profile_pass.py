@@ -10,8 +10,11 @@ which each pass visits the corpus, as in `perfbench/run.py --seed S`.
 A first pass runs unprofiled, to warm up, and counts the calls of
 `SiteMap._anchor` and `disks_intersection` against their distinct
 arguments: (map, point) and (region, sites, radius), distinct within one
-operation.  The second pass runs under cProfile; the script prints its
-top N functions by the chosen sort key, then the two repeat counts.  An
+operation.  It also counts the `SiteMap` builds and the triangles their
+walks expanded (`SiteMap._expand`), against the triangles of all the maps
+built, which shows how much of each map its queries needed.  The second
+pass runs under cProfile; the script prints its top N functions by the
+chosen sort key, then the counts of the first pass.  An
 operation that raises is counted by error class and skipped, as the
 benchmark counts it.
 """
@@ -53,14 +56,40 @@ class Repeats:
                 f"{100 * share:.1f} % repeats")
 
 
-def counting_pass(ops, anchor: Repeats, inter: Repeats) -> Counter:
-    """Run ops with both functions wrapped; returns `run`'s error count."""
+class Expansion:
+    """`SiteMap` builds, their triangles and the triangles expanded."""
+
+    def __init__(self):
+        self.builds = 0
+        self.triangles = 0
+        self.expanded = 0
+
+    def line(self) -> str:
+        share = self.expanded / self.triangles if self.triangles else 0.0
+        return (f"SiteMap: {self.builds} builds, {self.expanded} of "
+                f"{self.triangles} triangles expanded ({100 * share:.1f} %)")
+
+
+def counting_pass(ops, anchor: Repeats, inter: Repeats, maps: Expansion) -> Counter:
+    """Run ops with the counted functions wrapped; returns `run`'s error
+    count."""
     plain_anchor = region.SiteMap._anchor
     plain_inter = disks.disks_intersection
+    plain_init = region.SiteMap.__init__
+    plain_expand = region.SiteMap._expand
 
     def counted_anchor(self, x):
         anchor.note((id(self), x[0], x[1]))
         return plain_anchor(self, x)
+
+    def counted_init(self, tp, source):
+        maps.builds += 1
+        maps.triangles += len(tp.triangles)
+        plain_init(self, tp, source)
+
+    def counted_expand(self, t):
+        maps.expanded += 1
+        plain_expand(self, t)
 
     def counted_inter(reg, sites, r):
         inter.note((id(reg), tuple((s[0], s[1]) for s in sites), r))
@@ -70,12 +99,16 @@ def counting_pass(ops, anchor: Repeats, inter: Repeats) -> Counter:
                if name.startswith("twocenter.")
                and getattr(m, "disks_intersection", None) is plain_inter]
     region.SiteMap._anchor = counted_anchor
+    region.SiteMap.__init__ = counted_init
+    region.SiteMap._expand = counted_expand
     for m in holders:
         m.disks_intersection = counted_inter
     try:
         return run(ops, fresh=(anchor, inter))
     finally:
         region.SiteMap._anchor = plain_anchor
+        region.SiteMap.__init__ = plain_init
+        region.SiteMap._expand = plain_expand
         for m in holders:
             m.disks_intersection = plain_inter
 
@@ -110,7 +143,8 @@ def main() -> int:
     rng = random.Random(args.seed)
 
     anchor, inter = Repeats("SiteMap._anchor"), Repeats("disks_intersection")
-    warm_errors = counting_pass(wl.ops(rng), anchor, inter)
+    maps = Expansion()
+    warm_errors = counting_pass(wl.ops(rng), anchor, inter, maps)
 
     ops = wl.ops(rng)
     prof = cProfile.Profile()
@@ -123,6 +157,7 @@ def main() -> int:
     pstats.Stats(prof, stream=sys.stdout).sort_stats(args.sort).print_stats(args.top)
     print(anchor.line())
     print(inter.line())
+    print(maps.line())
     return 0
 
 

@@ -113,8 +113,9 @@ class TriangulatedPolygon:
     polygon boundary.  Rooted at
     triangle 0, `up[t]` is t's parent (-1 at the root), `depth[t]` its
     depth, and `gate[t]` the edge t shares with its parent, as t's
-    counterclockwise vertex pair.  `tol` holds the solver's tolerances
-    for this polygon's scale.
+    counterclockwise vertex pair.  `fans[v]` lists the triangles with
+    corner v, and `index` maps a vertex's (x, y) to its index.  `tol`
+    holds the solver's tolerances for this polygon's scale.
     """
 
     def __init__(self, polygon: SimplePolygon, triangles):
@@ -126,8 +127,11 @@ class TriangulatedPolygon:
         edge_map = {}
         self.dual: List[List[Tuple[int, Tuple[int, int]]]] = [[] for _ in self.triangles]
         self.across: List[List[int]] = [[-1, -1, -1] for _ in self.triangles]
+        self.index = {(v.x, v.y): k for k, v in enumerate(self.vertices)}
+        self.fans: List[List[int]] = [[] for _ in self.vertices]
         for t, tri in enumerate(self.triangles):
             for k in range(3):
+                self.fans[tri[k]].append(t)
                 e = (tri[k], tri[(k + 1) % 3])
                 key = (min(e), max(e))
                 other = edge_map.get(key)

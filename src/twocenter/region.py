@@ -1,10 +1,11 @@
 """Geodesic shortest paths inside a simple polygon.
 
-Paths from a site are read from its shortest-path map (`SiteMap`): one
-funnel sweep over the triangulation's dual tree from the site.  A path
-between two arbitrary points runs the two-point funnel algorithm over the
-corridor of triangles joining them.  A Region bundles the triangulated
-polygon with a boundary ring; the ring may differ from the polygon
+Every path is read from the shortest-path map (`SiteMap`) of one of its
+ends: a funnel sweep over the triangulation's dual tree from that end,
+expanded only as far as the queries reach.  A site keeps its map for the
+whole solve; a path between two arbitrary points reads a throwaway map of
+one end, which expands just the corridor of triangles joining them.  A
+Region bundles the triangulated polygon with a boundary ring; the ring may differ from the polygon
 boundary (a geodesically convex subregion traced as a cycle, possibly
 with repeated vertices), in which case geodesic queries still run in the
 full polygon but membership and ray casts use the ring.
@@ -31,45 +32,21 @@ def _same(a, b) -> bool:
     return a[0] == b[0] and a[1] == b[1]
 
 
-def _portals(tp: TriangulatedPolygon, ts: int, tt: int):
-    """(left, right) portal endpoints for each crossing from triangle ts
-    to triangle tt, climbing the rooted dual tree from both ends.
-
-    Crossing a child's gate u -> v upward puts v on the traveller's left
-    and u on the right; crossing it downward puts u on the left.
-    """
-    V, up, depth, gate = tp.vertices, tp.up, tp.depth, tp.gate
+def _corridor(tp: TriangulatedPolygon, ts: int, tt: int) -> List[int]:
+    """The triangles from ts to tt along the dual tree, both included,
+    found by climbing the rooted tree from both ends."""
+    up, depth = tp.up, tp.depth
     rise, fall = [], []
     while ts != tt:
         if depth[ts] >= depth[tt]:
-            u, v = gate[ts]
-            rise.append((V[v], V[u]))
+            rise.append(ts)
             ts = up[ts]
         else:
-            u, v = gate[tt]
-            fall.append((V[u], V[v]))
+            fall.append(tt)
             tt = up[tt]
         if ts < 0 or tt < 0:
             raise ValueError("triangles in different pieces of the dual graph")
-    return rise + fall[::-1]
-
-
-def _narrows_right(apex, right, p) -> bool:
-    if _same(apex, right):
-        return True
-    o = orientation(apex, right, p)
-    if o > 0:
-        return True
-    return o == 0 and dist(apex, p) < dist(apex, right)
-
-
-def _narrows_left(apex, left, p) -> bool:
-    if _same(apex, left):
-        return True
-    o = orientation(apex, left, p)
-    if o < 0:
-        return True
-    return o == 0 and dist(apex, p) < dist(apex, left)
+    return rise + [ts] + fall[::-1]
 
 
 def _past_left(apex, left, p) -> bool:
@@ -91,47 +68,11 @@ def _past_right(apex, right, p) -> bool:
     return o == 0 and dist(apex, p) > dist(apex, right)
 
 
-def _funnel(portals, s: Point2, t: Point2) -> List[Point2]:
-    pts = [(s, s)] + list(portals) + [(t, t)]
-    path = [s]
-    apex, ai = s, 0
-    left, li = s, 0
-    right, ri = s, 0
-    i = 1
-    while i < len(pts):
-        pl, pr = pts[i]
-        if _narrows_right(apex, right, pr):
-            if _same(apex, right) or not _past_left(apex, left, pr):
-                right, ri = pr, i
-            else:
-                if not _same(path[-1], left):
-                    path.append(left)
-                apex, ai = left, li
-                left, right = apex, apex
-                li = ri = ai
-                i = ai + 1
-                continue
-        if _narrows_left(apex, left, pl):
-            if _same(apex, left) or not _past_right(apex, right, pl):
-                left, li = pl, i
-            else:
-                if not _same(path[-1], right):
-                    path.append(right)
-                apex, ai = right, ri
-                left, right = apex, apex
-                li = ri = ai
-                i = ai + 1
-                continue
-        i += 1
-    if not _same(path[-1], t):
-        path.append(t)
-    return path
-
-
 def _wrap(P, chain, ai: int, x) -> int:
     """Position in `chain` of the funnel vertex that the path to x leaves
     from: walk outward from the apex while x lies past the next vertex,
-    with `_funnel`'s tests and collinear rule."""
+    where a point collinear with a funnel side and beyond its end is past
+    it."""
     i, w = ai, P[chain[ai]]
     while i > 0:
         nxt = P[chain[i - 1]]
@@ -150,18 +91,24 @@ def _wrap(P, chain, ai: int, x) -> int:
 
 class SiteMap:
     """Shortest-path map of one source over the whole polygon (Guibas,
-    Hershberger, Leven, Sharir and Tarjan 1987).
+    Hershberger, Leven, Sharir and Tarjan 1987), built as queries need it.
 
-    One walk over the dual tree from the source's triangles splits each
-    triangle's funnel at its far corner.  `funnels[t]` is the funnel at
-    the edge by which the walk entered triangle t: vertex indices from
-    the edge's left end through the apex to its right end, and the
-    apex's position in that list.  A triangle that holds the source, or
-    has it as a corner, has an empty funnel; one the walk never reaches
-    (another piece of the dual graph) has None.  Index n, one past the
-    polygon's vertices, is the source.  `parent[v]` is v's predecessor
-    on its path and `dist[v]` the path's length, summed from the source
-    as `polyline_length` sums it.
+    A walk over the dual tree from the source's triangles splits each
+    triangle's funnel at its far corner.  The map seeds only the source's
+    own triangles; a query expands the triangles on the dual-tree path
+    from the source's triangle to its own (`_corridor`) that are not
+    expanded yet, and each triangle is expanded once.  `funnels[t]` is
+    the funnel at the edge by which the walk entered triangle t: vertex
+    indices from the edge's left end through the apex to its right end,
+    and the apex's position in that list.  A triangle that holds the
+    source, or has it as a corner, has an empty funnel; `funnels[t]` is
+    None while the walk has not reached t, and stays None for a t in
+    another piece of the dual graph.  Index n, one past the polygon's
+    vertices, is the source.  `parent[v]` is v's predecessor on its path
+    and `dist[v]` the path's length, summed from the source as
+    `polyline_length` sums it, once the walk has reached v.  A triangle's
+    funnel follows from the funnel of the triangle the walk entered it
+    from, so answers do not depend on the order of the queries.
 
     Cache: `_anchors` maps a query point's coordinates (x, y) to its
     anchor index, so `distance`, `anchor` and `path` locate and walk each
@@ -170,50 +117,70 @@ class SiteMap:
     """
 
     def __init__(self, tp: TriangulatedPolygon, source):
-        V, T, across = tp.vertices, tp.triangles, tp.across
+        V, T = tp.vertices, tp.triangles
         n = len(V)
         s = Point2(source[0], source[1])
         self.tp = tp
-        self.points = P = V + (s,)
+        self.points = V + (s,)
         self.parent = parent = [-1] * (n + 1)
         self.dist = d = [math.inf] * n + [0.0]
         self.funnels: List[Optional[Tuple[List[int], int]]] = [None] * len(T)
+        self.expanded = [False] * len(T)
         funnels = self.funnels
         # a funnel side from a source on a polygon vertex to that vertex
         # has no direction; the vertex sees its whole fan straight instead
-        k = next((k for k in range(n) if _same(V[k], s)), -1)
-        direct = {tp.locate(s)} | {t for t, tri in enumerate(T) if k in tri}
+        k = tp.index.get((s.x, s.y))
+        direct = {tp.locate(s), *(tp.fans[k] if k is not None else ())}
         for t in direct:
             funnels[t] = ([], 0)
-        stack = []
-        for t in sorted(direct):
+            self.expanded[t] = True
+        # the source's triangles, where the walk toward any query starts
+        self._seeds = sorted(direct)
+        for t in self._seeds:
             tri = T[t]
             for i, v in enumerate(tri):
                 if parent[v] < 0:
                     parent[v], d[v] = n, dist(s, V[v])
-                nb = across[t][i]
+                nb = tp.across[t][i]
                 if nb >= 0 and funnels[nb] is None:
                     funnels[nb] = ([tri[(i + 1) % 3], n, tri[i]], 1)
-                    stack.append(nb)
-        while stack:
-            t = stack.pop()
-            chain, ai = funnels[t]
-            # t is (left, right, c) counterclockwise from its entry edge
-            tri = T[t]
-            i = tri.index(chain[0])
-            c = tri[(i + 2) % 3]
-            j = _wrap(P, chain, ai, V[c])
-            w = chain[j]
-            parent[c], d[c] = w, d[w] + dist(P[w], V[c])
-            nb = across[t][(i + 1) % 3]     # edge right -> c: c on the left
-            if nb >= 0 and funnels[nb] is None:
-                funnels[nb] = ([c] + chain[j:], max(ai, j) - j + 1)
-                stack.append(nb)
-            nb = across[t][(i + 2) % 3]     # edge c -> left: c on the right
-            if nb >= 0 and funnels[nb] is None:
-                funnels[nb] = (chain[:j + 1] + [c], min(ai, j))
-                stack.append(nb)
         self._anchors: Dict[Key, int] = {}
+
+    def _expand(self, t: int) -> None:
+        """Split the funnel of triangle t at its far corner c: set c's
+        parent and distance, and the funnels of the triangles beyond t."""
+        P, parent, d, funnels = self.points, self.parent, self.dist, self.funnels
+        across = self.tp.across[t]
+        chain, ai = funnels[t]
+        # t is (left, right, c) counterclockwise from its entry edge
+        tri = self.tp.triangles[t]
+        i = tri.index(chain[0])
+        c = tri[(i + 2) % 3]
+        j = _wrap(P, chain, ai, P[c])
+        w = chain[j]
+        parent[c], d[c] = w, d[w] + dist(P[w], P[c])
+        nb = across[(i + 1) % 3]     # edge right -> c: c on the left
+        if nb >= 0 and funnels[nb] is None:
+            funnels[nb] = ([c] + chain[j:], max(ai, j) - j + 1)
+        nb = across[(i + 2) % 3]     # edge c -> left: c on the right
+        if nb >= 0 and funnels[nb] is None:
+            funnels[nb] = (chain[:j + 1] + [c], min(ai, j))
+        self.expanded[t] = True
+
+    def _reach(self, tt: int) -> None:
+        """Expand the triangles between the source and triangle tt, so
+        that tt's funnel is set."""
+        for ts in self._seeds:
+            try:
+                way = _corridor(self.tp, ts, tt)
+            except ValueError:
+                continue    # a source on a vertex may touch several pieces
+            # the last expanded triangle on the way has set its successor's funnel
+            last = max(i for i, t in enumerate(way) if self.expanded[t])
+            for t in way[last + 1:-1]:
+                self._expand(t)
+            return
+        raise ValueError("triangles in different pieces of the dual graph")
 
     def _anchor(self, x) -> int:
         """Index of the last point before x on the path from the source."""
@@ -224,10 +191,10 @@ class SiteMap:
         return w
 
     def _walk(self, x) -> int:
-        f = self.funnels[self.tp.locate(x)]
-        if f is None:
-            raise ValueError("triangles in different pieces of the dual graph")
-        chain, ai = f
+        t = self.tp.locate(x)
+        if self.funnels[t] is None:
+            self._reach(t)
+        chain, ai = self.funnels[t]
         if not chain:
             return len(self.points) - 1
         w = chain[_wrap(self.points, chain, ai, x)]
@@ -290,7 +257,8 @@ class Region:
 
     Shortest-path maps (`site_map`) and two-point paths (`path`) are
     cached on the TriangulatedPolygon instead, in `tp._site_maps` and
-    `tp._path_cache`, and shared by every Region over it.  A Region lives
+    `tp._path_cache`, and shared by every Region over it.  The map that
+    answers a two-point path is not kept.  A Region lives
     as long as its holder: `Region.of(tp)` keeps the polygon's own on tp
     and a GeodesicHull keeps its ring's, so within one solve every cache
     lives as long as the solve's TriangulatedPolygon.
@@ -322,6 +290,8 @@ class Region:
     # -- paths and distances ------------------------------------------
 
     def path(self, a, b) -> List[Point2]:
+        """The shortest path a -> b, read from a map of the end with the
+        smaller (x, y), so that b -> a is the same path reversed."""
         a = Point2(a[0], a[1])
         b = Point2(b[0], b[1])
         if _same(a, b):
@@ -333,8 +303,7 @@ class Region:
         hit = cache.get(key)
         if hit is None:
             s, t = (b, a) if flip else (a, b)
-            hit = _funnel(_portals(self.tp, self.tp.locate(s), self.tp.locate(t)), s, t)
-            cache[key] = hit
+            hit = cache[key] = SiteMap(self.tp, s).path(t)
         return list(reversed(hit)) if flip else list(hit)
 
     def distance(self, a, b) -> float:
@@ -361,11 +330,11 @@ class Region:
         par: Dict[Key, Optional[Point2]] = {ks: None}
         ext: Dict[Key, Point2] = {}
         for v in self.corners:
-            p = sm.path(v)
+            w, _ = sm.anchor(v)
             kv = _key(v)
-            d[kv] = polyline_length(p)
-            par[kv] = p[-2] if len(p) >= 2 else None
-            h = self._extend(p)
+            d[kv] = sm.distance(v)
+            par[kv] = None if _same(w, v) else w
+            h = self._extend(w, v)
             if h is not None:
                 ext[kv] = h
         tree = ShortestPathTree(s, d, par, ext)
@@ -402,14 +371,13 @@ class Region:
                        origin[1] + direction[1] / norm * step)
         return self.contains(probe, eps=step * 1e-3)
 
-    def _extend(self, path) -> Optional[Point2]:
-        """Where `path`, extended straight past its last point, first
-        meets the ring; None for a one-point path or when the extension
-        leaves the region immediately (endpoint on the boundary, ray
-        pointing out)."""
-        if len(path) < 2:
+    def _extend(self, pred, to) -> Optional[Point2]:
+        """Where a path whose last segment runs pred -> to, extended
+        straight past `to`, first meets the ring; None when pred is `to`
+        (a one-point path) or when the extension leaves the region
+        immediately (endpoint on the boundary, ray pointing out)."""
+        if _same(pred, to):
             return None
-        to, pred = path[-1], path[-2]
         d = Point2(to.x - pred.x, to.y - pred.y)
         if not self._ray_enters(to, d):
             return None
@@ -418,9 +386,10 @@ class Region:
     def extension_point(self, frm, to) -> Point2:
         """Where the path frm -> to, extended straight past `to`, first
         meets the ring; `to` itself when the extension leaves at once.
-        The path is read from frm's shortest-path map."""
-        hit = self._extend(self.site_map(frm).path(to))
-        return Point2(to[0], to[1]) if hit is None else hit
+        The path's last bend is read from frm's shortest-path map."""
+        to = Point2(to[0], to[1])
+        hit = self._extend(self.site_map(frm).anchor(to)[0], to)
+        return to if hit is None else hit
 
     # -- shortest path map vertices -----------------------------------
 

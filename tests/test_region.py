@@ -1,19 +1,21 @@
 import math
 import random
 from fractions import Fraction
+from typing import List
 
 import pytest
 from hypothesis import given, strategies as st
 
 from twocenter.errors import InvalidPolygon, PointOutsidePolygon
-from twocenter.geom import Point2, dist, polyline_length
+from twocenter.geom import Point2, dist, orientation, polyline_length
 from twocenter.hull import geodesic_hull
 from twocenter.instances import generate
 from twocenter.oracle import oracle_distance
 from twocenter.polygon import (SimplePolygon, TriangulatedPolygon, point_in_polygon,
                                triangulate)
-from twocenter.region import (Region, SiteMap, _portals, geodesic_distance,
-                              shortest_path, shortest_path_tree, spm_vertices)
+from twocenter.region import (Region, SiteMap, _corridor, _past_left, _past_right, _same,
+                              geodesic_distance, shortest_path, shortest_path_tree,
+                              spm_vertices)
 
 SQRT2 = math.sqrt(2.0)
 L6_ARMS = [Point2(3, 1), Point2(3, 1.5), Point2(1, 3), Point2(1.5, 3)]
@@ -135,7 +137,7 @@ def test_matches_visibility_oracle(seed):
     assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
-# -- reference: the dual-tree BFS corridor and shared-edge portal scan --
+# -- reference: the dual-tree BFS corridor ------------------------------
 
 def _bfs_corridor(tp, ts, tt):
     """Triangle chain from ts to tt in the dual tree (BFS, unique path)."""
@@ -160,45 +162,25 @@ def _bfs_corridor(tp, ts, tt):
     return chain
 
 
-def _scan_portals(tp, chain):
-    """(left, right) portals found by scanning each triangle's edges."""
-    V = tp.vertices
-    out = []
-    for a, b in zip(chain, chain[1:]):
-        shared = None
-        for nb, key in tp.dual[a]:
-            if nb == b:
-                shared = key
-                break
-        assert shared is not None
-        tri = tp.triangles[a]
-        for k in range(3):
-            u, v = tri[k], tri[(k + 1) % 3]
-            if (min(u, v), max(u, v)) == shared:
-                out.append((V[v], V[u]))
-                break
-    return out
-
-
-def _assert_portals_match(tp, pairs):
+def _assert_corridor_matches(tp, pairs):
     for ts, tt in pairs:
-        assert _portals(tp, ts, tt) == _scan_portals(tp, _bfs_corridor(tp, ts, tt)), (ts, tt)
+        assert _corridor(tp, ts, tt) == _bfs_corridor(tp, ts, tt), (ts, tt)
 
 
 @pytest.mark.parametrize("name", ["sq4_tp", "l6_tp"])
-def test_portals_match_reference_on_fixtures(name, request):
+def test_corridor_matches_reference_on_fixtures(name, request):
     tp = request.getfixturevalue(name)
     m = len(tp.triangles)
-    _assert_portals_match(tp, [(a, b) for a in range(m) for b in range(m)])
+    _assert_corridor_matches(tp, [(a, b) for a in range(m) for b in range(m)])
 
 
 @pytest.mark.parametrize("family", ["comb", "random"])
-def test_portals_match_reference_on_128_gons(family):
+def test_corridor_matches_reference_on_128_gons(family):
     tp = triangulate(SimplePolygon(generate(family, 128, 2, 0).polygon))
     m = len(tp.triangles)
     rng = random.Random(0)
-    _assert_portals_match(tp, [(rng.randrange(m), rng.randrange(m))
-                               for _ in range(2000)])
+    _assert_corridor_matches(tp, [(rng.randrange(m), rng.randrange(m))
+                                  for _ in range(2000)])
 
 
 # -- reference: the extension ray cast once inlined in disks._charts ----
@@ -317,13 +299,20 @@ def test_one_ulp_point_is_outside():
     assert _exact_cross(u, v, p) < 0 and _exact_cross(v, w, p) < 0
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="a path to a point one ulp off a reflex vertex "
-                          "runs straight through the exterior")
+def _ulp_neighbours(v):
+    for dx, dy in ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)):
+        yield Point2(math.nextafter(v.x, v.x + dx * math.inf) if dx else v.x,
+                     math.nextafter(v.y, v.y + dy * math.inf) if dy else v.y)
+
+
 def test_path_one_ulp_off_a_reflex_vertex():
+    # the two-point funnel ran these paths straight through the exterior
     poly, site, (u, v, w), p = _one_ulp_case()
-    length = Region.of(triangulate(poly)).distance(site, p)
-    assert length == pytest.approx(oracle_distance(poly, site, v), rel=1e-9)
+    want = oracle_distance(poly, site, v)
+    assert geodesic_distance(triangulate(poly), site, p) == pytest.approx(want, rel=1e-9)
+    region = Region.of(triangulate(poly))
+    for x in _ulp_neighbours(v):
+        assert region.distance(site, x) == pytest.approx(want, rel=1e-9), x
 
 
 def test_site_map_one_ulp_off_a_reflex_vertex():
@@ -332,13 +321,105 @@ def test_site_map_one_ulp_off_a_reflex_vertex():
     poly, site, (_u, v, _w), _p = _one_ulp_case()
     sm = Region.of(triangulate(poly)).site_map(site)
     want = oracle_distance(poly, site, v)
-    for dx, dy in ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)):
-        p = Point2(math.nextafter(v.x, v.x + dx * math.inf) if dx else v.x,
-                   math.nextafter(v.y, v.y + dy * math.inf) if dy else v.y)
-        assert sm.distance(p) == pytest.approx(want, rel=1e-9), (dx, dy)
+    for x in _ulp_neighbours(v):
+        assert sm.distance(x) == pytest.approx(want, rel=1e-9), x
 
 
-# -- reference: the two-point funnel -------------------------------------
+# -- reference: the two-point funnel (Lee and Preparata 1984) -----------
+#
+# `_portals`, `_narrows_right`, `_narrows_left` and `_funnel` are the
+# funnel that answered two-point queries before every path came from a
+# SiteMap, kept verbatim as the reference that the maps must match.
+
+def _portals(tp: TriangulatedPolygon, ts: int, tt: int):
+    """(left, right) portal endpoints for each crossing from triangle ts
+    to triangle tt, climbing the rooted dual tree from both ends.
+
+    Crossing a child's gate u -> v upward puts v on the traveller's left
+    and u on the right; crossing it downward puts u on the left.
+    """
+    V, up, depth, gate = tp.vertices, tp.up, tp.depth, tp.gate
+    rise, fall = [], []
+    while ts != tt:
+        if depth[ts] >= depth[tt]:
+            u, v = gate[ts]
+            rise.append((V[v], V[u]))
+            ts = up[ts]
+        else:
+            u, v = gate[tt]
+            fall.append((V[u], V[v]))
+            tt = up[tt]
+        if ts < 0 or tt < 0:
+            raise ValueError("triangles in different pieces of the dual graph")
+    return rise + fall[::-1]
+
+
+def _narrows_right(apex, right, p) -> bool:
+    if _same(apex, right):
+        return True
+    o = orientation(apex, right, p)
+    if o > 0:
+        return True
+    return o == 0 and dist(apex, p) < dist(apex, right)
+
+
+def _narrows_left(apex, left, p) -> bool:
+    if _same(apex, left):
+        return True
+    o = orientation(apex, left, p)
+    if o < 0:
+        return True
+    return o == 0 and dist(apex, p) < dist(apex, left)
+
+
+def _funnel(portals, s: Point2, t: Point2) -> List[Point2]:
+    pts = [(s, s)] + list(portals) + [(t, t)]
+    path = [s]
+    apex, ai = s, 0
+    left, li = s, 0
+    right, ri = s, 0
+    i = 1
+    while i < len(pts):
+        pl, pr = pts[i]
+        if _narrows_right(apex, right, pr):
+            if _same(apex, right) or not _past_left(apex, left, pr):
+                right, ri = pr, i
+            else:
+                if not _same(path[-1], left):
+                    path.append(left)
+                apex, ai = left, li
+                left, right = apex, apex
+                li = ri = ai
+                i = ai + 1
+                continue
+        if _narrows_left(apex, left, pl):
+            if _same(apex, left) or not _past_right(apex, right, pl):
+                left, li = pl, i
+            else:
+                if not _same(path[-1], right):
+                    path.append(right)
+                apex, ai = right, ri
+                left, right = apex, apex
+                li = ri = ai
+                i = ai + 1
+                continue
+        i += 1
+    if not _same(path[-1], t):
+        path.append(t)
+    return path
+
+
+def _funnel_path(tp, a, b):
+    """The two-point funnel's path a -> b, run from the end with the
+    smaller (x, y) as `Region.path` runs its map."""
+    a, b = Point2(a[0], a[1]), Point2(b[0], b[1])
+    if _same(a, b):
+        return [a]
+    flip = (b.x, b.y) < (a.x, a.y)
+    s, t = (b, a) if flip else (a, b)
+    path = _funnel(_portals(tp, tp.locate(s), tp.locate(t)), s, t)
+    return path[::-1] if flip else path
+
 
 def _interior_points(tp, rng, count):
     V = tp.vertices
@@ -380,7 +461,8 @@ def test_site_map_matches_two_point_funnel(family, n):
         sm = region.site_map(s)
         assert region.site_map(s) is sm
         for x in targets:
-            want = region.path(s, x)
+            want = _funnel_path(tp, s, x)
+            assert region.path(s, x) == want, (s, x)
             assert sm.path(x) == want, (s, x)
             assert sm.distance(x) == polyline_length(want), (s, x)
             bend = want[-2] if len(want) > 1 else want[0]
@@ -416,6 +498,18 @@ def test_site_map_across_pieces_raises():
             Region.of(tp).path(Point2(1, 2), x)
 
 
+def test_site_map_from_a_vertex_walks_every_piece_of_its_fan():
+    # (1, 1) is a corner in both lower pieces; a query in (3, 4, 5) walks
+    # from the fan triangle of its own piece
+    tp = TriangulatedPolygon(SimplePolygon(PIECES), PIECES_TRIANGLES)
+    s = Point2(1, 1)
+    for x in (Point2(0.3, 0.5), Point2(1.9, 0.2)):
+        assert SiteMap(tp, s).path(x) == [s, x]
+        assert Region.of(tp).distance(s, x) == dist(s, x)
+    with pytest.raises(ValueError, match="different pieces"):
+        SiteMap(tp, s).distance(Point2(1, 2))
+
+
 @pytest.mark.parametrize("family", ["comb", "star"])
 def test_site_map_repeats_its_first_answer(family, monkeypatch):
     inst = generate(family, 48, 4, 11)
@@ -442,3 +536,43 @@ def test_site_map_does_not_cache_a_failed_query():
         with pytest.raises(ValueError, match="different pieces"):
             sm.anchor(x)
     assert (x.x, x.y) not in sm._anchors
+
+
+@pytest.mark.parametrize("family", ["comb", "random"])
+def test_one_off_path_expands_only_its_corridor(family, monkeypatch):
+    tp = triangulate(SimplePolygon(generate(family, 128, 2, 0).polygon))
+    rng = random.Random(family)
+    ends = _interior_points(tp, rng, 40) + _edge_points(tp, rng, 10) + list(tp.vertices[:10])
+    expand = SiteMap._expand
+    calls = []
+
+    def counting(self, t):
+        calls.append(t)
+        return expand(self, t)
+
+    monkeypatch.setattr(SiteMap, "_expand", counting)
+    region = Region.of(tp)
+    for a, b in zip(ends, ends[::-1]):
+        if _same(a, b):
+            continue
+        s, x = sorted((a, b), key=lambda p: (p.x, p.y))
+        corridor = _corridor(tp, tp.locate(s), tp.locate(x))
+        del calls[:]
+        region.path(a, b)
+        assert len(calls) <= len(corridor) - 1, (a, b)
+        assert set(calls) <= set(corridor), (a, b)
+
+
+@pytest.mark.parametrize("family", ["star", "comb", "random"])
+def test_fresh_maps_answer_in_any_order(family):
+    # an expansion sets a corner's parent and distance when a query first
+    # reaches it, so two maps asked in opposite orders must still agree
+    inst = generate(family, 48, 4, 5)
+    tp = triangulate(SimplePolygon(inst.polygon))
+    rng = random.Random(family)
+    xs = list(tp.vertices) + _interior_points(tp, rng, 30) + _edge_points(tp, rng, 15)
+    for s in list(inst.points) + list(tp.vertices[:4]):
+        fwd, rev = SiteMap(tp, s), SiteMap(tp, s)
+        want = [(fwd.distance(x), fwd.anchor(x), fwd.path(x)) for x in xs]
+        got = [(rev.distance(x), rev.anchor(x), rev.path(x)) for x in reversed(xs)]
+        assert got[::-1] == want, s
