@@ -10,12 +10,14 @@ instances).  Each instance maps to its radius and centers as
 name of the solver error it raised (`cli.SOLVER_ERRORS`; any other
 exception stops the script).  Every solution is replayed with
 `cli.verify_record` first.  The file is sorted JSON, so `diff` on the
-files of two commits shows every output that moved.
+files of two commits shows every output that moved.  The total wall
+time goes to stderr, not into the file.
 """
 
 import json
 import os
 import sys
+import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -47,6 +49,7 @@ def main() -> None:
     if len(sys.argv) != 2:
         sys.exit("usage: corpus_outputs.py OUT.json")
     out = {}
+    t0 = time.perf_counter()
     for n, m, seeds in CELLS:
         for fam in FAMILIES:
             for s in seeds:
@@ -54,6 +57,7 @@ def main() -> None:
                 out[key] = outcome(generate(fam, n, m, s))
                 print(key, out[key].get("error") or float.fromhex(out[key]["radius"]),
                       flush=True)
+    print(f"corpus wall time {time.perf_counter() - t0:.1f} s", file=sys.stderr)
     with open(sys.argv[1], "w") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)
         fh.write("\n")

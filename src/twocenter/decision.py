@@ -73,7 +73,6 @@ class DecisionResult:
     feasible: bool
     branch: str
     centers: Optional[Tuple[Point2, Point2]] = None
-    assignment: Optional[Dict[Key, int]] = None
 
 
 def _coverage_ok(region: Region, pc: PairChains, r: float,
@@ -84,22 +83,6 @@ def _coverage_ok(region: Region, pc: PairChains, r: float,
         return False
     return all(min(sq.distance(c1), sq.distance(c2)) <= r + tol
                for sq in map(region.site_map, pc.free))
-
-
-def _result(h: GeodesicHull, pc: PairChains, branch: str, r: float,
-            c1: Point2, c2: Point2) -> DecisionResult:
-    region = h.region
-    assign: Dict[Key, int] = {}
-    for e in pc.chain1:
-        assign[_key(e)] = 1
-    for e in pc.chain2:
-        assign[_key(e)] = 2
-    for q in list(pc.free) + h.boundary_points + h.interior_points:
-        if _key(q) in assign:
-            continue
-        sq = region.site_map(q)
-        assign[_key(q)] = 1 if sq.distance(c1) <= sq.distance(c2) else 2
-    return DecisionResult(True, branch, (c1, c2), assign)
 
 
 # -- shared-vertex search ---------------------------------------------
@@ -128,8 +111,7 @@ def _ring_param(h: GeodesicHull, p: Point2) -> float:
     return best
 
 
-def shared_vertex_decide(h: GeodesicHull, i: int, j: int, r: float,
-                         v: Optional[Point2] = None):
+def shared_vertex_decide(h: GeodesicHull, i: int, j: int, r: float):
     """Witness centers whose disks both contain one of the four split
     vertices, or None.  Free points are ordered by where the straight
     extension of the path from the shared vertex meets the hull ring;
@@ -139,8 +121,7 @@ def shared_vertex_decide(h: GeodesicHull, i: int, j: int, r: float,
     region = h.region
     tols = h.ambient.tol
     tol = tols.check
-    vs = [v] if v is not None else [
-        h.extreme(pc.i), h.extreme(pc.i + 1), h.extreme(pc.j), h.extreme(pc.j + 1)]
+    vs = [h.extreme(pc.i), h.extreme(pc.i + 1), h.extreme(pc.j), h.extreme(pc.j + 1)]
     seen = set()
     ring_total = sum(dist(h.ring[s], h.ring[(s + 1) % len(h.ring)])
                      for s in range(len(h.ring)))
@@ -435,7 +416,7 @@ def _decide(h: GeodesicHull, i: int, j: int, r: float) -> DecisionResult:
 
     hc = h.hull_center()
     if r >= hc.radius - eps:
-        return _result(h, pc, "hull-radius", r, hc.center, hc.center)
+        return DecisionResult(True, "hull-radius", (hc.center, hc.center))
 
     # every shared-vertex set holds a whole chain, so this test goes first
     oc1 = one_center(region, pc.chain1)
@@ -445,10 +426,10 @@ def _decide(h: GeodesicHull, i: int, j: int, r: float) -> DecisionResult:
 
     sv = shared_vertex_decide(h, i, j, r)
     if sv is not None:
-        return _result(h, pc, "shared-vertex", r, sv[0], sv[1])
+        return DecisionResult(True, "shared-vertex", sv)
 
     if not pc.free:
-        return _result(h, pc, "no-free-points", r, oc1.center, oc2.center)
+        return DecisionResult(True, "no-free-points", (oc1.center, oc2.center))
 
     (t1, s1), (t2, s2) = (chain_side(h, pc, c, r) for c in (pc.chain1, pc.chain2))
     if "empty" in (t1, t2):
@@ -459,7 +440,7 @@ def _decide(h: GeodesicHull, i: int, j: int, r: float) -> DecisionResult:
         c2 = s2 if t2 == "point" else None
         if c1 is not None and c2 is not None:
             if _coverage_ok(region, pc, r, c1, c2, tol):
-                return _result(h, pc, "pinched", r, c1, c2)
+                return DecisionResult(True, "pinched", (c1, c2))
             return DecisionResult(False, "pinched")
         fixed, other_chain = (c1, pc.chain2) if c1 is not None else (c2, pc.chain1)
         assert fixed is not None
@@ -468,13 +449,13 @@ def _decide(h: GeodesicHull, i: int, j: int, r: float) -> DecisionResult:
         if oc.radius <= r + eps:
             cc1, cc2 = (fixed, oc.center) if c1 is not None else (oc.center, fixed)
             if _coverage_ok(region, pc, r, cc1, cc2, tol):
-                return _result(h, pc, "pinched", r, cc1, cc2)
+                return DecisionResult(True, "pinched", (cc1, cc2))
         return DecisionResult(False, "pinched")
 
     if "noarcs" in (t1, t2):
         # an arcless intersection equals the hull, so the hull disk works
         if _coverage_ok(region, pc, r, hc.center, hc.center, tol):
-            return _result(h, pc, "no-arc", r, hc.center, hc.center)
+            return DecisionResult(True, "no-arc", (hc.center, hc.center))
         return DecisionResult(False, "no-arc-anomaly")
 
     # a point's disk may meet I_t only through a strip along the hull
@@ -502,7 +483,7 @@ def _decide(h: GeodesicHull, i: int, j: int, r: float) -> DecisionResult:
         stage = found = "no-events"
         for c1p, c2p in ((s1.ref_pos, s2.ref_pos), (ocf1.center, ocf2.center)):
             if _coverage_ok(region, pc, r, c1p, c2p, tol):
-                return _result(h, pc, stage, r, c1p, c2p)
+                return DecisionResult(True, stage, (c1p, c2p))
     elif not s1.events or not s2.events:
         # disks around the quiet side a never cross its arcs; points its
         # disks miss entirely must all fit in the other side's disk
@@ -521,7 +502,7 @@ def _decide(h: GeodesicHull, i: int, j: int, r: float) -> DecisionResult:
             for c_a in (oca.center, sa.ref_pos):
                 c1c, c2c = (oc.center, c_a) if flip else (c_a, oc.center)
                 if _coverage_ok(region, pc, r, c1c, c2c, tol):
-                    return _result(h, pc, stage, r, c1c, c2c)
+                    return DecisionResult(True, stage, (c1c, c2c))
     else:
         stage, found = "scan", "split-enum"
         for flip in (False, True):
@@ -529,7 +510,7 @@ def _decide(h: GeodesicHull, i: int, j: int, r: float) -> DecisionResult:
             hit = scan_decide(region, pcs, r, sa, sb, tol)
             if hit is not None:
                 c1c, c2c = hit[::-1] if flip else hit
-                return _result(h, pc, stage, r, c1c, c2c)
+                return DecisionResult(True, stage, (c1c, c2c))
 
     if len(pc.free) > SPLIT_ENUM_CAP:
         raise CertificateError(
@@ -537,7 +518,7 @@ def _decide(h: GeodesicHull, i: int, j: int, r: float) -> DecisionResult:
             f"SPLIT_ENUM_CAP={SPLIT_ENUM_CAP} and the scan found no witness")
     hit = _split_enumerate(region, pc, r, tol)
     if hit is not None:
-        return _result(h, pc, found, r, hit[0], hit[1])
+        return DecisionResult(True, found, hit)
     return DecisionResult(False, stage)
 
 

@@ -126,10 +126,11 @@ def assistant_interval(h: GeodesicHull,
     def feasible(r: float) -> bool:
         return any(decide(h, p.i, p.j, r).feasible for p in order)
 
+    dists = _spm_distances(h, qs)
     r_l = 0.0
     r_u = h.hull_center().radius
     while True:
-        inside = [v for v in _spm_distances(h, qs) if r_l < v < r_u]
+        inside = [v for v in dists if r_l < v < r_u]
         if not inside:
             return RadiusInterval(r_l, r_u)
         med = statistics.median_low(inside)

@@ -1,15 +1,14 @@
 """Per-pair radius optimization.
 
 For one chain split (i, j) the optimal radius r*_ij is pinned down in
-three moves: narrow an interval until the intersection-boundary event
-structure is constant, collect the finitely many radii at which two
-point circles can meet on the boundary, then binary search that set
-with the decision procedure.
+three moves: narrow an interval to the radii between two neighbouring
+structure-change candidates, collect the finitely many radii at which
+two point circles can meet on the boundary, then binary search that set
+with the decision procedure.  Both searches are `_leftmost_feasible`.
 """
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .decision import (DecisionResult, PairChains, chain_side, decide,
@@ -32,23 +31,6 @@ class RadiusInterval:
 
     def contains(self, r: float) -> bool:
         return self.lo < r <= self.hi
-
-
-@dataclass
-class CriticalRadiusSet:
-    values: List[float] = field(default_factory=list)
-    tags: List[str] = field(default_factory=list)
-
-    def add(self, v: float, tag: str):
-        self.values.append(v)
-        self.tags.append(tag)
-
-    def sorted_unique(self, eps: float) -> List[float]:
-        out: List[float] = []
-        for v in sorted(self.values):
-            if not out or v - out[-1] > eps:
-                out.append(v)
-        return out
 
 
 def _boundary_pair_radii(ring: Region, a: Point2, b: Point2) -> List[float]:
@@ -132,9 +114,29 @@ def _event_signature(h: GeodesicHull, pc: PairChains, r: float):
     return tuple(sig)
 
 
+def _leftmost_feasible(h: GeodesicHull, i: int, j: int, values: Sequence[float]
+                       ) -> Tuple[int, Optional[DecisionResult]]:
+    """Binary search of the ascending values for the first one `decide`
+    accepts, which is monotone in r: its index and decision, or
+    (len(values), None) when it accepts none."""
+    a, b = 0, len(values)
+    best: Optional[DecisionResult] = None
+    while a < b:
+        mid = (a + b) // 2
+        res = decide(h, i, j, values[mid])
+        if res.feasible:
+            b, best = mid, res
+        else:
+            a = mid + 1
+    return a, best
+
+
 def narrow_interval(h: GeodesicHull, i: int, j: int,
                     iv: RadiusInterval) -> RadiusInterval:
-    """Shrink iv around r*_ij until no structure-change radius is inside."""
+    """Shrink iv around r*_ij to the gap between two neighbouring
+    structure-change candidates.  When the event signatures at three
+    probes inside that gap differ, the probes join the candidates and the
+    gap is searched once more; the result is not checked again."""
     if not decide(h, i, j, iv.hi).feasible:
         raise InfeasibleInterval(f"pair ({i},{j}) infeasible at {iv.hi}")
     pc = pair_chains(h, i, j)
@@ -142,36 +144,19 @@ def narrow_interval(h: GeodesicHull, i: int, j: int,
 
     def search(cands: Sequence[float]) -> RadiusInterval:
         inside = sorted(v for v in set(cands) if iv.lo + eps < v < iv.hi - eps)
-        lo, hi = iv.lo, iv.hi
-        a, b = 0, len(inside)        # candidates in (lo, hi)
-        while a < b:
-            mid = (a + b) // 2
-            if decide(h, i, j, inside[mid]).feasible:
-                hi = inside[mid]
-                b = mid
-            else:
-                lo = inside[mid]
-                a = mid + 1
-        return RadiusInterval(lo, hi)
+        k, _res = _leftmost_feasible(h, i, j, inside)
+        return RadiusInterval(inside[k - 1] if k else iv.lo,
+                              inside[k] if k < len(inside) else iv.hi)
 
     cands = interval_candidates(h, i, j)
     out = search(cands)
     if not pc.free:
         return out
-    for attempt in range(2):
-        width = out.hi - out.lo
-        probes = [out.lo + width * f for f in (1e-3, 0.5, 1 - 1e-9)]
-        sigs = [_event_signature(h, pc, r) for r in probes]
-        if all(s == sigs[0] for s in sigs):
-            return out
-        if attempt == 0:
-            cands = list(cands) + probes
-            out = search(cands)
-    warnings.warn(
-        f"event structure varies inside narrowed interval ({out.lo}, {out.hi}] "
-        f"for pair ({i},{j}); optimization falls back to direct decision search",
-        RuntimeWarning)
-    return out
+    probes = [out.lo + (out.hi - out.lo) * f for f in (1e-3, 0.5, 1 - 1e-9)]
+    sigs = [_event_signature(h, pc, r) for r in probes]
+    if all(s == sigs[0] for s in sigs):
+        return out
+    return search(cands + probes)
 
 
 def pair_coincidence_radius(h: GeodesicHull, i: int, j: int, t: int, q1: Point2,
@@ -197,17 +182,23 @@ def pair_coincidence_radius(h: GeodesicHull, i: int, j: int, t: int, q1: Point2,
 
 
 def critical_radius_set(h: GeodesicHull, i: int, j: int,
-                        iv: RadiusInterval) -> CriticalRadiusSet:
+                        iv: RadiusInterval) -> List[float]:
+    """iv.hi and every pair coincidence radius in iv, ascending, without
+    a value within tol.radius above the one before it."""
     pc = pair_chains(h, i, j)
-    out = CriticalRadiusSet()
+    vals = [iv.hi]
     free = list(pc.free)
     for t in (1, 2):
         for a in range(len(free)):
             for b in range(a + 1, len(free)):
                 rho = pair_coincidence_radius(h, i, j, t, free[a], free[b], iv)
                 if rho is not None:
-                    out.add(rho, "pair")
-    out.add(iv.hi, "endpoint")
+                    vals.append(rho)
+    eps = h.ambient.tol.radius
+    out: List[float] = []
+    for v in sorted(vals):
+        if not out or v - out[-1] > eps:
+            out.append(v)
     return out
 
 
@@ -218,23 +209,11 @@ def optimize_pair(h: GeodesicHull, i: int, j: int, iv: RadiusInterval
         nv = narrow_interval(h, i, j, iv)
     except InfeasibleInterval:
         return None
-    eps = h.ambient.tol.radius
-    crit = critical_radius_set(h, i, j, nv)
-    values = crit.sorted_unique(eps)
-    # leftmost feasible value; monotone in r
-    lo_i, hi_i = 0, len(values) - 1
-    best: Optional[DecisionResult] = None
-    best_r = values[-1]
-    while lo_i <= hi_i:
-        mid = (lo_i + hi_i) // 2
-        res = decide(h, i, j, values[mid])
-        if res.feasible:
-            best = res
-            best_r = values[mid]
-            hi_i = mid - 1
-        else:
-            lo_i = mid + 1
-    if best is None:    # narrow_interval decided nv.hi feasible
+    values = critical_radius_set(h, i, j, nv)
+    k, best = _leftmost_feasible(h, i, j, values)
+    if best is None:    # dedup merged nv.hi, which narrow_interval decided feasible
         best, best_r = decide(h, i, j, nv.hi), nv.hi
+    else:
+        best_r = values[k]
     assert best.centers is not None
     return best_r, best.centers[0], best.centers[1]

@@ -107,15 +107,13 @@ class TriangulatedPolygon:
     """A simple polygon plus a triangulation and its dual tree.
 
     Triangles are index triples into `polygon.vertices`, counterclockwise.
-    The dual graph of a triangulated simple polygon is a tree; `dual[t]`
-    lists (neighbor_triangle, shared_edge_index_pair), and `across[t][k]`
-    is the triangle across t's edge (tri[k], tri[k + 1]), -1 on the
-    polygon boundary.  Rooted at
-    triangle 0, `up[t]` is t's parent (-1 at the root), `depth[t]` its
-    depth, and `gate[t]` the edge t shares with its parent, as t's
-    counterclockwise vertex pair.  `fans[v]` lists the triangles with
-    corner v, and `index` maps a vertex's (x, y) to its index.  `tol`
-    holds the solver's tolerances for this polygon's scale.
+    The dual graph of a triangulated simple polygon is a tree;
+    `across[t][k]` is the triangle across t's edge (tri[k], tri[k + 1]),
+    -1 on the polygon boundary.  Rooted at triangle 0, `up[t]` is t's
+    parent (-1 at the root) and `depth[t]` its depth.  `fans[v]` lists
+    the triangles with corner v, and `index` maps a vertex's (x, y) to
+    its index.  `tol` holds the solver's tolerances for this polygon's
+    scale.
     """
 
     def __init__(self, polygon: SimplePolygon, triangles):
@@ -125,7 +123,6 @@ class TriangulatedPolygon:
         self.diameter = polygon.diameter
         self.tol = Tolerances.for_diameter(self.diameter)
         edge_map = {}
-        self.dual: List[List[Tuple[int, Tuple[int, int]]]] = [[] for _ in self.triangles]
         self.across: List[List[int]] = [[-1, -1, -1] for _ in self.triangles]
         self.index = {(v.x, v.y): k for k, v in enumerate(self.vertices)}
         self.fans: List[List[int]] = [[] for _ in self.vertices]
@@ -139,13 +136,10 @@ class TriangulatedPolygon:
                     edge_map[key] = (t, k)
                 else:
                     o, ko = other
-                    self.dual[t].append((o, key))
-                    self.dual[o].append((t, key))
                     self.across[t][k], self.across[o][ko] = o, t
         m = len(self.triangles)
         self.up: List[int] = [-1] * m
         self.depth: List[int] = [-1] * m
-        self.gate: List[Tuple[int, int]] = [(-1, -1)] * m
         for root in range(m):
             if self.depth[root] >= 0:
                 continue
@@ -153,16 +147,11 @@ class TriangulatedPolygon:
             self.depth[root] = 0
             order = [root]
             for t in order:
-                for nb, key in self.dual[t]:
-                    if self.depth[nb] >= 0:
-                        continue
-                    self.up[nb] = t
-                    self.depth[nb] = self.depth[t] + 1
-                    tri = self.triangles[nb]
-                    # the gate follows the corner opposite it
-                    k = next(k for k in range(3) if tri[k - 1] not in key)
-                    self.gate[nb] = (tri[k], tri[(k + 1) % 3])
-                    order.append(nb)
+                for nb in self.across[t]:
+                    if nb >= 0 and self.depth[nb] < 0:
+                        self.up[nb] = t
+                        self.depth[nb] = self.depth[t] + 1
+                        order.append(nb)
         self._bucket_triangles()
         # caches shared by every geodesic query over this polygon
         self._path_cache = {}

@@ -216,7 +216,6 @@ def test_undecided_split_raises():
         two_center(SimplePolygon(inst.polygon), inst.points)
 
 
-@pytest.mark.filterwarnings("ignore:event structure varies")
 @pytest.mark.parametrize("cell", [("star", 12, 6, 2), ("comb", 16, 8, 2),
                                   ("random", 16, 8, 2), ("convex", 48, 6, 1),
                                   ("comb", 48, 6, 2)],

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import pytest
 
 import twocenter.decision as dec
 import twocenter.optimize as opt
-from twocenter.driver import candidate_pairs
+from twocenter.driver import candidate_pairs, two_center
 from twocenter.errors import InfeasibleInterval
 from twocenter.geom import Point2, dist, unique_points
 from twocenter.hull import geodesic_hull
@@ -44,10 +45,39 @@ def test_interval_shape():
 
 
 def test_critical_set_dedup():
-    cs = opt.CriticalRadiusSet()
-    for v in (1.0, 1.0 + 1e-15, 2.0, 1.5):
-        cs.add(v, "x")
-    assert cs.sorted_unique(1e-12) == [1.0, 1.5, 2.0]
+    # an interval end within tol.radius above the pair radius merges into it
+    h = _square6_hull(extra=[(2 + SQRT2, 3), (3, 4)])
+    rho = opt.pair_coincidence_radius(h, 1, 3, 1, Point2(2 + SQRT2, 3), Point2(3, 4),
+                                      opt.RadiusInterval(1e-9, 3.0))
+    eps = h.ambient.tol.radius
+    hi = rho + eps / 2
+    assert hi > rho
+    vals = opt.critical_radius_set(h, 1, 3, opt.RadiusInterval(1e-9, hi))
+    assert rho in vals and hi not in vals
+    assert all(b - a > eps for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8, 16])
+def test_leftmost_feasible(n, monkeypatch):
+    values = [float(v) for v in range(n)]
+    calls = []
+
+    def decide(h, i, j, r):
+        calls.append(r)
+        return dec.DecisionResult(r >= cut, "stub", (Point2(r, 0), Point2(r, 0)))
+
+    monkeypatch.setattr(opt, "decide", decide)
+    # all infeasible, a mixed run at every cut, all feasible
+    for cut in [n + 0.5] + [k - 0.5 for k in range(1, n)] + [-1.0]:
+        calls.clear()
+        k, res = opt._leftmost_feasible(None, 0, 1, values)
+        want = next((k for k, v in enumerate(values) if v >= cut), n)
+        assert k == want
+        if k == n:
+            assert res is None
+        else:
+            assert res.feasible and res.centers[0].x == values[k]
+        assert len(calls) <= math.ceil(math.log2(n + 1))
 
 
 def test_interval_candidates_hit_optimum(qsym_hull):
@@ -63,6 +93,24 @@ def test_narrow_interval_brackets_optimum(qsym_hull):
     assert nv.hi <= 1.0 + 1e-9
     with pytest.raises(InfeasibleInterval):
         opt.narrow_interval(qsym_hull, i, j, opt.RadiusInterval(1e-9, 0.9))
+
+
+def test_narrow_interval_probes_once(monkeypatch):
+    # star/12x6/s1 has a pair whose probes disagree: one probe round of
+    # three signatures, then the search over candidates plus probes
+    inst = generate("star", 12, 6, 1)
+    calls = []
+    event_signature = opt._event_signature
+
+    def counting(h, pc, r):
+        calls.append(r)
+        return event_signature(h, pc, r)
+
+    monkeypatch.setattr(opt, "_event_signature", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        two_center(SimplePolygon(inst.polygon), inst.points)
+    assert len(calls) == 3
 
 
 def test_optimize_axis_pair(qsym_hull):
@@ -129,9 +177,8 @@ def test_pair_coincidence_rejects_slack_point():
 def test_critical_radius_set_collects_pairs():
     h = _square6_hull(extra=[(2 + SQRT2, 3), (3, 4)])
     crit = opt.critical_radius_set(h, 1, 3, opt.RadiusInterval(1e-9, 3.0))
-    assert "endpoint" in crit.tags
-    assert any(t == "pair" and abs(v - SQRT2) <= 1e-6
-               for v, t in zip(crit.values, crit.tags))
+    assert crit == sorted(crit) and crit[-1] == 3.0
+    assert any(abs(v - SQRT2) <= 1e-6 for v in crit)
 
 
 def test_boundary_pair_radii_square(qsym_hull):

@@ -22,7 +22,7 @@ def test_triangulation_counts(sq4_tp, l6_tp):
     assert len(sq4_tp.triangles) == 2
     assert len(l6_tp.triangles) == 4
     # dual tree of the square has exactly one edge
-    deg = sum(len(nbrs) for nbrs in sq4_tp.dual)
+    deg = sum(nb >= 0 for nbrs in sq4_tp.across for nb in nbrs)
     assert deg == 2
 
 

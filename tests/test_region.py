@@ -151,8 +151,8 @@ def _bfs_corridor(tp, ts, tt):
         qi += 1
         if cur == tt:
             break
-        for nb, _ in tp.dual[cur]:
-            if nb not in prev:
+        for nb in tp.across[cur]:
+            if nb >= 0 and nb not in prev:
                 prev[nb] = cur
                 queue.append(nb)
     chain = [tt]
@@ -338,15 +338,22 @@ def _portals(tp: TriangulatedPolygon, ts: int, tt: int):
     Crossing a child's gate u -> v upward puts v on the traveller's left
     and u on the right; crossing it downward puts u on the left.
     """
-    V, up, depth, gate = tp.vertices, tp.up, tp.depth, tp.gate
+    V, up, depth = tp.vertices, tp.up, tp.depth
+
+    def gate(t):
+        """The edge t shares with its parent, as t's counterclockwise pair."""
+        tri = tp.triangles[t]
+        k = tp.across[t].index(up[t])
+        return tri[k], tri[(k + 1) % 3]
+
     rise, fall = [], []
     while ts != tt:
         if depth[ts] >= depth[tt]:
-            u, v = gate[ts]
+            u, v = gate(ts)
             rise.append((V[v], V[u]))
             ts = up[ts]
         else:
-            u, v = gate[tt]
+            u, v = gate(tt)
             fall.append((V[u], V[v]))
             tt = up[tt]
         if ts < 0 or tt < 0:
@@ -438,7 +445,13 @@ def _edge_points(tp, rng, count):
     """Points on polygon edges and on diagonals of the triangulation."""
     V = tp.vertices
     edges = [(V[i], V[(i + 1) % len(V)]) for i in range(len(V))]
-    edges += [(V[u], V[v]) for t in range(len(tp.triangles)) for _nb, (u, v) in tp.dual[t]]
+    for t, tri in enumerate(tp.triangles):
+        # each diagonal from both sides, as its (low, high) vertex pair:
+        # neighbours below t in edge order, then those above t by index
+        nbs = tp.across[t]
+        for o in [o for o in nbs if 0 <= o < t] + sorted(o for o in nbs if o > t):
+            u, v = sorted(set(tri) & set(tp.triangles[o]))
+            edges.append((V[u], V[v]))
     out = []
     for _ in range(count):
         a, b = edges[rng.randrange(len(edges))]
