@@ -11,7 +11,7 @@ import math
 import random
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List
 
 from .errors import InvalidPolygon, PointOutsidePolygon
 from .geom import Point2, cross, dist, segments_properly_cross
@@ -152,21 +152,6 @@ def _gen_comb(rng: random.Random, n: int) -> List[Point2]:
     return out
 
 
-def _simple(ring: Sequence[Point2]) -> bool:
-    n = len(ring)
-    for i in range(n):
-        a, b = ring[i], ring[(i + 1) % n]
-        if dist(a, b) < 1e-9:
-            return False
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or j == (i + 1) % n:
-                continue
-            c, d = ring[j], ring[(j + 1) % n]
-            if segments_properly_cross(a, b, c, d):
-                return False
-    return True
-
-
 def _gen_random(rng: random.Random, n: int) -> List[Point2]:
     """Random simple polygon by 2-opt untangling of a random cycle."""
     for _attempt in range(40):
@@ -192,12 +177,14 @@ def _gen_random(rng: random.Random, n: int) -> List[Point2]:
                         ring[lo:hi + 1] = ring[lo:hi + 1][::-1]
                         changed = True
                         a, b = ring[i], ring[(i + 1) % n]
-        if _simple(ring):
-            try:
-                SimplePolygon(ring)
-                return ring
-            except InvalidPolygon:
-                continue
+        try:
+            poly = SimplePolygon(ring)
+        except InvalidPolygon:
+            continue
+        # a ring the constructor shortens by merging near-duplicate
+        # neighbours would not have n vertices
+        if poly.n == n:
+            return ring
     return _gen_star(rng, n)
 
 

@@ -9,7 +9,7 @@ with the decision procedure.  Both searches are `_leftmost_feasible`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .decision import (DecisionResult, PairChains, chain_side, decide,
                        pair_chains)
@@ -33,27 +33,46 @@ class RadiusInterval:
         return self.lo < r <= self.hi
 
 
-def _boundary_pair_radii(ring: Region, a: Point2, b: Point2) -> List[float]:
-    """Radii at which the circles of a and b meet on a segment of the ring.
-
-    The sites' shortest-path-map points cut each segment into pieces on
-    which both distances are anchor charts |x - w| + d, read at the
-    piece's midpoint.  Ordered so that c = d_b - d_a >= 0, the crossing
-    squares to c |x - w_b| = L(x), L linear (the bisector L = 0 when
-    c = 0), and once more to a quadratic; its roots in the piece with
-    L >= 0 are the crossings.
-    """
+def _segment_cuts(ring: Region, s: Point2) -> List[Set[float]]:
+    """Per segment of the ring, the parameters t in (0, 1) of s's
+    shortest-path-map points (`Region.spm_points`) within tol.near of it;
+    empty for a segment of zero length."""
     near = ring.tp.tol.near
-    cuts = [p for s in (a, b) for p, _d in ring.spm_points(s)]
-    out = []
+    cuts = [p for p, _d in ring.spm_points(s)]
+    out: List[Set[float]] = []
     for u, v in ring.ring_segments():
         ex, ey = v.x - u.x, v.y - u.y
         ee = ex * ex + ey * ey
         if ee == 0.0:
+            out.append(set())
             continue
         proj = (((p.x - u.x) * ex + (p.y - u.y) * ey) / ee
                 for p in cuts if seg_point_distance(p, u, v) <= near)
-        ts = sorted({0.0, 1.0} | {t for t in proj if 0.0 < t < 1.0})
+        out.append({t for t in proj if 0.0 < t < 1.0})
+    return out
+
+
+def _boundary_pair_radii(ring: Region, a: Point2, b: Point2,
+                         cuts_a: Optional[List[Set[float]]] = None,
+                         cuts_b: Optional[List[Set[float]]] = None) -> List[float]:
+    """Radii at which the circles of a and b meet on a segment of the ring.
+
+    Both sites' `_segment_cuts` (computed here unless given) cut each
+    segment into pieces on which both distances are anchor charts
+    |x - w| + d, read at the piece's midpoint.  Ordered so that
+    c = d_b - d_a >= 0, the crossing squares to c |x - w_b| = L(x), L
+    linear (the bisector L = 0 when c = 0), and once more to a quadratic;
+    its roots in the piece with L >= 0 are the crossings.
+    """
+    cuts_a = _segment_cuts(ring, a) if cuts_a is None else cuts_a
+    cuts_b = _segment_cuts(ring, b) if cuts_b is None else cuts_b
+    out = []
+    for (u, v), ca, cb in zip(ring.ring_segments(), cuts_a, cuts_b):
+        ex, ey = v.x - u.x, v.y - u.y
+        ee = ex * ex + ey * ey
+        if ee == 0.0:
+            continue
+        ts = sorted({0.0, 1.0} | ca | cb)
         for t0, t1 in zip(ts, ts[1:]):
             tm = (t0 + t1) / 2
             mid = Point2(u.x + ex * tm, u.y + ey * tm)
@@ -80,6 +99,7 @@ def interval_candidates(h: GeodesicHull, i: int, j: int) -> List[float]:
     pc = pair_chains(h, i, j)
     region = h.region
     vals: List[float] = []
+    cuts: Dict[Point2, List[Set[float]]] = {}
     for chain in (pc.chain1, pc.chain2):
         ext = list(chain)
         for a in range(len(ext)):
@@ -92,6 +112,9 @@ def interval_candidates(h: GeodesicHull, i: int, j: int) -> List[float]:
                 vals.append(0.5 * region.site_map(q).distance(e))
             vals.append(one_center(region, ext + [q]).radius)
         pts = ext + list(pc.free)
+        for p in pts:
+            if p not in cuts:
+                cuts[p] = _segment_cuts(h.hull_region, p)
         # radii at which an arc endpoint crosses a hull corner
         for w in h.hull_region.corners:
             sw = region.site_map(w)
@@ -99,7 +122,8 @@ def interval_candidates(h: GeodesicHull, i: int, j: int) -> List[float]:
                 vals.append(sw.distance(x))
         for a in range(len(pts)):
             for b in range(a + 1, len(pts)):
-                vals.extend(_boundary_pair_radii(h.hull_region, pts[a], pts[b]))
+                vals.extend(_boundary_pair_radii(h.hull_region, pts[a], pts[b],
+                                                 cuts[pts[a]], cuts[pts[b]]))
     return vals
 
 

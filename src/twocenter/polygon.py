@@ -2,8 +2,10 @@
 location."""
 from __future__ import annotations
 
+import bisect
+import heapq
 import math
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import InvalidPolygon
 from .geom import (EPS, Point2, Tolerances, bbox, bbox_diameter, cross, dist,
@@ -45,41 +47,38 @@ class SimplePolygon:
     def _check_simple(self):
         n = self.n
         V = self.vertices
-        # edge bounding boxes prune both tests: exact orientation signs that
-        # show a proper crossing imply that the two boxes meet
+        # boxes 0..n-1 bound the edges, boxes n..2n-1 the vertices padded
+        # by 2 th: within th of an edge means within th of its box, and
+        # 2 th absorbs the rounding of seg_point_distance.  Exact
+        # orientation signs that show a proper crossing imply that the
+        # two edge boxes meet.
         boxes = [(min(a.x, b.x), min(a.y, b.y), max(a.x, b.x), max(a.y, b.y))
                  for a, b in zip(V, V[1:] + V[:1])]
-        for i in range(n):
-            a, b = V[i], V[(i + 1) % n]
-            x0, y0, x1, y1 = boxes[i]
-            # skip edge i + 1, and edge n - 1 when i = 0: both are adjacent
-            for j in range(i + 2, n if i else n - 1):
-                u0, v0, u1, v1 = boxes[j]
-                if x1 < u0 or u1 < x0 or y1 < v0 or v1 < y0:
-                    continue
-                if segments_properly_cross(a, b, V[j], V[(j + 1) % n]):
-                    raise InvalidPolygon(f"edges {i} and {j} cross")
+        ths = [1e-12 * max(1.0, abs(p.x), abs(p.y)) for p in V]
+        boxes += [(p.x - 2 * th, p.y - 2 * th, p.x + 2 * th, p.y + 2 * th)
+                  for p, th in zip(V, ths)]
+        crossing, touching = [], []
+        for i, j in _meeting_boxes(boxes):
+            if j < n:
+                # skip edge i + 1, and edge n - 1 when i = 0: both are adjacent
+                if j >= i + 2 and (i or j < n - 1):
+                    crossing.append((i, j))
+            elif i < n and j - n != i and j - n != (i + 1) % n:
+                # vertex j - n and edge i, skipping the vertex's own edges
+                touching.append((j - n, i))
+        for i, j in sorted(crossing):
+            if segments_properly_cross(V[i], V[(i + 1) % n], V[j], V[(j + 1) % n]):
+                raise InvalidPolygon(f"edges {i} and {j} cross")
         # a vertex sitting on a non-adjacent edge also breaks simplicity,
         # in its interior or at an end (the ring passes one point twice)
-        for i in range(n):
+        for i, j in sorted(touching):
             p = V[i]
-            th = 1e-12 * max(1.0, abs(p.x), abs(p.y))
-            # within th of an edge means within th of its box; 2 th absorbs
-            # the rounding of seg_point_distance
-            xlo, xhi, ylo, yhi = p.x - 2 * th, p.x + 2 * th, p.y - 2 * th, p.y + 2 * th
-            for j in range(n):
-                if j == i or (j + 1) % n == i:
-                    continue
-                u0, v0, u1, v1 = boxes[j]
-                if xhi < u0 or u1 < xlo or yhi < v0 or v1 < ylo:
-                    continue
-                a, b = V[j], V[(j + 1) % n]
-                if seg_point_distance(p, a, b) <= th:
-                    k = next((k for k in (j, (j + 1) % n) if dist(p, V[k]) <= 1e-12), -1)
-                    if k < 0:
-                        raise InvalidPolygon(f"vertex {i} lies on edge {j}")
-                    if k not in ((i - 1) % n, (i + 1) % n):
-                        raise InvalidPolygon(f"vertex {i} coincides with vertex {k}")
+            if seg_point_distance(p, V[j], V[(j + 1) % n]) <= ths[i]:
+                k = next((k for k in (j, (j + 1) % n) if dist(p, V[k]) <= 1e-12), -1)
+                if k < 0:
+                    raise InvalidPolygon(f"vertex {i} lies on edge {j}")
+                if k not in ((i - 1) % n, (i + 1) % n):
+                    raise InvalidPolygon(f"vertex {i} coincides with vertex {k}")
 
     def edges(self):
         V = self.vertices
@@ -87,6 +86,24 @@ class SimplePolygon:
 
     def __repr__(self):
         return f"SimplePolygon({self.n} vertices)"
+
+
+def _meeting_boxes(boxes) -> List[Tuple[int, int]]:
+    """Index pairs (i, j), i < j, of the closed boxes (x0, y0, x1, y1)
+    that meet: sort by x0 and scan each box's successors up to its x1
+    (Shamos and Hoey 1976)."""
+    order = sorted(range(len(boxes)), key=lambda k: boxes[k][0])
+    out = []
+    for at, k in enumerate(order):
+        _x0, y0, x1, y1 = boxes[k]
+        for q in range(at + 1, len(order)):
+            m = order[q]
+            u0, v0, _u1, v1 = boxes[m]
+            if u0 > x1:
+                break
+            if v0 <= y1 and y0 <= v1:
+                out.append((k, m) if k < m else (m, k))
+    return out
 
 
 def point_in_polygon(poly: SimplePolygon, p, eps: float = EPS) -> str:
@@ -101,6 +118,36 @@ def _tri_contains(a, b, c, p, eps: float) -> bool:
     scale = max(1.0, abs(p[0]), abs(p[1]))
     t = eps * scale
     return d1 >= -t and d2 >= -t and d3 >= -t
+
+
+def _reach_box_of(box):
+    """The function (a, b, c) -> a box holding every point of `box` that
+    the 1e-12 test `_tri_contains(a, b, c, p, 1e-12)` accepts, for a, b, c
+    in `box`.
+
+    The test accepts p when every barycentric coordinate is at least
+    -(tol + err) / A, for A twice the triangle's area, tol the test's
+    slack at the box's largest coordinate and err the rounding of one
+    cross product.  Such a p lies within 2 (tol + err) D / A of the
+    triangle's own box of extent D; the rest is rounding slack.
+    """
+    x0, y0, x1, y1 = box
+    big = max(1.0, abs(x0), abs(y0), abs(x1), abs(y1))
+    tol, slack = 1e-12 * big, 1e-15 * big
+    ext = max(x1 - x0, y1 - y0)
+
+    def reach(a, b, c) -> Tuple[float, float, float, float]:
+        tx0, tx1 = min(a.x, b.x, c.x), max(a.x, b.x, c.x)
+        ty0, ty1 = min(a.y, b.y, c.y), max(a.y, b.y, c.y)
+        d = max(tx1 - tx0, ty1 - ty0)
+        area2 = cross(a, b, c) - 1e-15 * d * d
+        if area2 > 0.0:
+            pad = 2.0 * (tol + 1e-15 * d * ext) * d / area2 * (1.0 + 1e-9) + slack
+        else:
+            pad = math.inf
+        return (tx0 - pad, ty0 - pad, tx1 + pad, ty1 + pad)
+
+    return reach
 
 
 class TriangulatedPolygon:
@@ -160,33 +207,10 @@ class TriangulatedPolygon:
         self._region = None
 
     def _reach_boxes(self) -> List[Tuple[float, float, float, float]]:
-        """Per triangle, a box holding every point of the polygon's box
-        that locate's 1e-12 containment test accepts for that triangle.
-
-        The test accepts p when every barycentric coordinate is at least
-        -(tol + err) / A, for A twice the triangle's area, tol the test's
-        slack at the box's largest coordinate and err the rounding of one
-        cross product.  Such a p lies within 2 (tol + err) D / A of the
-        triangle's own box of extent D; the rest is rounding slack.
-        """
-        x0, y0, x1, y1 = self.polygon.bbox
-        big = max(1.0, abs(x0), abs(y0), abs(x1), abs(y1))
-        tol, slack = 1e-12 * big, 1e-15 * big
-        ext = max(x1 - x0, y1 - y0)
+        """Per triangle, the reach box (`_reach_box_of`) of its corners."""
+        reach = _reach_box_of(self.polygon.bbox)
         V = self.vertices
-        boxes = []
-        for i, j, k in self.triangles:
-            a, b, c = V[i], V[j], V[k]
-            tx0, tx1 = min(a.x, b.x, c.x), max(a.x, b.x, c.x)
-            ty0, ty1 = min(a.y, b.y, c.y), max(a.y, b.y, c.y)
-            d = max(tx1 - tx0, ty1 - ty0)
-            area2 = cross(a, b, c) - 1e-15 * d * d
-            if area2 > 0.0:
-                pad = 2.0 * (tol + 1e-15 * d * ext) * d / area2 * (1.0 + 1e-9) + slack
-            else:
-                pad = math.inf
-            boxes.append((tx0 - pad, ty0 - pad, tx1 + pad, ty1 + pad))
-        return boxes
+        return [reach(V[i], V[j], V[k]) for i, j, k in self.triangles]
 
     def _bucket_triangles(self):
         """Bucket the triangles into a uniform grid over the polygon's box
@@ -254,61 +278,105 @@ class TriangulatedPolygon:
 def triangulate(poly: SimplePolygon) -> TriangulatedPolygon:
     """Ear-clipping triangulation.
 
-    A vertex lying straight between two pieces of the polygon boundary
-    carries no area and is dropped without emitting a triangle.  One next
-    to a diagonal stays for ear clipping, so that the triangles on either
-    side of it remain linked and the dual graph stays one tree.  Runs in
-    O(n^2), fine at this scale.
+    Each step drops the first vertex, in index order, that lies exactly
+    straight between two pieces of the polygon boundary: it carries no
+    area and emits no triangle.  One next to a diagonal stays for ear
+    clipping, so that the triangles on either side of it remain linked
+    and the dual graph stays one tree.  Without such a vertex, the step
+    clips the first ear in index order.
+
+    The work is incremental (Held 2001, "FIST").  Turns and straight
+    flags are kept per vertex and recomputed only at a clip's two
+    neighbours.  Ear tests run lazily, in index order up to the first
+    ear; a vertex found blocked keeps its answer until a neighbour
+    changes or its blocking vertex goes.  An ear test reads only the
+    vertices inside the candidate's reach box (`_reach_box_of`), found
+    in an x-sorted list.
     """
     V = poly.vertices
     n = poly.n
-    idx = list(range(n))
-    tris: List[Tuple[int, int, int]] = []
-    # on_ring[v]: the edge from v to its current successor in idx lies on
-    # the polygon boundary (not a diagonal left by a clipped ear)
+    straight_tol = EPS * max(1.0, poly.diameter)
+    reach = _reach_box_of(poly.bbox)
+    by_x = sorted(range(n), key=lambda v: V[v].x)
+    xs = [V[v].x for v in by_x]
+    prev = [(v - 1) % n for v in range(n)]
+    succ = [(v + 1) % n for v in range(n)]
+    alive = [True] * n
+    # on_ring[v]: the edge from v to its current successor lies on the
+    # polygon boundary (not a diagonal left by a clipped ear)
     on_ring = [True] * n
+    turn = [0] * n
+    straight = [False] * n
+    # ear[v]: True or False once tested, None until then; a blocked
+    # vertex is listed under its blocker in `blocks`
+    ear: List[Optional[bool]] = [None] * n
+    blocker = [-1] * n
+    blocks: List[List[int]] = [[] for _ in range(n)]
+    # index-ordered heaps; stale entries are dropped when they surface
+    straights: List[int] = []
+    untested: List[int] = []
 
-    def is_ear(ii: int) -> bool:
-        m = len(idx)
-        a, b, c = idx[(ii - 1) % m], idx[ii], idx[(ii + 1) % m]
-        if orientation(V[a], V[b], V[c]) <= 0:
+    def reset(b: int):
+        a, c = prev[b], succ[b]
+        turn[b] = t = orientation(V[a], V[b], V[c])
+        straight[b] = on_ring[a] and on_ring[b] and t == 0 and \
+            seg_point_distance(V[b], V[a], V[c]) <= straight_tol
+        if straight[b]:
+            heapq.heappush(straights, b)
+        ear[b] = None
+        heapq.heappush(untested, b)
+
+    def is_ear(b: int) -> bool:
+        blocker[b] = -1
+        if turn[b] <= 0:
             return False
-        for j in idx:
-            if j in (a, b, c):
-                continue
-            if _tri_contains(V[a], V[b], V[c], V[j], 1e-12):
+        a, c = prev[b], succ[b]
+        pa, pb, pc = V[a], V[b], V[c]
+        x0, y0, x1, y1 = reach(pa, pb, pc)
+        for v in by_x[bisect.bisect_left(xs, x0):bisect.bisect_right(xs, x1)]:
+            if alive[v] and v != a and v != b and v != c and y0 <= V[v].y <= y1 \
+                    and _tri_contains(pa, pb, pc, V[v], 1e-12):
+                blocker[b] = v
+                blocks[v].append(b)
                 return False
         return True
 
-    guard = 0
-    while len(idx) > 3:
-        guard += 1
-        if guard > 4 * n * n:
-            raise InvalidPolygon("ear clipping failed to converge")
-        m = len(idx)
-        clipped = False
-        # drop exactly-straight boundary vertices first, they carry no area
-        for ii in range(m):
-            a, b, c = idx[(ii - 1) % m], idx[ii], idx[(ii + 1) % m]
-            if on_ring[a] and on_ring[b] and orientation(V[a], V[b], V[c]) == 0 and \
-                    seg_point_distance(V[b], V[a], V[c]) <= EPS * max(1.0, poly.diameter):
-                del idx[ii]
-                clipped = True
-                break
-        if clipped:
-            continue
-        for ii in range(m):
-            if is_ear(ii):
-                a, b, c = idx[(ii - 1) % m], idx[ii], idx[(ii + 1) % m]
-                tris.append((a, b, c))
-                on_ring[a] = False
-                del idx[ii]
-                clipped = True
-                break
-        if not clipped:
-            raise InvalidPolygon("no ear found; polygon is not simple")
-    if len(idx) == 3:
-        a, b, c = idx
-        if orientation(V[a], V[b], V[c]) > 0:
-            tris.append((a, b, c))
+    def first_ear() -> int:
+        while untested:
+            b = untested[0]
+            if alive[b] and ear[b] is None:
+                ear[b] = is_ear(b)
+            if alive[b] and ear[b]:
+                return b
+            heapq.heappop(untested)
+        return -1
+
+    for v in range(n):
+        reset(v)
+    tris: List[Tuple[int, int, int]] = []
+    left = n
+    while left > 3:
+        while straights and not (alive[straights[0]] and straight[straights[0]]):
+            heapq.heappop(straights)
+        if straights:
+            b = straights[0]
+        else:
+            b = first_ear()
+            if b < 0:
+                raise InvalidPolygon("no ear found; polygon is not simple")
+            tris.append((prev[b], b, succ[b]))
+            on_ring[prev[b]] = False
+        a, c = prev[b], succ[b]
+        alive[b] = False
+        succ[a], prev[c] = c, a
+        left -= 1
+        reset(a)
+        reset(c)
+        for v in blocks[b]:
+            if alive[v] and ear[v] is False and blocker[v] == b:
+                ear[v] = None
+                heapq.heappush(untested, v)
+    a, b, c = (v for v in range(n) if alive[v])
+    if orientation(V[a], V[b], V[c]) > 0:
+        tris.append((a, b, c))
     return TriangulatedPolygon(poly, tris)

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from twocenter.errors import InvalidPolygon
-from twocenter.geom import Point2, dist, seg_point_distance, segments_properly_cross
-from twocenter.instances import generate
+from twocenter import polygon
+from twocenter.geom import (EPS, Point2, bbox, bbox_diameter, dist, orientation,
+                            seg_point_distance, segments_properly_cross)
+from twocenter.instances import FAMILIES, generate
 from twocenter.polygon import SimplePolygon, _tri_contains, point_in_polygon, triangulate
 
 
@@ -127,6 +129,40 @@ def _reference_check_simple(V):
     return None
 
 
+def _boxed_check_simple(V):
+    """The box-pruned all-pairs simplicity test the sweep replaced, with
+    the same first InvalidPolygon message, or None for a simple ring."""
+    n = len(V)
+    boxes = [(min(a.x, b.x), min(a.y, b.y), max(a.x, b.x), max(a.y, b.y))
+             for a, b in zip(V, V[1:] + V[:1])]
+    for i in range(n):
+        a, b = V[i], V[(i + 1) % n]
+        x0, y0, x1, y1 = boxes[i]
+        for j in range(i + 2, n if i else n - 1):
+            u0, v0, u1, v1 = boxes[j]
+            if x1 < u0 or u1 < x0 or y1 < v0 or v1 < y0:
+                continue
+            if segments_properly_cross(a, b, V[j], V[(j + 1) % n]):
+                return f"edges {i} and {j} cross"
+    for i in range(n):
+        p = V[i]
+        th = 1e-12 * max(1.0, abs(p.x), abs(p.y))
+        xlo, xhi, ylo, yhi = p.x - 2 * th, p.x + 2 * th, p.y - 2 * th, p.y + 2 * th
+        for j in range(n):
+            if j == i or (j + 1) % n == i:
+                continue
+            u0, v0, u1, v1 = boxes[j]
+            if xhi < u0 or u1 < xlo or yhi < v0 or v1 < ylo:
+                continue
+            if seg_point_distance(p, V[j], V[(j + 1) % n]) <= th:
+                k = next((k for k in (j, (j + 1) % n) if dist(p, V[k]) <= 1e-12), -1)
+                if k < 0:
+                    return f"vertex {i} lies on edge {j}"
+                if k not in ((i - 1) % n, (i + 1) % n):
+                    return f"vertex {i} coincides with vertex {k}"
+    return None
+
+
 def _check_simple_message(V):
     """SimplePolygon._check_simple on the ring V as given."""
     poly = object.__new__(SimplePolygon)
@@ -218,13 +254,32 @@ def _broken_copies(poly, rng, count):
     return out
 
 
+def _crossed_copies(poly, rng, count):
+    """Copies of poly's ring with two vertices swapped, or one moved to a
+    random point of the polygon's box; most of them cross themselves."""
+    V = list(poly.vertices)
+    n = len(V)
+    x0, y0, x1, y1 = poly.bbox
+    out = []
+    for _ in range(count):
+        W = list(V)
+        i, j = rng.randrange(n), rng.randrange(n)
+        W[i], W[j] = W[j], W[i]
+        out.append(W)
+        W = list(V)
+        W[i] = Point2(rng.uniform(x0, x1), rng.uniform(y0, y1))
+        out.append(W)
+    return out
+
+
 @pytest.mark.parametrize("name", sorted(GRID_POLYGONS))
 def test_check_simple_matches_all_pairs(name):
     poly = GRID_POLYGONS[name]
     assert _check_simple_message(poly.vertices) is None
     assert _reference_check_simple(poly.vertices) is None
-    for W in _broken_copies(poly, random.Random(name), 2 if poly.n > 48 else 4):
-        assert _check_simple_message(W) == _reference_check_simple(W)
+    rng = random.Random(name)
+    for W in _broken_copies(poly, rng, 2 if poly.n > 48 else 4) + _crossed_copies(poly, rng, 4):
+        assert _check_simple_message(W) == _reference_check_simple(W) == _boxed_check_simple(W)
 
 
 def test_check_simple_matches_all_pairs_on_bowtie():
@@ -232,7 +287,7 @@ def test_check_simple_matches_all_pairs_on_bowtie():
         V = [Point2(*p) for p in json.load(fh)["polygon"]]
     msg = _reference_check_simple(V)
     assert msg is not None
-    assert _check_simple_message(V) == msg
+    assert _check_simple_message(V) == _boxed_check_simple(V) == msg
 
 
 def _inside_box(p, box):
@@ -260,3 +315,156 @@ def test_reach_boxes_hold_accepted_points(name):
                     hi = s
             p = Point2(v.x + lo * (v.x - gx), v.y + lo * (v.y - gy))
             assert _inside_box(p, box), (name, (i, j, k), p)
+
+
+# -- incremental ear clipping against the rescanning one -------------------
+
+def _reference_triangles(poly):
+    """The ear clipper the incremental one replaced.  Each step rescans
+    the remaining vertices from the first: it drops the first one lying
+    exactly straight between two pieces of boundary, or else clips the
+    first ear, testing every remaining vertex against it.  Returns the
+    triangle list, or the InvalidPolygon message."""
+    V = poly.vertices
+    n = poly.n
+    idx = list(range(n))
+    tris = []
+    on_ring = [True] * n
+
+    def corners(ii):
+        m = len(idx)
+        return idx[(ii - 1) % m], idx[ii], idx[(ii + 1) % m]
+
+    def is_ear(ii):
+        a, b, c = corners(ii)
+        if orientation(V[a], V[b], V[c]) <= 0:
+            return False
+        return not any(j not in (a, b, c) and _tri_contains(V[a], V[b], V[c], V[j], 1e-12)
+                       for j in idx)
+
+    def is_straight(ii):
+        a, b, c = corners(ii)
+        return on_ring[a] and on_ring[b] and orientation(V[a], V[b], V[c]) == 0 and \
+            seg_point_distance(V[b], V[a], V[c]) <= EPS * max(1.0, poly.diameter)
+
+    while len(idx) > 3:
+        ii = next((ii for ii in range(len(idx)) if is_straight(ii)), None)
+        if ii is not None:
+            del idx[ii]
+            continue
+        ii = next((ii for ii in range(len(idx)) if is_ear(ii)), None)
+        if ii is None:
+            return "no ear found; polygon is not simple"
+        a, b, c = corners(ii)
+        tris.append((a, b, c))
+        on_ring[a] = False
+        del idx[ii]
+    a, b, c = idx
+    if orientation(V[a], V[b], V[c]) > 0:
+        tris.append((a, b, c))
+    return tris
+
+
+def _triangles_or_message(poly):
+    try:
+        return triangulate(poly).triangles
+    except InvalidPolygon as exc:
+        return str(exc)
+
+
+def _unchecked(ring):
+    """A SimplePolygon of the counterclockwise ring, without the
+    simplicity check, to feed rings that touch themselves to the
+    triangulation."""
+    poly = object.__new__(SimplePolygon)
+    poly.vertices = tuple(Point2(*p) for p in ring)
+    poly.n = len(ring)
+    poly.bbox = bbox(poly.vertices)
+    poly.diameter = bbox_diameter(poly.vertices)
+    return poly
+
+
+TRIANGULATION_CASES = [(f, n, seed) for f in FAMILIES for n in range(3, 13) for seed in range(4)] + \
+    [(f, n, seed) for f in FAMILIES for n in (16, 48, 128) for seed in range(2)] + \
+    [(f, 256, 0) for f in ("convex", "comb")]
+
+
+@pytest.mark.parametrize("family,n,seed", TRIANGULATION_CASES)
+def test_triangles_match_rescanning_clipper(family, n, seed):
+    poly = SimplePolygon(generate(family, n, 1, seed).polygon)
+    assert triangulate(poly).triangles == _reference_triangles(poly)
+
+
+# a square with every side cut in three; the integer ring whose vertex
+# (0, -1) ends up straight between two diagonals (test_region.py); a
+# vertex 2e-12 above an edge, past the simplicity threshold but inside
+# the containment slack of ears over that edge; a notch whose tip lies
+# 1e-13 across the diagonal under the first ear candidate, outside the
+# candidate's own box but inside its containment slack
+DEGENERATE = {
+    "collinear-runs": [(0, 0), (1, 0), (2, 0), (3, 0), (3, 1), (3, 2), (3, 3),
+                       (2, 3), (1, 3), (0, 3), (0, 2), (0, 1)],
+    "straight-next-to-diagonal": [(1, 1), (0, 1), (-2, 5), (-1, -1), (-3, -2),
+                                  (-1, -2), (0, -4), (0, -1)],
+    "near-touch": [(0, 0), (0.01, 0), (0.01, 0.01), (0.006, 0.01),
+                   (0.005, 2e-12), (0.004, 0.01), (0, 0.01)],
+    "near-diagonal": [(5, 5), (0, 0), (0, -5), (4, -5), (5, -1e-13), (6, -5),
+                      (10, -5), (10, 0)],
+}
+
+# rings through a point of a non-adjacent edge, or through one point twice
+TOUCHING = {
+    "vertex-on-edge": [(0, 0), (4, 0), (4, 4), (3, 4), (2, 0), (1, 4), (0, 4)],
+    "spike": SPIKE,
+    "pinch": PINCH,
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_triangles_match_on_degenerate_rings(name):
+    poly = SimplePolygon(DEGENERATE[name])
+    assert poly.n == len(DEGENERATE[name])
+    assert triangulate(poly).triangles == _reference_triangles(poly)
+
+
+@pytest.mark.parametrize("name", sorted(TOUCHING))
+def test_triangles_match_on_touching_rings(name):
+    poly = _unchecked(TOUCHING[name])
+    assert _check_simple_message(poly.vertices) is not None
+    assert _triangles_or_message(poly) == _reference_triangles(poly)
+
+
+def test_triangles_match_on_integer_stars():
+    # rounding to integers leaves runs of exactly straight vertices
+    rng = random.Random(1)
+    checked = 0
+    for _ in range(400):
+        k = rng.randint(5, 12)
+        angles = sorted(rng.uniform(0, 2 * math.pi) for _ in range(k))
+        ring = [(round(r * math.cos(a)), round(r * math.sin(a)))
+                for a, r in ((a, rng.uniform(1, 6)) for a in angles)]
+        try:
+            poly = SimplePolygon(ring)
+        except InvalidPolygon:
+            continue
+        assert _triangles_or_message(poly) == _reference_triangles(poly), ring
+        checked += 1
+    assert checked > 250
+
+
+def test_triangulate_tests_a_quarter_of_the_containments(monkeypatch):
+    poly = SimplePolygon(generate("comb", 256, 1, 0).polygon)
+    calls = {"new": 0, "reference": 0}
+    real = _tri_contains
+
+    def counting(key):
+        def contains(*args):
+            calls[key] += 1
+            return real(*args)
+        return contains
+
+    monkeypatch.setattr(polygon, "_tri_contains", counting("new"))
+    got = triangulate(poly).triangles
+    monkeypatch.setitem(globals(), "_tri_contains", counting("reference"))
+    assert got == _reference_triangles(poly)
+    assert 0 < 4 * calls["new"] <= calls["reference"], calls
