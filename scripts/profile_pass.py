@@ -12,11 +12,12 @@ A first pass runs unprofiled, to warm up, and counts the calls of
 arguments: (map, point) and (region, sites, radius), distinct within one
 operation.  It also counts the `SiteMap` builds and the triangles their
 walks expanded (`SiteMap._expand`), against the triangles of all the maps
-built, which shows how much of each map its queries needed.  The second
-pass runs under cProfile; the script prints its top N functions by the
-chosen sort key, then the counts of the first pass.  An
-operation that raises is counted by error class and skipped, as the
-benchmark counts it.
+built, which shows how much of each map its queries needed, the
+`seg_point_distance` calls, and the `RingIndex` queries by kind
+(classify, near).  The second pass runs under cProfile; the script
+prints its top N functions by the chosen sort key, then the counts of
+the first pass.  An operation that raises is counted by error class and
+skipped, as the benchmark counts it.
 """
 import argparse
 import cProfile
@@ -32,7 +33,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import workloads  # noqa: E402
-from twocenter import disks, region  # noqa: E402
+from twocenter import disks, geom, region  # noqa: E402
 
 
 class Repeats:
@@ -70,13 +71,18 @@ class Expansion:
                 f"{self.triangles} triangles expanded ({100 * share:.1f} %)")
 
 
-def counting_pass(ops, anchor: Repeats, inter: Repeats, maps: Expansion) -> Counter:
+def counting_pass(ops, anchor: Repeats, inter: Repeats, maps: Expansion,
+                  calls: Counter) -> Counter:
     """Run ops with the counted functions wrapped; returns `run`'s error
-    count."""
+    count.  `calls` counts `seg_point_distance` and the `RingIndex`
+    queries."""
     plain_anchor = region.SiteMap._anchor
     plain_inter = disks.disks_intersection
     plain_init = region.SiteMap.__init__
     plain_expand = region.SiteMap._expand
+    plain_spd = geom.seg_point_distance
+    plain_classify = geom.RingIndex.classify
+    plain_near = geom.RingIndex.near
 
     def counted_anchor(self, x):
         anchor.note((id(self), x[0], x[1]))
@@ -95,22 +101,42 @@ def counting_pass(ops, anchor: Repeats, inter: Repeats, maps: Expansion) -> Coun
         inter.note((id(reg), tuple((s[0], s[1]) for s in sites), r))
         return plain_inter(reg, sites, r)
 
-    holders = [m for name, m in list(sys.modules.items())
-               if name.startswith("twocenter.")
-               and getattr(m, "disks_intersection", None) is plain_inter]
+    def counted_spd(p, a, b):
+        calls["seg_point_distance"] += 1
+        return plain_spd(p, a, b)
+
+    def counted_classify(self, p, eps=geom.EPS):
+        calls["RingIndex.classify"] += 1
+        return plain_classify(self, p, eps)
+
+    def counted_near(self, p, eps):
+        calls["RingIndex.near"] += 1
+        return plain_near(self, p, eps)
+
+    mods = [m for name, m in list(sys.modules.items()) if name.startswith("twocenter.")]
+    holders = [m for m in mods if getattr(m, "disks_intersection", None) is plain_inter]
+    spd_holders = [m for m in mods if getattr(m, "seg_point_distance", None) is plain_spd]
     region.SiteMap._anchor = counted_anchor
     region.SiteMap.__init__ = counted_init
     region.SiteMap._expand = counted_expand
+    geom.RingIndex.classify = counted_classify
+    geom.RingIndex.near = counted_near
     for m in holders:
         m.disks_intersection = counted_inter
+    for m in spd_holders:
+        m.seg_point_distance = counted_spd
     try:
         return run(ops, fresh=(anchor, inter))
     finally:
         region.SiteMap._anchor = plain_anchor
         region.SiteMap.__init__ = plain_init
         region.SiteMap._expand = plain_expand
+        geom.RingIndex.classify = plain_classify
+        geom.RingIndex.near = plain_near
         for m in holders:
             m.disks_intersection = plain_inter
+        for m in spd_holders:
+            m.seg_point_distance = plain_spd
 
 
 def run(ops, fresh=()) -> Counter:
@@ -144,7 +170,8 @@ def main() -> int:
 
     anchor, inter = Repeats("SiteMap._anchor"), Repeats("disks_intersection")
     maps = Expansion()
-    warm_errors = counting_pass(wl.ops(rng), anchor, inter, maps)
+    calls = Counter()
+    warm_errors = counting_pass(wl.ops(rng), anchor, inter, maps, calls)
 
     ops = wl.ops(rng)
     prof = cProfile.Profile()
@@ -158,6 +185,9 @@ def main() -> int:
     print(anchor.line())
     print(inter.line())
     print(maps.line())
+    print(f"seg_point_distance: {calls['seg_point_distance']} calls")
+    print(f"RingIndex: {calls['RingIndex.classify']} classify, "
+          f"{calls['RingIndex.near']} near queries")
     return 0
 
 

@@ -88,27 +88,18 @@ def _coverage_ok(region: Region, pc: PairChains, r: float,
 # -- shared-vertex search ---------------------------------------------
 
 def _ring_param(h: GeodesicHull, p: Point2) -> float:
-    """Clockwise length coordinate of a point on the hull ring."""
+    """Clockwise length coordinate of a point on the hull ring: on the
+    first segment of positive length within tol.check of p, else at the
+    nearest ring vertex."""
     ring = h.ring
-    n = len(ring)
-    tol = h.ambient.tol.check
-    acc = 0.0
-    best = None
-    for s in range(n):
-        a, b = ring[s], ring[(s + 1) % n]
+    index = h.hull_region.ring_index
+    for s in index.near(p, h.ambient.tol.check):
+        a, b = index.segs[s]
         L = dist(a, b)
-        if L > 0 and seg_point_distance(p, a, b) <= tol:
+        if L > 0:
             t = ((p.x - a.x) * (b.x - a.x) + (p.y - a.y) * (b.y - a.y)) / (L * L)
-            t = max(0.0, min(1.0, t))
-            cand = acc + t * L
-            if best is None:
-                best = cand
-        acc += L
-    if best is None:
-        # nearest ring vertex as a fallback anchor
-        s = min(range(n), key=lambda s: dist(p, ring[s]))
-        best = sum(dist(ring[t], ring[(t + 1) % n]) for t in range(s))
-    return best
+            return index.prefix[s] + max(0.0, min(1.0, t)) * L
+    return index.prefix[min(range(len(ring)), key=lambda s: dist(p, ring[s]))]
 
 
 def shared_vertex_decide(h: GeodesicHull, i: int, j: int, r: float):
@@ -123,8 +114,7 @@ def shared_vertex_decide(h: GeodesicHull, i: int, j: int, r: float):
     tol = tols.check
     vs = [h.extreme(pc.i), h.extreme(pc.i + 1), h.extreme(pc.j), h.extreme(pc.j + 1)]
     seen = set()
-    ring_total = sum(dist(h.ring[s], h.ring[(s + 1) % len(h.ring)])
-                     for s in range(len(h.ring)))
+    ring_total = h.hull_region.ring_index.prefix[-1]
     for vx in vs:
         if _key(vx) in seen:
             continue

@@ -321,16 +321,17 @@ def _assemble(pieces: List[Element], tol: float) -> List[Element]:
     interior stays on the right.
     """
     used = [False] * len(pieces)
+    starts = [p.point(0.0) for p in pieces]
+    ends = [p.point(1.0) for p in pieces]
     # deterministic start: lexicographically smallest start point
-    start_i = min(range(len(pieces)),
-                  key=lambda i: (pieces[i].point(0.0).x, pieces[i].point(0.0).y))
+    start_i = min(range(len(pieces)), key=lambda i: (starts[i].x, starts[i].y))
     chain = [pieces[start_i]]
     used[start_i] = True
-    cur_end = pieces[start_i].point(1.0)
-    first = pieces[start_i].point(0.0)
+    cur_end = ends[start_i]
+    first = starts[start_i]
     for _ in range(len(pieces) - 1):
         cands = [i for i in range(len(pieces))
-                 if not used[i] and dist(cur_end, pieces[i].point(0.0)) < tol]
+                 if not used[i] and dist(cur_end, starts[i]) < tol]
         if not cands:
             break
         if len(cands) == 1:
@@ -345,7 +346,7 @@ def _assemble(pieces: List[Element], tol: float) -> List[Element]:
             best = min(cands, key=lambda i: (rank(i), i))
         used[best] = True
         chain.append(pieces[best])
-        cur_end = pieces[best].point(1.0)
+        cur_end = ends[best]
     if any(not u for u in used):
         leftovers = sum(pieces[i].length() for i in range(len(pieces)) if not used[i])
         if leftovers > 100 * tol:

@@ -272,6 +272,132 @@ def ring_contains(pt, ring, eps: float = EPS) -> str:
     return "inside" if inside else "outside"
 
 
+class RingIndex:
+    """The segments of a closed ring bucketed in a `BoxGrid` over the
+    ring's box, for queries that would otherwise scan the whole ring.
+
+    Segment s runs from ring[s] to ring[s + 1] (cyclically) and `segs[s]`
+    holds its ends.  `rows[r]` lists, in index order, the segments whose
+    y-range meets grid row r, and `prefix[s]` is the ring's length up to
+    ring[s], summed in segment order from 0.0 (`prefix[-1]` is the whole
+    length).  `classify` and `near` give the answers of the whole-ring
+    scans (`ring_contains`, a `seg_point_distance` test per segment) bit
+    for bit.
+    """
+
+    def __init__(self, ring):
+        n = len(ring)
+        self.segs = [(ring[s], ring[(s + 1) % n]) for s in range(n)]
+        self.boxes = [(min(a[0], b[0]), min(a[1], b[1]),
+                       max(a[0], b[0]), max(a[1], b[1])) for a, b in self.segs]
+        box = bbox(ring)
+        self.grid = grid = BoxGrid(box, self.boxes)
+        self.rows: List[List[int]] = [[] for _ in range(grid.k)]
+        for s, (_x0, y0, _x1, y1) in enumerate(self.boxes):
+            for r in range(grid.cell(y0, 1), grid.cell(y1, 1) + 1):
+                self.rows[r].append(s)
+        self.prefix = [0.0]
+        acc = 0.0
+        for a, b in self.segs:
+            acc += dist(a, b)
+            self.prefix.append(acc)
+        self._slack = 1e-15 * max(1.0, *(abs(c) for c in box))
+
+    def _meeting(self, p, eps: float):
+        """Segments, in index order and each once, whose boxes meet the
+        box of half-width w = (eps + 1e-15 M)(1 + 1e-12) around p, M the
+        largest coordinate magnitude of the ring: a superset of those with
+        `seg_point_distance(p, *segs[s]) <= eps`, box corners rounded.
+
+        With u = 2^-53, `seg_point_distance` computes its nearest point c
+        as a + t (b - a), t clamped to [0, 1]; the three roundings (b - a,
+        the product, the sum) put c within 5.6 u M of the segment's box.
+        The rounded difference p - c and the hypot (within one ulp) are
+        each within a relative u of exact, so a distance <= eps means
+        |p - c| <= eps (1 + 3.1 u) on each axis: p lies within
+        eps (1 + 3.1 u) + 5.6 u M of the box.  Rounding the corner p - w
+        costs at most another u M where it can matter (|p - w| <= M
+        there).  1e-15 M > 6.6 u M, and the factor 1 + 1e-12 absorbs the
+        3.1 u and the rounding of w itself.  A negative or NaN eps gives
+        an empty or no box, where no distance passes either.
+        """
+        x, y = p[0], p[1]
+        w = (eps + self._slack) * (1.0 + 1e-12)
+        qx0, qy0, qx1, qy1 = x - w, y - w, x + w, y + w
+        grid, boxes = self.grid, self.boxes
+        k = grid.k
+        c0, c1 = grid.cell(qx0, 0), grid.cell(qx1, 0)
+        r0, r1 = grid.cell(qy0, 1), grid.cell(qy1, 1)
+        if c0 == c1 and r0 == r1:
+            cands = grid.cells[r0 * k + c0]
+        else:
+            cands = sorted({s for r in range(r0, r1 + 1) for c in range(c0, c1 + 1)
+                            for s in grid.cells[r * k + c]})
+        for s in cands:
+            bx0, by0, bx1, by1 = boxes[s]
+            if qx0 <= bx1 and bx0 <= qx1 and qy0 <= by1 and by0 <= qy1:
+                yield s
+
+    def near(self, p, eps: float) -> List[int]:
+        """Indices, ascending, of the segments within eps of p."""
+        segs = self.segs
+        return [s for s in self._meeting(p, eps)
+                if seg_point_distance(p, *segs[s]) <= eps]
+
+    def classify(self, p, eps: float = EPS) -> str:
+        """`ring_contains(p, ring, eps)`: the boundary test reads the
+        segments near p, the crossing parity those of p's grid row."""
+        segs = self.segs
+        for s in self._meeting(p, eps):
+            if seg_point_distance(p, *segs[s]) <= eps:
+                return "boundary"
+        x, y = p[0], p[1]
+        inside = False
+        for s in self.rows[self.grid.cell(y, 1)]:
+            a, b = segs[s]
+            if (a[1] > y) != (b[1] > y):
+                xi = a[0] + (y - a[1]) * (b[0] - a[0]) / (b[1] - a[1])
+                if x < xi:
+                    inside = not inside
+        return "inside" if inside else "outside"
+
+
+class BoxGrid:
+    """Items bucketed by their boxes into a uniform grid over `box`
+    (Edahiro, Kokubo and Asano 1984), about sqrt(N) cells a side for N
+    items.  `cells[row * k + col]` lists, in index order, every item whose
+    closed box (x0, y0, x1, y1) meets that cell.  An axis along which
+    `box` has no extent keeps every item in its first row or column.
+    """
+
+    def __init__(self, box, boxes):
+        x0, y0, x1, y1 = box
+        self.origin = (x0, y0)
+        self.k = k = max(1, math.isqrt(len(boxes)))
+        self.scale = (k / (x1 - x0) if x1 > x0 else 0.0,
+                      k / (y1 - y0) if y1 > y0 else 0.0)
+        self.cells: List[List[int]] = [[] for _ in range(k * k)]
+        for t, (bx0, by0, bx1, by1) in enumerate(boxes):
+            for cy in range(self.cell(by0, 1), self.cell(by1, 1) + 1):
+                for cx in range(self.cell(bx0, 0), self.cell(bx1, 0) + 1):
+                    self.cells[cy * k + cx].append(t)
+
+    def cell(self, v: float, axis: int) -> int:
+        """Grid column (axis 0) or row (axis 1) of coordinate v, clamped
+        (NaN goes to 0); monotone in v, so a box's cells cover its points'
+        cells."""
+        f = (v - self.origin[axis]) * self.scale[axis]
+        if not f >= 1.0:
+            return 0
+        if f >= self.k:
+            return self.k - 1
+        return int(f)
+
+    def at(self, p) -> List[int]:
+        """The items of the cell that holds point p."""
+        return self.cells[self.cell(p[1], 1) * self.k + self.cell(p[0], 0)]
+
+
 def unique_points(points) -> List[Point2]:
     """Points with exact duplicates dropped, in first-seen order."""
     seen = set()

@@ -34,7 +34,7 @@ class GeodesicHull:
         for q in all_points:
             if (q.x, q.y) in ex_keys:
                 continue
-            side = ring_contains(q, self.ring, tp.tol.near)
+            side = self.hull_region.classify(q, tp.tol.near)
             if side == "inside":
                 self.interior_points.append(q)
             else:
@@ -72,19 +72,14 @@ class GeodesicHull:
             out.append(self.ring[i])
         return out
 
-    def chain_corners(self, a: int, b: int) -> List[Point2]:
-        """Distinct corners, in ring order, of the subregion between the
-        clockwise boundary portion v_a -> v_b and the geodesic from v_b
-        back to v_a."""
-        a %= self.k
-        b %= self.k
-        if a == b:
-            return [self.extremes[a]]
-        closing = self.region.site_map(self.extremes[b]).path(self.extremes[a])
-        return unique_points(self.boundary_portion(a, b) + closing[1:-1])
-
     def chain_radius(self, a: int, b: int) -> float:
-        """One-center radius of the subregion between v_a and v_b."""
+        """One-center radius of the subregion between the clockwise
+        boundary portion v_a -> v_b and the geodesic from v_b back to v_a.
+
+        Every other corner of that subregion lies on a geodesic between two
+        of the extremes v_a..v_b, and geodesic distance is convex along
+        geodesics (Pollack, Sharir and Rote 1989), so the extremes alone
+        set the radius."""
         a %= self.k
         b %= self.k
         key = (a, b)
@@ -94,7 +89,7 @@ class GeodesicHull:
         if a == b:
             r = 0.0
         else:
-            r = one_center(self.region, self.chain_corners(a, b)).radius
+            r = one_center(self.region, self.chain_extremes(a, b)).radius
         self._radius_cache[key] = r
         return r
 

@@ -15,7 +15,7 @@ from .decision import (DecisionResult, PairChains, chain_side, decide,
                        pair_chains)
 from .disks import one_center
 from .errors import InfeasibleInterval
-from .geom import Point2, dist, quadratic_roots, seg_point_distance
+from .geom import Point2, dist, quadratic_roots
 from .hull import GeodesicHull
 from .region import Region
 
@@ -38,17 +38,17 @@ def _segment_cuts(ring: Region, s: Point2) -> List[Set[float]]:
     shortest-path-map points (`Region.spm_points`) within tol.near of it;
     empty for a segment of zero length."""
     near = ring.tp.tol.near
-    cuts = [p for p, _d in ring.spm_points(s)]
-    out: List[Set[float]] = []
-    for u, v in ring.ring_segments():
-        ex, ey = v.x - u.x, v.y - u.y
-        ee = ex * ex + ey * ey
-        if ee == 0.0:
-            out.append(set())
-            continue
-        proj = (((p.x - u.x) * ex + (p.y - u.y) * ey) / ee
-                for p in cuts if seg_point_distance(p, u, v) <= near)
-        out.append({t for t in proj if 0.0 < t < 1.0})
+    index = ring.ring_index
+    out: List[Set[float]] = [set() for _ in index.segs]
+    for p, _d in ring.spm_points(s):
+        for i in index.near(p, near):
+            u, v = index.segs[i]
+            ex, ey = v.x - u.x, v.y - u.y
+            ee = ex * ex + ey * ey
+            if ee != 0.0:
+                t = ((p.x - u.x) * ex + (p.y - u.y) * ey) / ee
+                if 0.0 < t < 1.0:
+                    out[i].add(t)
     return out
 
 

@@ -8,9 +8,9 @@ import math
 from typing import List, Optional, Tuple
 
 from .errors import InvalidPolygon
-from .geom import (EPS, Point2, Tolerances, bbox, bbox_diameter, cross, dist,
-                   orientation, ring_contains, seg_point_distance,
-                   segments_properly_cross)
+from .geom import (EPS, BoxGrid, Point2, Tolerances, bbox, bbox_diameter,
+                   cross, dist, orientation, ring_contains,
+                   seg_point_distance, segments_properly_cross)
 
 
 class SimplePolygon:
@@ -199,7 +199,8 @@ class TriangulatedPolygon:
                         self.up[nb] = t
                         self.depth[nb] = self.depth[t] + 1
                         order.append(nb)
-        self._bucket_triangles()
+        # point location reads the triangles whose reach boxes meet a cell
+        self._grid = BoxGrid(polygon.bbox, self._reach_boxes())
         # caches shared by every geodesic query over this polygon
         self._path_cache = {}
         self._locate_cache = {}
@@ -212,31 +213,6 @@ class TriangulatedPolygon:
         V = self.vertices
         return [reach(V[i], V[j], V[k]) for i, j, k in self.triangles]
 
-    def _bucket_triangles(self):
-        """Bucket the triangles into a uniform grid over the polygon's box
-        (Edahiro, Kokubo and Asano 1984), about sqrt(T) cells a side.  A
-        cell lists, in index order, every triangle whose reach box meets
-        it."""
-        x0, y0, x1, y1 = self.polygon.bbox
-        k = max(1, math.isqrt(len(self.triangles)))
-        self._grid_k = k
-        self._grid_scale = (k / (x1 - x0), k / (y1 - y0))
-        self._cells: List[List[int]] = [[] for _ in range(k * k)]
-        for t, (bx0, by0, bx1, by1) in enumerate(self._reach_boxes()):
-            for cy in range(self._cell(by0, 1), self._cell(by1, 1) + 1):
-                for cx in range(self._cell(bx0, 0), self._cell(bx1, 0) + 1):
-                    self._cells[cy * k + cx].append(t)
-
-    def _cell(self, v: float, axis: int) -> int:
-        """Grid column (axis 0) or row (axis 1) of coordinate v, clamped;
-        monotone in v, so a padded box's cells cover its points' cells."""
-        f = (v - self.polygon.bbox[axis]) * self._grid_scale[axis]
-        if f < 1.0:
-            return 0
-        if f >= self._grid_k:
-            return self._grid_k - 1
-        return int(f)
-
     # Point location: the grid cell first, the full scan as fallback;
     # results are cached.
     def locate(self, p) -> int:
@@ -247,7 +223,7 @@ class TriangulatedPolygon:
         V = self.vertices
         x0, y0, x1, y1 = self.polygon.bbox
         if x0 <= p[0] <= x1 and y0 <= p[1] <= y1:
-            cands = self._cells[self._cell(p[1], 1) * self._grid_k + self._cell(p[0], 0)]
+            cands = self._grid.at(p)
         else:
             cands = range(len(self.triangles))
         best = -1

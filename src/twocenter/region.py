@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import PointOutsidePolygon
-from .geom import (Point2, dist, orientation, polyline_length, ray_segment_hit,
-                   ring_contains, unique_points)
+from .geom import (Point2, RingIndex, dist, orientation, polyline_length,
+                   ray_segment_hit, unique_points)
 from .polygon import TriangulatedPolygon, point_in_polygon
 
 Key = Tuple[float, float]
@@ -255,6 +255,9 @@ class Region:
       chain at radius r and its prepared side, by (chain, free points, r);
       filled on a hull's ring region only.  Errors are not cached.
 
+    The ring's `RingIndex` (`ring_index`) is built on the first membership
+    or on-ring query and kept.
+
     Shortest-path maps (`site_map`) and two-point paths (`path`) are
     cached on the TriangulatedPolygon instead, in `tp._site_maps` and
     `tp._path_cache`, and shared by every Region over it.  The map that
@@ -272,6 +275,7 @@ class Region:
         self._tree_cache: Dict[Key, ShortestPathTree] = {}
         self._onecenter_cache: Dict[frozenset, object] = {}
         self._side_cache: Dict[tuple, object] = {}
+        self._ring_index: Optional[RingIndex] = None
 
     @staticmethod
     def of(tp: TriangulatedPolygon) -> "Region":
@@ -281,11 +285,18 @@ class Region:
 
     # -- membership ---------------------------------------------------
 
+    @property
+    def ring_index(self) -> RingIndex:
+        if self._ring_index is None:
+            self._ring_index = RingIndex(self.ring)
+        return self._ring_index
+
     def contains(self, p, eps: float = 1e-9) -> bool:
-        return ring_contains(p, self.ring, eps) != "outside"
+        return self.ring_index.classify(p, eps) != "outside"
 
     def classify(self, p, eps: float = 1e-9) -> str:
-        return ring_contains(p, self.ring, eps)
+        """`geom.ring_contains(p, self.ring, eps)`, read from the index."""
+        return self.ring_index.classify(p, eps)
 
     # -- paths and distances ------------------------------------------
 

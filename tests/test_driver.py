@@ -186,13 +186,15 @@ def test_not_locally_improvable(solved_pool):
 # feasible radii: one side's disk intersection has no arcs, the coverage
 # check of the hull center fails, and the split the oracle finds optimal
 # is rejected, so two_center returns a larger radius.  Treating an
-# arcless side as a side with no events fixes all four; random/16x8/s3
+# arcless side as a side with no events fixes all six; random/16x8/s3
 # waits for perfbench/refs.json, which froze its larger radius.
 NO_ARC_ANOMALY = [
     (("random", 16, 8, 3), 22.332111164873137),
     (("comb", 48, 6, 3), 11.060028812948593),
     (("random", 48, 6, 5), 37.299961966925906),
     (("random", 48, 6, 3), 54.419981466965794),
+    (("random", 20, 10, 1), 40.52755095834023),
+    (("random", 24, 12, 1), 42.12539576374179),
 ]
 
 

@@ -3,7 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from twocenter.geom import Point2, dist, orientation, ring_contains
+from twocenter.disks import one_center
+from twocenter.geom import Point2, orientation, ring_contains, unique_points
 from twocenter.hull import geodesic_hull
 from twocenter.instances import generate
 from twocenter.polygon import SimplePolygon, triangulate
@@ -58,18 +59,30 @@ def test_chain_extremes(qsym_hull):
     assert h.chain_extremes(1, 1) == [h.extremes[1]]
 
 
+def chain_corners(h, a: int, b: int):
+    """Reference for `GeodesicHull.chain_radius`: the distinct corners, in
+    ring order, of the subregion between the clockwise boundary portion
+    v_a -> v_b and the geodesic from v_b back to v_a."""
+    a %= h.k
+    b %= h.k
+    if a == b:
+        return [h.extremes[a]]
+    closing = h.region.site_map(h.extremes[b]).path(h.extremes[a])
+    return unique_points(h.boundary_portion(a, b) + closing[1:-1])
+
+
 def test_chain_corners_adjacent(qsym_hull):
     idx = {(p.x, p.y): i for i, p in enumerate(qsym_hull.extremes)}
     a, b = idx[(1, 1)], idx[(1, 3)]
     if (a + 1) % 4 != b:
         a, b = b, a
-    assert _keyset(qsym_hull.chain_corners(a, b)) == {(1, 1), (1, 3)}
-    assert qsym_hull.chain_corners(a, a) == [qsym_hull.extremes[a]]
+    assert _keyset(chain_corners(qsym_hull, a, b)) == {(1, 1), (1, 3)}
+    assert chain_corners(qsym_hull, a, a) == [qsym_hull.extremes[a]]
 
 
 def test_chain_corners_diagonal_half(qsym_hull):
     idx = {(p.x, p.y): i for i, p in enumerate(qsym_hull.extremes)}
-    corners = qsym_hull.chain_corners(idx[(1, 1)], idx[(3, 3)])
+    corners = chain_corners(qsym_hull, idx[(1, 1)], idx[(3, 3)])
     assert corners[0] == Point2(1, 1)
     assert len(corners) == 3 and _keyset(corners) == {(1, 1), (1, 3), (3, 3)}
 
@@ -83,6 +96,27 @@ def test_chain_radius_values(qsym_hull):
     # three extremes spanning half the square have circumradius sqrt(2)
     c = (b + 1) % 4
     assert qsym_hull.chain_radius(a, c) == pytest.approx(SQRT2)
+
+
+def _solver_hull(cell):
+    """The hull of a generated instance, scaled as two_center scales it."""
+    inst = generate(*cell)
+    poly = SimplePolygon(inst.polygon)
+    s = 2.0 ** round(math.log2(64.0 / poly.diameter))
+    poly = SimplePolygon([(v.x * s, v.y * s) for v in poly.vertices])
+    return geodesic_hull(triangulate(poly), [Point2(q.x * s, q.y * s) for q in inst.points])
+
+
+@pytest.mark.parametrize("cell", [(fam, n, m, s) for fam in ("convex", "star", "comb", "random")
+                                  for n, m in ((16, 8), (48, 6)) for s in range(6)],
+                         ids=lambda c: "{}/{}x{}/s{}".format(*c))
+def test_chain_radius_matches_corners(cell):
+    # the chain's extremes set the radius of all its corners, bit for bit
+    h = _solver_hull(cell)
+    for a in range(h.k):
+        for b in range(h.k):
+            want = one_center(h.region, chain_corners(h, a, b)).radius if a != b else 0.0
+            assert h.chain_radius(a, b) == want, (a, b)
 
 
 def test_chain_radius_monotone(arms_hull):
@@ -154,12 +188,7 @@ _HULL_ORDER_CELLS = ([(fam, 16, 8, s) for fam in ("convex", "star", "comb", "ran
     if c in _HULL_ORDER_DEFECT else c for c in _HULL_ORDER_CELLS],
     ids=lambda c: "{}/{}x{}/s{}".format(*c))
 def test_ring_turns_right_at_every_extreme(cell):
-    inst = generate(*cell)
-    poly = SimplePolygon(inst.polygon)
-    # scaled as two_center scales it
-    s = 2.0 ** round(math.log2(64.0 / poly.diameter))
-    poly = SimplePolygon([(v.x * s, v.y * s) for v in poly.vertices])
-    h = geodesic_hull(triangulate(poly), [Point2(q.x * s, q.y * s) for q in inst.points])
+    h = _solver_hull(cell)
     ring, n = h.ring, len(h.ring)
     for i in h.pos:
         assert orientation(ring[i - 1], ring[i], ring[(i + 1) % n]) <= 0, ring[i]

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from twocenter.errors import InvalidPolygon, PointOutsidePolygon
-from twocenter.geom import Point2, dist, orientation, polyline_length
+from twocenter.geom import (Point2, RingIndex, Tolerances, bbox, bbox_diameter, dist,
+                            orientation, polyline_length, ring_contains, seg_point_distance)
 from twocenter.hull import geodesic_hull
 from twocenter.instances import generate
 from twocenter.oracle import oracle_distance
@@ -271,15 +272,22 @@ def test_integer_stars_have_one_dual_tree():
     assert checked > 1500
 
 
+def _scaled(family, n, m, seed):
+    """A generated instance's polygon and points, scaled as two_center
+    scales them."""
+    inst = generate(family, n, m, seed)
+    base = SimplePolygon(inst.polygon)
+    s = 2.0 ** round(math.log2(64.0 / base.diameter))
+    poly = SimplePolygon([(w.x * s, w.y * s) for w in base.vertices])
+    return poly, [Point2(q[0] * s, q[1] * s) for q in inst.points]
+
+
 def _one_ulp_case():
     """random/48x6/s3 as two_center scales it, the site (43.0085...,
     8.0995...), the reflex vertex v = (14.2479..., 3.1730...) with its
     neighbours u and w, and the point one ulp above v."""
-    inst = generate("random", 48, 6, 3)
-    base = SimplePolygon(inst.polygon)
-    s = 2.0 ** round(math.log2(64.0 / base.diameter))
-    poly = SimplePolygon([(w.x * s, w.y * s) for w in base.vertices])
-    site = Point2(inst.points[2][0] * s, inst.points[2][1] * s)
+    poly, pts = _scaled("random", 48, 6, 3)
+    site = pts[2]
     i = min(range(poly.n), key=lambda k: dist(poly.vertices[k], Point2(14.2479, 3.1730)))
     u, v, w = poly.vertices[i - 1], poly.vertices[i], poly.vertices[(i + 1) % poly.n]
     return poly, site, (u, v, w), Point2(v.x, math.nextafter(v.y, math.inf))
@@ -589,3 +597,85 @@ def test_fresh_maps_answer_in_any_order(family):
         want = [(fwd.distance(x), fwd.anchor(x), fwd.path(x)) for x in xs]
         got = [(rev.distance(x), rev.anchor(x), rev.path(x)) for x in reversed(xs)]
         assert got[::-1] == want, s
+
+
+# -- the ring index against whole-ring scans -------------------------------
+
+def _near_scan(ring, p, eps):
+    n = len(ring)
+    return [s for s in range(n) if seg_point_distance(p, ring[s], ring[(s + 1) % n]) <= eps]
+
+
+def _ring_queries(ring, eps, rng):
+    """Vertices, their one-ulp neighbours and the points eps (1 -/+ 1e-9)
+    away from them along both axes; points pushed off each segment by as
+    much (across it at both ends and the middle, and past both ends); and
+    random points in and around the ring's box.
+
+    The axis pushes test the index's rounding slack: `seg_point_distance`
+    may put a segment's clamped end one ulp past the vertex, and a point
+    just beyond eps of the vertex along an axis is then within eps of the
+    segment but outside its box padded by eps alone."""
+    out = []
+    for v in ring:
+        out.append(v)
+        out.extend(_ulp_neighbours(v))
+        for f in (1 - 1e-9, 1 + 1e-9):
+            d = eps * f
+            out += [Point2(v.x + d, v.y), Point2(v.x - d, v.y),
+                    Point2(v.x, v.y + d), Point2(v.x, v.y - d)]
+    n = len(ring)
+    for s in range(n):
+        a, b = ring[s], ring[(s + 1) % n]
+        L = dist(a, b)
+        if L == 0.0:
+            continue
+        ux, uy = (b.x - a.x) / L, (b.y - a.y) / L
+        for f in (1 - 1e-9, 1 + 1e-9):
+            d = eps * f
+            out += [Point2(a.x - ux * d, a.y - uy * d), Point2(b.x + ux * d, b.y + uy * d)]
+            for t in (0.0, 0.5, 1.0):
+                x, y = a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)
+                out += [Point2(x - uy * d, y + ux * d), Point2(x + uy * d, y - ux * d)]
+    x0, y0, x1, y1 = bbox(ring)
+    wx, wy = x1 - x0, y1 - y0
+    out += [Point2(x0 - 0.1 * wx + 1.2 * wx * rng.random(), y0 - 0.1 * wy + 1.2 * wy * rng.random())
+            for _ in range(100)]
+    return out
+
+
+def _assert_index_matches_scans(ring, tol):
+    index = RingIndex(ring)
+    rng = random.Random(len(ring))
+    for eps in (tol.check, tol.near, 1e-9, tol.check * 1e-3):
+        for p in _ring_queries(ring, eps, rng):
+            assert index.classify(p, eps) == ring_contains(p, ring, eps), (p, eps)
+            assert index.near(p, eps) == _near_scan(ring, p, eps), (p, eps)
+
+
+@pytest.mark.parametrize("n,m", [(16, 8), (48, 6), (128, 6)])
+@pytest.mark.parametrize("family", ["convex", "star", "comb", "random"])
+def test_ring_index_matches_scans(family, n, m):
+    poly, pts = _scaled(family, n, m, 0)
+    tp = triangulate(poly)
+    h = geodesic_hull(tp, pts)
+    _assert_index_matches_scans(poly.vertices, tp.tol)
+    _assert_index_matches_scans(h.ring, tp.tol)
+    # Region's membership reads the same index
+    region = h.hull_region
+    for p in _ring_queries(h.ring, tp.tol.check, random.Random(0))[:200]:
+        assert region.classify(p, tp.tol.check) == ring_contains(p, h.ring, tp.tol.check)
+
+
+def test_ring_index_on_zero_width_spurs():
+    # a clockwise ring with a doubled spur out of its top and a doubled
+    # slanted spur into its interior, as a hull ring runs to a point and back
+    raw = [(0, 0), (0, 4), (1.3, 4), (1.3, 6.1), (1.3, 4), (4, 4), (4, 0),
+           (2.7, 0), (1.9, 1.7), (2.7, 0)]
+    ring = tuple(Point2(x * 9.7, y * 9.7) for x, y in raw)
+    _assert_index_matches_scans(ring, Tolerances.for_diameter(bbox_diameter(ring)))
+    index = RingIndex(ring)
+    assert index.classify(Point2(2.0 * 9.7, 2.0 * 9.7)) == "inside"
+    assert index.classify(Point2(1.3 * 9.7, 5.0 * 9.7)) == "boundary"
+    assert index.classify(Point2(1.3 * 9.7 + 1e-3, 5.0 * 9.7)) == "outside"
+    assert index.near(Point2(1.3 * 9.7, 5.0 * 9.7), 1e-9) == [2, 3]
