@@ -1,20 +1,19 @@
 """Top-level two-center solver.
 
 Puts the pieces together: build the hull of Q, enumerate candidate
-chain splits, find an interval free of shortest-path-map distances,
-optimize each surviving pair inside it, and keep the best witness.
+chain splits, bound the radius by the hull's one-center, optimize each
+pair below that bound, and keep the best witness.
 """
 from __future__ import annotations
 
 import math
-import statistics
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import decision
-from .decision import decide, pair_chains
+from .decision import pair_chains
 from .disks import one_center
 from .errors import CertificateError, DegenerateHull, PointOutsidePolygon
 from .geom import Point2, dist, ring_area2, unique_points
@@ -106,38 +105,19 @@ def candidate_pairs(h: GeodesicHull) -> List[CandidatePair]:
             for (i, j), kind in sorted(chosen.items())]
 
 
-def _spm_distances(h: GeodesicHull, qs: Sequence[Point2]) -> List[float]:
-    vals: List[float] = []
-    for q in qs:
-        for _x, d in h.hull_region.spm_points(q):
-            vals.append(d)
-    return vals
-
-
 def assistant_interval(h: GeodesicHull,
                        candidates: Sequence[CandidatePair]) -> RadiusInterval:
-    """(r_L, r_U] containing the optimum and no site-to-SPM-vertex
-    distance, shrunk by repeated median tests."""
+    """(0, r_U] with r_U the radius of the hull's one-center.
+
+    One disk of that radius covers Q, so the optimum lies in the
+    interval.  The paper shrinks it by median tests over shortest-path-map
+    distances to bound its running time; each pair's own search inside
+    `optimize_pair` fixes the exact radius either way, and a false "no"
+    from `decide` could steer those tests past the optimum.
+    """
     if not candidates:
         raise DegenerateHull("no candidate pairs")
-    qs = list(h.extremes) + h.boundary_points + h.interior_points
-    order = _by_balance(h, candidates)
-
-    def feasible(r: float) -> bool:
-        return any(decide(h, p.i, p.j, r).feasible for p in order)
-
-    dists = _spm_distances(h, qs)
-    r_l = 0.0
-    r_u = h.hull_center().radius
-    while True:
-        inside = [v for v in dists if r_l < v < r_u]
-        if not inside:
-            return RadiusInterval(r_l, r_u)
-        med = statistics.median_low(inside)
-        if feasible(med):
-            r_u = med
-        else:
-            r_l = med
+    return RadiusInterval(0.0, h.hull_center().radius)
 
 
 def _point_along(path: Sequence[Point2], s: float) -> Point2:

@@ -15,9 +15,12 @@ import time
 import types
 import warnings
 
+import pytest
+
 from twocenter.decision import decide, pair_chains
 from twocenter.disks import CircArc, disks_intersection, one_center
 from twocenter.driver import candidate_pairs, two_center
+from twocenter.errors import BoundaryAssemblyError
 from twocenter.geom import Point2
 from twocenter.hull import geodesic_hull
 from twocenter.instances import generate
@@ -242,6 +245,59 @@ def _split_optimum(h, i, j):
         r2 = one_center(region, s2).radius if s2 else 0.0
         best = min(best, max(r1, r2))
     return best
+
+
+def _exact_radius(inst):
+    """r* of a generated instance: the minimum, over the 2^(m-1)
+    bipartitions of its unique points, of the larger one_center radius.
+    It runs on the instance scaled as two_center scales it and divides
+    the result back (the scale is a power of two, so exactly)."""
+    base = SimplePolygon(inst.polygon)
+    s = 2.0 ** round(math.log2(64.0 / base.diameter))
+    region = Region.of(triangulate(SimplePolygon([(v.x * s, v.y * s)
+                                                  for v in base.vertices])))
+    first, *rest = [Point2(*k) for k in dict.fromkeys((q[0] * s, q[1] * s)
+                                                      for q in inst.points)]
+    best = math.inf
+    for mask in range(2 ** len(rest)):
+        s1 = [first] + [q for t, q in enumerate(rest) if mask >> t & 1]
+        s2 = [q for t, q in enumerate(rest) if not mask >> t & 1]
+        r2 = one_center(region, s2).radius if s2 else 0.0
+        best = min(best, max(one_center(region, s1).radius, r2))
+    return best / s
+
+
+# scripts/corpus_outputs.py's 92 instances, then instances outside it
+EXACT_CELLS = [(fam, n, m, s)
+               for n, m, seeds in ((12, 6, 6), (16, 8, 6), (48, 6, 6),
+                                   (20, 10, 3), (24, 12, 2))
+               for fam in FAMS for s in range(seeds)] + [
+    ("random", 12, 6, 10), ("comb", 48, 6, 8), ("star", 48, 6, 11),
+    ("random", 128, 6, 0), ("comb", 16, 16, 0)]
+_WRONG = pytest.mark.xfail(strict=True, raises=AssertionError,
+                           reason="radius above the optimum")
+_CRASH = pytest.mark.xfail(strict=True, raises=BoundaryAssemblyError,
+                           reason="boundary stitching defect")
+EXACT_XFAIL = {
+    ("comb", 48, 6, 3): _WRONG, ("random", 16, 8, 3): _WRONG,
+    ("random", 48, 6, 3): _WRONG, ("random", 20, 10, 1): _WRONG,
+    ("random", 24, 12, 1): _WRONG, ("random", 128, 6, 0): _WRONG,
+    ("comb", 12, 6, 5): _CRASH, ("comb", 16, 8, 1): _CRASH,
+    ("random", 16, 8, 1): _CRASH, ("random", 16, 8, 4): _CRASH,
+    ("comb", 48, 6, 4): _CRASH, ("comb", 16, 16, 0): _CRASH,
+}
+
+
+@pytest.mark.parametrize("cell", [
+    pytest.param(c, marks=EXACT_XFAIL.get(c, ()), id="{}/{}x{}/s{}".format(*c))
+    for c in EXACT_CELLS])
+def test_two_center_matches_exact_reference(cell):
+    inst = generate(*cell)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        r = two_center(SimplePolygon(inst.polygon), inst.points).radius
+    ref = _exact_radius(inst)
+    assert abs(r - ref) <= 1e-9 * ref, (r, ref)
 
 
 def test_criterion_08_candidates_cover_an_optimal_split(solved_pool):

@@ -11,6 +11,7 @@ from twocenter.driver import (CandidatePair, assistant_interval, candidate_pairs
 from twocenter.errors import CertificateError, PointOutsidePolygon
 from twocenter.geom import Point2
 from twocenter.instances import generate
+from twocenter.optimize import RadiusInterval
 from twocenter.polygon import SimplePolygon, triangulate
 
 SQ4 = [Point2(0, 0), Point2(4, 0), Point2(4, 4), Point2(0, 4)]
@@ -98,6 +99,7 @@ def test_candidate_pairs_contain_axis_split(qsym_hull):
 def test_assistant_interval_brackets_optimum(qsym_hull):
     pairs = candidate_pairs(qsym_hull)
     iv = assistant_interval(qsym_hull, pairs)
+    assert iv == RadiusInterval(0.0, qsym_hull.hull_center().radius)
     assert iv.lo < 1.0 <= iv.hi + 1e-12
     assert any(decide(qsym_hull, p.i, p.j, iv.hi).feasible for p in pairs)
 
@@ -186,23 +188,26 @@ def test_not_locally_improvable(solved_pool):
 # feasible radii: one side's disk intersection has no arcs, the coverage
 # check of the hull center fails, and the split the oracle finds optimal
 # is rejected, so two_center returns a larger radius.  Treating an
-# arcless side as a side with no events fixes all six; random/16x8/s3
-# waits for perfbench/refs.json, which froze its larger radius.
+# arcless side as a side with no events fixes all five that still fail;
+# random/16x8/s3 waits for perfbench/refs.json, which froze its larger
+# radius.  random/48x6/s5 reaches its oracle radius: each pair searches
+# from (0, hull radius], so a false "no" can only reject that pair's
+# radius, not fix the interval every pair searches.
+_ANOMALY = pytest.mark.xfail(strict=True, raises=AssertionError,
+                             reason="no-arc-anomaly:n rejects a feasible split")
 NO_ARC_ANOMALY = [
-    (("random", 16, 8, 3), 22.332111164873137),
-    (("comb", 48, 6, 3), 11.060028812948593),
-    (("random", 48, 6, 5), 37.299961966925906),
-    (("random", 48, 6, 3), 54.419981466965794),
-    (("random", 20, 10, 1), 40.52755095834023),
-    (("random", 24, 12, 1), 42.12539576374179),
+    (("random", 16, 8, 3), 22.332111164873137, [_ANOMALY]),
+    (("comb", 48, 6, 3), 11.060028812948593, [_ANOMALY]),
+    (("random", 48, 6, 5), 37.299961966925906, []),
+    (("random", 48, 6, 3), 54.419981466965794, [_ANOMALY]),
+    (("random", 20, 10, 1), 40.52755095834023, [_ANOMALY]),
+    (("random", 24, 12, 1), 42.12539576374179, [_ANOMALY]),
 ]
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="no-arc-anomaly:n rejects a feasible split")
-@pytest.mark.parametrize("cell,oracle_radius", NO_ARC_ANOMALY,
-                         ids=[f"{f}/{n}x{m}/s{s}"
-                              for (f, n, m, s), _ in NO_ARC_ANOMALY])
+@pytest.mark.parametrize("cell,oracle_radius", [
+    pytest.param(cell, r, marks=marks, id="{}/{}x{}/s{}".format(*cell))
+    for cell, r, marks in NO_ARC_ANOMALY])
 def test_no_arc_anomaly_reaches_oracle(cell, oracle_radius):
     inst = generate(*cell)
     sol = two_center(SimplePolygon(inst.polygon), inst.points)
@@ -210,12 +215,20 @@ def test_no_arc_anomaly_reaches_oracle(cell, oracle_radius):
 
 
 def test_undecided_split_raises():
-    # convex/16x32/s0 reaches a split whose scan finds no witness with
-    # more free points than split enumeration runs on; returning a radius
-    # anyway gave 26.3083 where the solver can certify 24.8488
-    inst = generate("convex", 16, 32, 0)
+    # convex/16x32/s2 reaches a split, pair (2, 6) at r = 19.1094827..., whose
+    # scan finds no witness with more free points (21) than split
+    # enumeration runs on
+    inst = generate("convex", 16, 32, 2)
     with pytest.raises(CertificateError, match="SPLIT_ENUM_CAP"):
         two_center(SimplePolygon(inst.polygon), inst.points)
+
+
+def test_convex_16x32_s0_solves():
+    # no pair search reaches a split with more than SPLIT_ENUM_CAP free
+    # points that the scan cannot decide
+    inst = generate("convex", 16, 32, 0)
+    sol = two_center(SimplePolygon(inst.polygon), inst.points)
+    assert math.isclose(sol.radius, 24.84884635052105, rel_tol=1e-9)
 
 
 @pytest.mark.parametrize("cell", [("star", 12, 6, 2), ("comb", 16, 8, 2),
