@@ -1,19 +1,27 @@
 #!/usr/bin/env python3
-"""Regenerate the JSON fixtures under fixtures/.
+"""Regenerate the JSON fixtures under fixtures/ and the frozen oracle radii.
 
-The first three are hand-authored geometry; rnd_seed7 comes from the
-instance generator so it stays in sync with `twocenter gen`.
+The first three fixtures are hand-authored geometry; rnd_seed7 comes from
+the instance generator so it stays in sync with `twocenter gen`.
+
+tests/data/oracle_answers.json holds the grid oracle's radii for
+acceptance criteria 03 and 06 (see tests/frozen_oracle.py).  It stays out
+of fixtures/, whose every file criterion 10 solves.  Computing it runs the
+oracle on 75 instances and takes a few minutes.
 """
 
 import json
 import os
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "tests"))
 
+import frozen_oracle  # noqa: E402
 from twocenter.instances import dump_instance, generate  # noqa: E402
 
-HERE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "fixtures")
+HERE = os.path.join(ROOT, "fixtures")
 
 
 def write(name: str, text: str) -> None:
@@ -39,6 +47,11 @@ def main() -> None:
         "points": [[1, 1]],
     }, indent=2) + "\n")
     write("rnd_seed7.json", dump_instance(generate("random", 14, 8, 7)) + "\n")
+    os.makedirs(frozen_oracle.PATH.parent, exist_ok=True)
+    with open(frozen_oracle.PATH, "w") as fh:
+        json.dump(frozen_oracle.compute(), fh, indent=1)
+        fh.write("\n")
+    print("wrote", os.path.relpath(frozen_oracle.PATH))
 
 
 if __name__ == "__main__":

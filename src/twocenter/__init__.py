@@ -7,7 +7,7 @@ from .driver import (CandidatePair, TwoCenterSolution, assistant_interval,
                      candidate_pairs, two_center)
 from .errors import (BoundaryAssemblyError, CertificateError, DegenerateHull,
                      HullConvergenceError, InfeasibleInterval, InvalidPair,
-                     InvalidPolygon, NoArcs, PointOutsidePolygon, TooLarge)
+                     InvalidPolygon, PointOutsidePolygon, TooLarge)
 from .geom import Point2
 from .hull import GeodesicHull, geodesic_hull
 from .instances import (Instance, dump_instance, generate, load_instance,
@@ -39,7 +39,7 @@ __all__ = [
     "save_instance", "generate",
     "oracle_distance", "oracle_path", "oracle_one_center", "oracle_two_center",
     "render_svg",
-    "InvalidPolygon", "PointOutsidePolygon", "DegenerateHull", "NoArcs",
+    "InvalidPolygon", "PointOutsidePolygon", "DegenerateHull",
     "InvalidPair", "InfeasibleInterval", "HullConvergenceError",
     "BoundaryAssemblyError", "TooLarge", "CertificateError",
 ]

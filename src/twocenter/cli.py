@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 from .driver import two_center, TwoCenterSolution
 from .errors import (BoundaryAssemblyError, CertificateError, DegenerateHull,
                      HullConvergenceError, InfeasibleInterval, InvalidPolygon,
-                     NoArcs, PointOutsidePolygon, TooLarge)
+                     PointOutsidePolygon, TooLarge)
 from .geom import Point2, dist, unique_points
 from .instances import FAMILIES, Instance, dump_instance, generate, parse_instance
 from .oracle import oracle_two_center
@@ -26,8 +26,8 @@ from .svg import render_svg
 __all__ = ["main", "make_record", "verify_record"]
 
 # Errors raised by the solver itself when it cannot certify a solution.
-SOLVER_ERRORS = (BoundaryAssemblyError, NoArcs, DegenerateHull,
-                 HullConvergenceError, InfeasibleInterval, CertificateError)
+SOLVER_ERRORS = (BoundaryAssemblyError, DegenerateHull, HullConvergenceError,
+                 InfeasibleInterval, CertificateError)
 
 
 def make_record(sol: TwoCenterSolution, points: Sequence[Point2],

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .disks import (ArcBoundary, Event, compute_events, disks_intersection,
                     one_center)
-from .errors import CertificateError, InvalidPair, NoArcs
+from .errors import CertificateError, InvalidPair
 from .geom import Point2, dist, seg_point_distance
 from .hull import GeodesicHull
 from .region import Key, Region, _key
@@ -150,7 +150,6 @@ def shared_vertex_decide(h: GeodesicHull, i: int, j: int, r: float):
 
 @dataclass
 class SideData:
-    boundary: ArcBoundary
     events: List[Event]
     sides: Dict[Key, str]
     ref_pos: Point2
@@ -159,9 +158,9 @@ class SideData:
 
 def _prepare_side(region: Region, boundary: ArcBoundary,
                   interior: Sequence[Point2]) -> SideData:
+    """Events of the interior points on a boundary that has at least one
+    arc, measured from a reference point that no covered span holds."""
     arcs = boundary.arcs()
-    if not arcs:
-        raise NoArcs("no arcs on this side")
     e0 = arcs[0][0]
     p0 = boundary.elements[e0].point(0.0)
     events, sides = compute_events(region, boundary, interior, e0, p0)
@@ -207,7 +206,7 @@ def _prepare_side(region: Region, boundary: ArcBoundary,
                      (e.param - ref_param) % total if total > 0 else 0.0)
                for e in events]
     shifted.sort(key=lambda e: (e.param, e.flag == "out", e.owner.x, e.owner.y))
-    return SideData(boundary, shifted, sides, ref_pos, total)
+    return SideData(shifted, sides, ref_pos, total)
 
 
 def chain_side(h: GeodesicHull, pc: PairChains, chain: Tuple[Point2, ...],
@@ -229,11 +228,10 @@ def chain_side(h: GeodesicHull, pc: PairChains, chain: Tuple[Point2, ...],
             hit = ("empty", None)
         elif b.is_point:
             hit = ("point", b.point)
+        elif not b.arcs():
+            hit = ("noarcs", None)
         else:
-            try:
-                hit = ("arcs", _prepare_side(h.region, b, pc.free))
-            except NoArcs:
-                hit = ("noarcs", None)
+            hit = ("arcs", _prepare_side(h.region, b, pc.free))
         cache[key] = hit
     return hit
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .errors import BoundaryAssemblyError, CertificateError, NoArcs
+from .errors import BoundaryAssemblyError, CertificateError
 from .geom import (TAU, Point2, angle_of, circle_circle_intersections,
                    circle_segment_intersections, cw_delta, dist, point_at,
                    polyline_length, quadratic_roots, ring_area2, unique_points)
@@ -28,7 +28,6 @@ class CircArc:
     start: float           # angle of the clockwise start point
     span: float            # clockwise angular extent in [0, tau]
     owner: Point2
-    anchor_dist: float     # geodesic distance owner -> anchor
 
     def point(self, t: float) -> Point2:
         return point_at(self.anchor, self.radius, self.start - self.span * t)
@@ -49,14 +48,14 @@ class CircArc:
             return 0.0
         return cw_delta(self.start, theta) / self.span
 
-    def contains_angle(self, theta: float, tol: float = 1e-9) -> bool:
+    def contains_angle(self, theta: float) -> bool:
         d = cw_delta(self.start, theta)
-        return d <= self.span + tol or d >= TAU - tol
+        return d <= self.span + 1e-9 or d >= TAU - 1e-9
 
     def sub(self, t0: float, t1: float) -> "CircArc":
         s = self.start - self.span * t0
         return CircArc(self.anchor, self.radius, s % TAU,
-                       self.span * (t1 - t0), self.owner, self.anchor_dist)
+                       self.span * (t1 - t0), self.owner)
 
 
 @dataclass(frozen=True)
@@ -88,7 +87,6 @@ class ArcBoundary:
     """
     elements: List[Element]
     radius: float
-    sites: Tuple[Point2, ...]
     point: Optional[Point2] = None
 
     @property
@@ -122,7 +120,6 @@ class Event:
 class OneCenterResult:
     center: Point2
     radius: float
-    determinators: Tuple[Point2, ...]
 
 
 def ring_elements_cw(ring) -> List[Element]:
@@ -146,17 +143,16 @@ def _charts(region: Region, q: Point2, r: float):
     radii, plus the straight extension segments bounding each anchor's
     validity cell."""
     q = Point2(q[0], q[1])
-    charts: List[Tuple[Point2, float, float]] = [(q, 0.0, r)]
+    charts: List[Tuple[Point2, float]] = [(q, r)]
     ext_segs: List[Tuple[Point2, Point2]] = []
     tree = region.tree(q)
     for w in region.corners:
-        dqw = tree.distance_to(w)
-        R = r - dqw
+        R = r - tree.distance_to(w)
         if R <= 1e-12:
             continue
         if dist(w, q) <= 1e-12:
             continue
-        charts.append((w, dqw, R))
+        charts.append((w, R))
         h = tree.ext.get(_key(w))
         if h is not None:
             ext_segs.append((w, h))
@@ -177,7 +173,7 @@ def _cut_points_on_elem(elem: Element, charts) -> List[float]:
     """Params in (0,1) where any chart circle meets the element."""
     ts: List[float] = []
     if isinstance(elem, Seg):
-        for (c, _dc, R) in charts:
+        for (c, R) in charts:
             for p in circle_segment_intersections(c, R, elem.a, elem.b):
                 L = elem.length()
                 if L <= 1e-15:
@@ -187,7 +183,7 @@ def _cut_points_on_elem(elem: Element, charts) -> List[float]:
                 if 1e-12 < t < 1 - 1e-12:
                     ts.append(t)
     else:
-        for (c, _dc, R) in charts:
+        for (c, R) in charts:
             for p in circle_circle_intersections(elem.anchor, elem.radius, c, R):
                 th = angle_of(elem.anchor, p)
                 if elem.contains_angle(th):
@@ -217,7 +213,7 @@ def _cut_chart_circle(region: Region, w: Point2, R: float, elements,
             pts = [p for p in circle_circle_intersections(w, R, e.anchor, e.radius)
                    if e.contains_angle(angle_of(e.anchor, p))]
         angs.extend(angle_of(w, p) for p in pts)
-    for (c, _dc, Rc) in charts:
+    for (c, Rc) in charts:
         if dist(c, w) <= 1e-12:
             continue
         angs.extend(angle_of(w, p)
@@ -228,9 +224,9 @@ def _cut_chart_circle(region: Region, w: Point2, R: float, elements,
     return angs
 
 
-def _circle_subarcs(w: Point2, R: float, angs: List[float], owner, dqw) -> List[CircArc]:
+def _circle_subarcs(w: Point2, R: float, angs: List[float], owner) -> List[CircArc]:
     if not angs:
-        return [CircArc(w, R, 0.0, TAU, owner, dqw)]
+        return [CircArc(w, R, 0.0, TAU, owner)]
     uniq: List[float] = []
     for th in sorted(a % TAU for a in angs):
         if not uniq or th - uniq[-1] > 1e-12:
@@ -240,7 +236,7 @@ def _circle_subarcs(w: Point2, R: float, angs: List[float], owner, dqw) -> List[
     out = []
     k = len(uniq)
     if k == 1:
-        return [CircArc(w, R, uniq[0], TAU, owner, dqw)]
+        return [CircArc(w, R, uniq[0], TAU, owner)]
     # clockwise neighbours: each cut angle runs down to the next lower one
     for i in range(k):
         th0 = uniq[(i + 1) % k]
@@ -248,7 +244,7 @@ def _circle_subarcs(w: Point2, R: float, angs: List[float], owner, dqw) -> List[
         span = cw_delta(th0, th1)
         if span <= 1e-12:
             continue
-        out.append(CircArc(w, R, th0, span, owner, dqw))
+        out.append(CircArc(w, R, th0, span, owner))
     return out
 
 
@@ -278,9 +274,9 @@ def _clip(region: Region, elements: List[Element], q: Point2, r: float,
                 pieces.append(s)
 
     new_arcs: List[CircArc] = []
-    for (w, dqw, R) in charts:
+    for (w, R) in charts:
         angs = _cut_chart_circle(region, w, R, elements, charts, ext_segs)
-        for arc in _circle_subarcs(w, R, angs, q, dqw):
+        for arc in _circle_subarcs(w, R, angs, q):
             mid = arc.point(0.5)
             if region.classify(mid, eps=tol) == "outside":
                 continue
@@ -384,9 +380,9 @@ def disks_intersection(region: Region, sites: Sequence[Point2],
             return None
         prev.append(q)
     if pinch is not None:
-        return ArcBoundary([], r, tuple(sites), point=pinch)
+        return ArcBoundary([], r, point=pinch)
     assert elements is not None
-    return ArcBoundary(elements, r, tuple(sites))
+    return ArcBoundary(elements, r)
 
 
 def geodesic_circle(tp: TriangulatedPolygon, q, r: float) -> List[CircArc]:
@@ -406,7 +402,8 @@ def disk_contains(tp: TriangulatedPolygon, c, r: float, x) -> bool:
 
 def compute_events(region: Region, boundary: ArcBoundary,
                    interior: Sequence[Point2], ref_elem: int, ref_pos: Point2):
-    """Events of each interior point's disk on the boundary's arcs.
+    """Events of each interior point's disk on the boundary's arcs; the
+    boundary has at least one arc.
 
     Returns (events, sides): events sorted by clockwise length from the
     reference position; sides maps each point's key to "covers",
@@ -417,8 +414,6 @@ def compute_events(region: Region, boundary: ArcBoundary,
     r = boundary.radius
     tol = region.tp.tol.check
     arcs = boundary.arcs()
-    if not arcs:
-        raise NoArcs("boundary has no arcs")
     cum = boundary.cum_lengths()
     total = boundary.total_length()
     ref_abs = cum[ref_elem] + _param_on_elem(boundary.elements[ref_elem], ref_pos)
@@ -502,9 +497,9 @@ def _disk2(region: Region, a: Point2, b: Point2) -> OneCenterResult:
         if acc + step >= half - 1e-15:
             t = 0.0 if step == 0 else (half - acc) / step
             c = Point2(u.x + (v.x - u.x) * t, u.y + (v.y - u.y) * t)
-            return OneCenterResult(c, half, (a, b))
+            return OneCenterResult(c, half)
         acc += step
-    return OneCenterResult(p[-1], half, (a, b))
+    return OneCenterResult(p[-1], half)
 
 
 def _cross3(p, q) -> Tuple[float, float, float]:
@@ -602,7 +597,7 @@ def _solve3(region: Region, a: Point2, b: Point2, c: Point2) -> OneCenterResult:
     eq = _equalize3(region, a, b, c, [d2.center for d2 in pairs])
     if eq is not None:
         rad = max(region.site_map(p).distance(eq) for p in (a, b, c))
-        cands.append(OneCenterResult(eq, rad, (a, b, c)))
+        cands.append(OneCenterResult(eq, rad))
     if not cands:
         raise CertificateError(
             f"no geodesic one-center for {a}, {b}, {c}: no pair disk covers "
@@ -629,8 +624,7 @@ def one_center(space, pts: Sequence[Point2]) -> OneCenterResult:
     if hit is not None:
         return hit
 
-    tols = region.tp.tol
-    tol = tols.near
+    tol = region.tp.tol.near
 
     def covers(d: OneCenterResult, p: Point2) -> bool:
         return region.site_map(p).distance(d.center) <= d.radius + tol
@@ -643,21 +637,18 @@ def one_center(space, pts: Sequence[Point2]) -> OneCenterResult:
         return d
 
     def mtf1(P, q):
-        d = OneCenterResult(q, 0.0, (q,))
+        d = OneCenterResult(q, 0.0)
         for i, p in enumerate(P):
             if not covers(d, p):
                 d = mtf2(P[:i], q, p)
         return d
 
-    d = OneCenterResult(uniq[0], 0.0, (uniq[0],))
+    d = OneCenterResult(uniq[0], 0.0)
     for i, p in enumerate(uniq):
         if not covers(d, p):
             d = mtf1(uniq[:i], p)
 
-    far = {p: region.site_map(p).distance(d.center) for p in uniq}
-    rad = max(far.values())
-    dets = sorted(uniq, key=lambda p: (-far[p], p.x, p.y))
-    dets = tuple(p for p in dets if far[p] >= rad - tols.check)[:3]
-    result = OneCenterResult(d.center, rad, dets)
+    rad = max(region.site_map(p).distance(d.center) for p in uniq)
+    result = OneCenterResult(d.center, rad)
     cache[key] = result
     return result

@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import decision
 from .decision import pair_chains
-from .disks import one_center
 from .errors import CertificateError, DegenerateHull, PointOutsidePolygon
 from .geom import Point2, dist, ring_area2, unique_points
 from .hull import GeodesicHull, geodesic_hull
@@ -213,12 +212,7 @@ def _solve_on(tp: TriangulatedPolygon, pts: List[Point2]) -> TwoCenterSolution:
             sol = TwoCenterSolution(a, b, 0.0, CandidatePair(0, 1, "Type1"), assign)
         else:
             h = geodesic_hull(tp, uniq)
-            if h.k == 1:
-                oc = one_center(h.region, uniq)
-                sol = TwoCenterSolution(oc.center, oc.center, oc.radius,
-                                        CandidatePair(0, 0, "Type1"),
-                                        {(q.x, q.y): 1 for q in uniq})
-            elif h.k == 2 or abs(ring_area2(h.ring)) <= tp.tol.area:
+            if h.k == 2 or abs(ring_area2(h.ring)) <= tp.tol.area:
                 sol = _line_solution(h, uniq)
             else:
                 pairs = candidate_pairs(h)
@@ -227,8 +221,6 @@ def _solve_on(tp: TriangulatedPolygon, pts: List[Point2]) -> TwoCenterSolution:
                 best: Optional[Tuple[float, Point2, Point2, CandidatePair]] = None
                 for p in order:
                     hi = iv.hi if best is None else min(iv.hi, best[0])
-                    if hi <= iv.lo:
-                        break
                     got = optimize_pair(h, p.i, p.j, RadiusInterval(iv.lo, hi))
                     if got is None:
                         continue

@@ -13,10 +13,6 @@ class DegenerateHull(Exception):
     """Hull has fewer than two extreme points, no partition pair exists."""
 
 
-class NoArcs(Exception):
-    """A disk-intersection boundary has no circular-arc pieces."""
-
-
 class InvalidPair(Exception):
     """Chain index pair is out of range or i == j."""
 

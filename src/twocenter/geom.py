@@ -1,6 +1,6 @@
 """Planar primitives: points, orientation, segment and circle intersections.
 
-Coordinates are plain floats.  Predicates take an absolute tolerance; the
+Coordinates are plain floats.  Predicates use an absolute tolerance; the
 solver normalizes instances so that an absolute epsilon is meaningful.
 `Tolerances` is the one policy that scales the solver's tolerances to an
 instance.
@@ -60,10 +60,10 @@ def cross(o, a, b) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def orientation(a, b, c, eps: float = EPS) -> int:
+def orientation(a, b, c) -> int:
     """Sign of the turn a->b->c: +1 left, -1 right, 0 straight.
 
-    A result of 0 means the exact determinant is within tol = eps * scale of
+    A result of 0 means the exact determinant is within tol = EPS * scale of
     zero, where scale is the largest coordinate magnitude involved.  Three
     paths decide, cheapest first:
 
@@ -79,7 +79,7 @@ def orientation(a, b, c, eps: float = EPS) -> int:
     det = t1 - t2
     scale = max(abs(a[0]), abs(a[1]), abs(b[0]), abs(b[1]),
                 abs(c[0]), abs(c[1]), 1e-30)
-    tol = eps * scale
+    tol = EPS * scale
     err = 3.331e-16 * (abs(t1) + abs(t2))
     if abs(det) > max(tol, err):
         return 1 if det > 0.0 else -1
@@ -140,24 +140,24 @@ def ray_segment_hit(o, d, a, b, t_min: float = EPS):
     return t, Point2(px, py)
 
 
-def circle_circle_intersections(c0, r0, c1, r1, tol: float = EPS):
+def circle_circle_intersections(c0, r0, c1, r1):
     """Intersection points of two circles; tangencies collapse to one point."""
     dx, dy = c1[0] - c0[0], c1[1] - c0[1]
     d = math.hypot(dx, dy)
-    if d <= tol and abs(r0 - r1) <= tol:
+    if d <= EPS and abs(r0 - r1) <= EPS:
         return []          # same circle, caller must treat specially
-    if d > r0 + r1 + tol or d < abs(r0 - r1) - tol or d == 0.0:
+    if d > r0 + r1 + EPS or d < abs(r0 - r1) - EPS or d == 0.0:
         return []
     a = (d * d + r0 * r0 - r1 * r1) / (2.0 * d)
     h2 = r0 * r0 - a * a
     ux, uy = dx / d, dy / d
     mx, my = c0[0] + a * ux, c0[1] + a * uy
-    if h2 <= (tol * max(r0, r1, 1.0)) ** 0.5 * tol:
+    if h2 <= (EPS * max(r0, r1, 1.0)) ** 0.5 * EPS:
         # grazing contact
         if h2 < 0.0:
             h2 = 0.0
         h = math.sqrt(h2)
-        if h <= tol:
+        if h <= EPS:
             return [Point2(mx, my)]
     if h2 < 0.0:
         return []
@@ -165,7 +165,7 @@ def circle_circle_intersections(c0, r0, c1, r1, tol: float = EPS):
     return [Point2(mx - h * uy, my + h * ux), Point2(mx + h * uy, my - h * ux)]
 
 
-def circle_segment_intersections(c, r, a, b, tol: float = EPS):
+def circle_segment_intersections(c, r, a, b):
     """Points where circle (c, r) meets segment ab (inclusive endpoints)."""
     ax, ay = a[0] - c[0], a[1] - c[1]
     vx, vy = b[0] - a[0], b[1] - a[1]
@@ -176,7 +176,7 @@ def circle_segment_intersections(c, r, a, b, tol: float = EPS):
     C = ax * ax + ay * ay - r * r
     disc = B * B - 4.0 * A * C
     scale = max(abs(B), abs(C), A, 1.0)
-    if disc < -tol * scale:
+    if disc < -EPS * scale:
         return []
     if disc < 0.0:
         disc = 0.0
@@ -185,7 +185,7 @@ def circle_segment_intersections(c, r, a, b, tol: float = EPS):
     for t in ((-B - sq) / (2.0 * A), (-B + sq) / (2.0 * A)):
         if -1e-12 <= t <= 1.0 + 1e-12:
             p = Point2(a[0] + t * vx, a[1] + t * vy)
-            if not out or dist(out[-1], p) > tol:
+            if not out or dist(out[-1], p) > EPS:
                 out.append(p)
     return out
 

@@ -16,25 +16,25 @@ from .geom import (EPS, BoxGrid, Point2, Tolerances, bbox, bbox_diameter,
 class SimplePolygon:
     """A simple polygon, stored counterclockwise.
 
-    Construction merges consecutive duplicate vertices (within eps), enforces
+    Construction merges consecutive duplicate vertices (within EPS), enforces
     counterclockwise orientation and checks simplicity; a self-intersecting
     input raises InvalidPolygon.
     """
 
-    def __init__(self, vertices, eps: float = EPS):
+    def __init__(self, vertices):
         pts = [Point2(float(p[0]), float(p[1])) for p in vertices]
         merged: List[Point2] = []
         for p in pts:
-            if merged and dist(merged[-1], p) <= eps:
+            if merged and dist(merged[-1], p) <= EPS:
                 continue
             merged.append(p)
-        if len(merged) >= 2 and dist(merged[0], merged[-1]) <= eps:
+        if len(merged) >= 2 and dist(merged[0], merged[-1]) <= EPS:
             merged.pop()
         if len(merged) < 3:
             raise InvalidPolygon("need at least 3 distinct vertices")
         area2 = sum(cross(merged[0], merged[i], merged[i + 1])
                     for i in range(1, len(merged) - 1))
-        if abs(area2) <= eps * max(1.0, bbox_diameter(merged)):
+        if abs(area2) <= EPS * max(1.0, bbox_diameter(merged)):
             raise InvalidPolygon("zero area")
         if area2 < 0:
             merged.reverse()
@@ -106,9 +106,9 @@ def _meeting_boxes(boxes) -> List[Tuple[int, int]]:
     return out
 
 
-def point_in_polygon(poly: SimplePolygon, p, eps: float = EPS) -> str:
+def point_in_polygon(poly: SimplePolygon, p) -> str:
     """'inside' / 'boundary' / 'outside' classification of p against poly."""
-    return ring_contains(p, poly.vertices, eps)
+    return ring_contains(p, poly.vertices)
 
 
 def _tri_contains(a, b, c, p, eps: float) -> bool:

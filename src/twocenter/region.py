@@ -231,7 +231,6 @@ class ShortestPathTree:
     `ext` maps each corner whose path, extended straight past it, runs
     into the region to the point where that extension meets the ring.
     """
-    source: Point2
     dist: Dict[Key, float]
     parent: Dict[Key, Optional[Point2]]
     ext: Dict[Key, Point2]
@@ -348,7 +347,7 @@ class Region:
             h = self._extend(w, v)
             if h is not None:
                 ext[kv] = h
-        tree = ShortestPathTree(s, d, par, ext)
+        tree = ShortestPathTree(d, par, ext)
         self._tree_cache[ks] = tree
         return tree
 

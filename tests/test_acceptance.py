@@ -17,14 +17,15 @@ import warnings
 
 import pytest
 
+import frozen_oracle
 from twocenter.decision import decide, pair_chains
 from twocenter.disks import CircArc, disks_intersection, one_center
 from twocenter.driver import candidate_pairs, two_center
 from twocenter.errors import BoundaryAssemblyError
-from twocenter.geom import Point2
+from twocenter.geom import Point2, unique_points
 from twocenter.hull import geodesic_hull
 from twocenter.instances import generate
-from twocenter.oracle import oracle_distance, oracle_one_center, oracle_two_center
+from twocenter.oracle import oracle_distance, oracle_two_center
 from twocenter.polygon import SimplePolygon, triangulate
 from twocenter.region import Region, geodesic_distance
 
@@ -127,14 +128,11 @@ def test_criterion_02_equal_disk_boundaries_cross_at_most_twice():
 
 def test_criterion_03_one_center_matches_oracle():
     worst = 0.0
-    for s in range(50):
-        inst = generate(FAMS[s % 4], 5 + (s * 3) % 26, 3 + s % 8, 3000 + s)
-        poly = SimplePolygon(inst.polygon)
-        region = Region.of(triangulate(poly))
-        pts = list(dict.fromkeys((p.x, p.y) for p in inst.points))
-        pts = [Point2(*p) for p in pts]
-        got = one_center(region, pts).radius
-        _c, ref = oracle_one_center(poly, pts)
+    for s, cell in enumerate(frozen_oracle.ONE_CENTER_CELLS):
+        inst = generate(*cell)
+        region = Region.of(triangulate(SimplePolygon(inst.polygon)))
+        got = one_center(region, unique_points(inst.points)).radius
+        ref = frozen_oracle.answer("one_center", cell, inst)
         tol = 1e-4 * max(ref, 1e-9 * max(1.0, region.diameter))
         assert abs(got - ref) <= tol, (s, got, ref)
         worst = max(worst, abs(got - ref) / max(ref, 1e-12))
@@ -191,22 +189,18 @@ def test_criterion_05_returned_pair_is_critical(solved_pool):
 
 
 def test_criterion_06_two_center_matches_oracle():
-    ms = [3, 4, 5, 3, 6, 4, 7, 5, 3, 8, 4, 6, 3, 5, 9, 4, 3, 6, 5, 10,
-          3, 4, 7, 5, 6]
-    ns = [6, 8, 10, 12, 14, 16, 18, 20, 7, 9, 11, 13, 15, 17, 8, 6, 19, 10,
-          12, 7, 16, 18, 20, 7, 9]
     worst = 0.0
     slowest = 0.0
-    for t, (n, m) in enumerate(zip(ns, ms)):
-        inst = generate(FAMS[t % 4], n, m, 600 + t)
+    for t, cell in enumerate(frozen_oracle.TWO_CENTER_CELLS):
+        _fam, n, m, _seed = cell
+        inst = generate(*cell)
         poly = SimplePolygon(inst.polygon)
         t0 = time.perf_counter()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             sol = two_center(poly, inst.points)
-        uniq = [Point2(*k) for k in dict.fromkeys((p.x, p.y) for p in inst.points)]
-        r_ref, _cs, _sides = oracle_two_center(poly, uniq)
         dt = time.perf_counter() - t0
+        r_ref = frozen_oracle.answer("two_center", cell, inst)
         slowest = max(slowest, dt)
         assert dt < 60.0, (t, n, m, dt)
         gap = abs(sol.radius - r_ref)

@@ -311,3 +311,14 @@ def test_assembly_errors_are_not_cached(cell, monkeypatch):
             # the failing intersection fails again on the same hull
             with pytest.raises(BoundaryAssemblyError):
                 chain_side(*calls[-1])
+
+
+def test_chain_side_tags_an_arcless_side():
+    # one of the two no-arc-anomaly:n decisions of random/16x8/s3
+    _, h = _solver_hull("random", 16, 8, 3)
+    pc = dec.pair_chains(h, 1, 5)
+    r = 11.16605558243657
+    got = dec.chain_side(h, pc, pc.chain1, r)
+    assert got == ("noarcs", None)
+    assert dec.chain_side(h, pc, pc.chain1, r) is got
+    assert dec.decide(h, 1, 5, r).branch == "no-arc-anomaly"

@@ -178,9 +178,12 @@ def test_hull_geodesically_convex(seed):
 # keep their Euclidean cyclic order (the hull only ever inserts or drops
 # one).  The lobe then runs counterclockwise inside the clockwise ring.
 _HULL_ORDER_DEFECT = {("comb", 12, 6, 5), ("comb", 16, 8, 1), ("random", 16, 8, 1),
-                      ("random", 16, 8, 4), ("random", 48, 6, 2)}
-_HULL_ORDER_CELLS = ([(fam, 16, 8, s) for fam in ("convex", "star", "comb", "random")
-                      for s in range(6)] + [("comb", 12, 6, 5), ("random", 48, 6, 2)])
+                      ("random", 16, 8, 4), ("random", 48, 6, 2), ("comb", 16, 8, 8),
+                      ("comb", 48, 6, 6), ("random", 48, 6, 6), ("random", 48, 6, 8),
+                      ("random", 20, 10, 4), ("comb", 24, 12, 2), ("random", 16, 16, 1)}
+_HULL_ORDER_GRID = [(fam, 16, 8, s) for fam in ("convex", "star", "comb", "random")
+                    for s in range(6)]
+_HULL_ORDER_CELLS = _HULL_ORDER_GRID + sorted(_HULL_ORDER_DEFECT - set(_HULL_ORDER_GRID))
 
 
 @pytest.mark.parametrize("cell", [
