@@ -13,10 +13,11 @@ arguments: (map, point) and (region, sites, radius), distinct within one
 operation.  It also counts the `SiteMap` builds and the triangles their
 walks expanded (`SiteMap._expand`), against the triangles of all the maps
 built, which shows how much of each map its queries needed, the
-`seg_point_distance` calls, and the `RingIndex` queries by kind
-(classify, near).  The second pass runs under cProfile; the script
-prints its top N functions by the chosen sort key, then the counts of
-the first pass.  An operation that raises is counted by error class and
+`seg_point_distance` calls, the `RingIndex` queries by kind (classify,
+near), and the `decide` calls with how many of them computed a fresh
+`chain_side` (one its hull's side cache did not hold yet).  The second
+pass runs under cProfile; the script prints its top N functions by the
+chosen sort key, then the counts of the first pass.  An operation that raises is counted by error class and
 skipped, as the benchmark counts it.
 """
 import argparse
@@ -33,7 +34,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import workloads  # noqa: E402
-from twocenter import disks, geom, region  # noqa: E402
+from twocenter import decision, disks, geom, region  # noqa: E402
 
 
 class Repeats:
@@ -74,8 +75,9 @@ class Expansion:
 def counting_pass(ops, anchor: Repeats, inter: Repeats, maps: Expansion,
                   calls: Counter) -> Counter:
     """Run ops with the counted functions wrapped; returns `run`'s error
-    count.  `calls` counts `seg_point_distance` and the `RingIndex`
-    queries."""
+    count.  `calls` counts `seg_point_distance`, the `RingIndex` queries,
+    the `decide` calls and those of them that grew their hull's side
+    cache."""
     plain_anchor = region.SiteMap._anchor
     plain_inter = disks.disks_intersection
     plain_init = region.SiteMap.__init__
@@ -83,6 +85,7 @@ def counting_pass(ops, anchor: Repeats, inter: Repeats, maps: Expansion,
     plain_spd = geom.seg_point_distance
     plain_classify = geom.RingIndex.classify
     plain_near = geom.RingIndex.near
+    plain_decide = decision.decide
 
     def counted_anchor(self, x):
         anchor.note((id(self), x[0], x[1]))
@@ -113,9 +116,18 @@ def counting_pass(ops, anchor: Repeats, inter: Repeats, maps: Expansion,
         calls["RingIndex.near"] += 1
         return plain_near(self, p, eps)
 
+    def counted_decide(h, i, j, r):
+        calls["decide"] += 1
+        side_cache = h.hull_region._side_cache
+        before = len(side_cache)
+        res = plain_decide(h, i, j, r)
+        calls["decide.fresh_side"] += len(side_cache) > before
+        return res
+
     mods = [m for name, m in list(sys.modules.items()) if name.startswith("twocenter.")]
     holders = [m for m in mods if getattr(m, "disks_intersection", None) is plain_inter]
     spd_holders = [m for m in mods if getattr(m, "seg_point_distance", None) is plain_spd]
+    decide_holders = [m for m in mods if getattr(m, "decide", None) is plain_decide]
     region.SiteMap._anchor = counted_anchor
     region.SiteMap.__init__ = counted_init
     region.SiteMap._expand = counted_expand
@@ -125,6 +137,8 @@ def counting_pass(ops, anchor: Repeats, inter: Repeats, maps: Expansion,
         m.disks_intersection = counted_inter
     for m in spd_holders:
         m.seg_point_distance = counted_spd
+    for m in decide_holders:
+        m.decide = counted_decide
     try:
         return run(ops, fresh=(anchor, inter))
     finally:
@@ -137,6 +151,8 @@ def counting_pass(ops, anchor: Repeats, inter: Repeats, maps: Expansion,
             m.disks_intersection = plain_inter
         for m in spd_holders:
             m.seg_point_distance = plain_spd
+        for m in decide_holders:
+            m.decide = plain_decide
 
 
 def run(ops, fresh=()) -> Counter:
@@ -188,6 +204,8 @@ def main() -> int:
     print(f"seg_point_distance: {calls['seg_point_distance']} calls")
     print(f"RingIndex: {calls['RingIndex.classify']} classify, "
           f"{calls['RingIndex.near']} near queries")
+    print(f"decide: {calls['decide']} calls, {calls['decide.fresh_side']} computed "
+          f"a fresh chain_side")
     return 0
 
 

@@ -386,6 +386,15 @@ BRANCH_COUNTS: ContextVar[Optional[Counter]] = ContextVar("BRANCH_COUNTS", defau
 SPLIT_ENUM_CAP = 14
 
 
+def chain_infeasible(h: GeodesicHull, pc: PairChains, r: float) -> bool:
+    """The cascade's "chain-infeasible" exit, checked just below the
+    "hull-radius" one: a chain's one-center radius exceeds r by more than
+    tol.radius.  It holds on an initial run of any ascending radii."""
+    eps = h.ambient.tol.radius
+    oc1, oc2 = (one_center(h.region, c) for c in (pc.chain1, pc.chain2))
+    return oc1.radius > r + eps or oc2.radius > r + eps
+
+
 def decide(h: GeodesicHull, i: int, j: int, r: float) -> DecisionResult:
     """Is there an (i, j)-restricted placement of two radius-r disks?"""
     res = _decide(h, i, j, r)
@@ -407,9 +416,7 @@ def _decide(h: GeodesicHull, i: int, j: int, r: float) -> DecisionResult:
         return DecisionResult(True, "hull-radius", (hc.center, hc.center))
 
     # every shared-vertex set holds a whole chain, so this test goes first
-    oc1 = one_center(region, pc.chain1)
-    oc2 = one_center(region, pc.chain2)
-    if oc1.radius > r + eps or oc2.radius > r + eps:
+    if chain_infeasible(h, pc, r):
         return DecisionResult(False, "chain-infeasible")
 
     sv = shared_vertex_decide(h, i, j, r)
@@ -417,6 +424,7 @@ def _decide(h: GeodesicHull, i: int, j: int, r: float) -> DecisionResult:
         return DecisionResult(True, "shared-vertex", sv)
 
     if not pc.free:
+        oc1, oc2 = (one_center(region, c) for c in (pc.chain1, pc.chain2))
         return DecisionResult(True, "no-free-points", (oc1.center, oc2.center))
 
     (t1, s1), (t2, s2) = (chain_side(h, pc, c, r) for c in (pc.chain1, pc.chain2))

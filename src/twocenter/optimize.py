@@ -3,16 +3,20 @@
 For one chain split (i, j) the optimal radius r*_ij is pinned down in
 three moves: narrow an interval to the radii between two neighbouring
 structure-change candidates, collect the finitely many radii at which
-two point circles can meet on the boundary, then binary search that set
-with the decision procedure.  Both searches are `_leftmost_feasible`.
+two point circles can meet on the boundary, then search that set with
+the decision procedure.  Both searches are `_leftmost_feasible`, which
+gallops up from the first candidate that `decision.chain_infeasible`
+passes: r*_ij is never below either chain's one-center radius, and the
+optimum usually sits at or just above that floor.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .decision import (DecisionResult, PairChains, chain_side, decide,
-                       pair_chains)
+from .decision import (DecisionResult, PairChains, chain_infeasible,
+                       chain_side, decide, pair_chains)
 from .disks import one_center
 from .errors import InfeasibleInterval
 from .geom import Point2, dist, quadratic_roots
@@ -138,13 +142,30 @@ def _event_signature(h: GeodesicHull, pc: PairChains, r: float):
     return tuple(sig)
 
 
-def _leftmost_feasible(h: GeodesicHull, i: int, j: int, values: Sequence[float]
-                       ) -> Tuple[int, Optional[DecisionResult]]:
-    """Binary search of the ascending values for the first one `decide`
-    accepts, which is monotone in r: its index and decision, or
-    (len(values), None) when it accepts none."""
-    a, b = 0, len(values)
+def _chain_start(h: GeodesicHull, pc: PairChains, values: Sequence[float]) -> int:
+    """Index of the first of the ascending values that `chain_infeasible`
+    passes; `decide` answers "no" at every value below it."""
+    return bisect_left(values, True, key=lambda r: not chain_infeasible(h, pc, r))
+
+
+def _leftmost_feasible(h: GeodesicHull, i: int, j: int, values: Sequence[float],
+                       start: int) -> Tuple[int, Optional[DecisionResult]]:
+    """Galloping search of the ascending values, from index start on, for
+    the first one `decide` accepts, taken as monotone in r: its index and
+    decision, or (len(values), None) when it accepts none.  It decides at
+    start, start + 1, start + 3, start + 7, ... until one is accepted,
+    then binary searches the last bracket; values below start are never
+    decided."""
+    a = probe = start
+    b, step = len(values), 1
     best: Optional[DecisionResult] = None
+    while probe < b:
+        res = decide(h, i, j, values[probe])
+        if res.feasible:
+            b, best = probe, res
+            break
+        a, step = probe + 1, 2 * step
+        probe = start + step - 1
     while a < b:
         mid = (a + b) // 2
         res = decide(h, i, j, values[mid])
@@ -159,8 +180,8 @@ def narrow_interval(h: GeodesicHull, i: int, j: int,
                     iv: RadiusInterval) -> RadiusInterval:
     """Shrink iv around r*_ij to the gap between two neighbouring
     structure-change candidates.  When the event signatures at three
-    probes inside that gap differ, the probes join the candidates and the
-    gap is searched once more; the result is not checked again."""
+    probes inside that gap differ, the gap is searched once more over its
+    two ends and the probes; the result is not checked again."""
     if not decide(h, i, j, iv.hi).feasible:
         raise InfeasibleInterval(f"pair ({i},{j}) infeasible at {iv.hi}")
     pc = pair_chains(h, i, j)
@@ -168,19 +189,18 @@ def narrow_interval(h: GeodesicHull, i: int, j: int,
 
     def search(cands: Sequence[float]) -> RadiusInterval:
         inside = sorted(v for v in set(cands) if iv.lo + eps < v < iv.hi - eps)
-        k, _res = _leftmost_feasible(h, i, j, inside)
+        k, _res = _leftmost_feasible(h, i, j, inside, _chain_start(h, pc, inside))
         return RadiusInterval(inside[k - 1] if k else iv.lo,
                               inside[k] if k < len(inside) else iv.hi)
 
-    cands = interval_candidates(h, i, j)
-    out = search(cands)
+    out = search(interval_candidates(h, i, j))
     if not pc.free:
         return out
     probes = [out.lo + (out.hi - out.lo) * f for f in (1e-3, 0.5, 1 - 1e-9)]
-    sigs = [_event_signature(h, pc, r) for r in probes]
-    if all(s == sigs[0] for s in sigs):
+    sig = _event_signature(h, pc, probes[0])
+    if all(_event_signature(h, pc, r) == sig for r in probes[1:]):
         return out
-    return search(cands + probes)
+    return search([out.lo] + probes + [out.hi])
 
 
 def pair_coincidence_radius(h: GeodesicHull, i: int, j: int, t: int, q1: Point2,
@@ -234,7 +254,8 @@ def optimize_pair(h: GeodesicHull, i: int, j: int, iv: RadiusInterval
     except InfeasibleInterval:
         return None
     values = critical_radius_set(h, i, j, nv)
-    k, best = _leftmost_feasible(h, i, j, values)
+    k, best = _leftmost_feasible(h, i, j, values,
+                                 _chain_start(h, pair_chains(h, i, j), values))
     if best is None:    # dedup merged nv.hi, which narrow_interval decided feasible
         best, best_r = decide(h, i, j, nv.hi), nv.hi
     else:

@@ -7,7 +7,6 @@ units inside a y-flipped group so the picture reads in the usual
 mathematical orientation.
 """
 
-import math
 from typing import List, Optional, Sequence, Tuple
 
 from .geom import Point2

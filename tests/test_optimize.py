@@ -6,7 +6,7 @@ import pytest
 import twocenter.decision as dec
 import twocenter.optimize as opt
 from twocenter.driver import candidate_pairs, two_center
-from twocenter.errors import InfeasibleInterval
+from twocenter.errors import BoundaryAssemblyError, InfeasibleInterval
 from twocenter.geom import Point2, dist, unique_points
 from twocenter.hull import geodesic_hull
 from twocenter.instances import FAMILIES, generate
@@ -67,17 +67,22 @@ def test_leftmost_feasible(n, monkeypatch):
         return dec.DecisionResult(r >= cut, "stub", (Point2(r, 0), Point2(r, 0)))
 
     monkeypatch.setattr(opt, "decide", decide)
-    # all infeasible, a mixed run at every cut, all feasible
+    # all infeasible, a mixed run at every cut, all feasible, each from
+    # several starts at or below the cut
     for cut in [n + 0.5] + [k - 0.5 for k in range(1, n)] + [-1.0]:
-        calls.clear()
-        k, res = opt._leftmost_feasible(None, 0, 1, values)
         want = next((k for k, v in enumerate(values) if v >= cut), n)
-        assert k == want
-        if k == n:
-            assert res is None
-        else:
-            assert res.feasible and res.centers[0].x == values[k]
-        assert len(calls) <= math.ceil(math.log2(n + 1))
+        for start in sorted({0, want // 2, max(want - 1, 0), want}):
+            calls.clear()
+            k, res = opt._leftmost_feasible(None, 0, 1, values, start)
+            assert k == want
+            if k == n:
+                assert res is None
+            else:
+                assert res.feasible and res.centers[0].x == values[k]
+            assert all(r >= start for r in calls)   # values[k] == k
+            assert len(calls) <= 2 * math.ceil(math.log2(k - start + 1)) + 1
+            if start == k < n:
+                assert len(calls) == 1
 
 
 def test_interval_candidates_hit_optimum(qsym_hull):
@@ -96,21 +101,84 @@ def test_narrow_interval_brackets_optimum(qsym_hull):
 
 
 def test_narrow_interval_probes_once(monkeypatch):
-    # star/12x6/s1 has a pair whose probes disagree: one probe round of
-    # three signatures, then the search over candidates plus probes
+    # star/12x6/s1 has a pair whose probes disagree: one probe round that
+    # stops at the first signature that differs, then a search that
+    # decides only the gap's ends and the probes
     inst = generate("star", 12, 6, 1)
-    calls = []
+    calls, searches = [], []
     event_signature = opt._event_signature
+    leftmost_feasible = opt._leftmost_feasible
 
     def counting(h, pc, r):
-        calls.append(r)
-        return event_signature(h, pc, r)
+        sig = event_signature(h, pc, r)
+        calls.append((r, sig))
+        return sig
+
+    def recording(h, i, j, values, start):
+        decided = []
+        plain = opt.decide
+
+        def spy(h_, i_, j_, r):
+            decided.append(r)
+            return plain(h_, i_, j_, r)
+
+        opt.decide = spy
+        try:
+            k, res = leftmost_feasible(h, i, j, values, start)
+        finally:
+            opt.decide = plain
+        searches.append(((i, j), values, k, decided))
+        return k, res
 
     monkeypatch.setattr(opt, "_event_signature", counting)
+    monkeypatch.setattr(opt, "_leftmost_feasible", recording)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         two_center(SimplePolygon(inst.polygon), inst.points)
-    assert len(calls) == 3
+    sigs = [sig for _r, sig in calls]
+    assert 2 <= len(sigs) <= 3
+    assert all(sig == sigs[0] for sig in sigs[:-1]) and sigs[-1] != sigs[0]
+    probes = [r for r, _sig in calls]
+    lo, hi = min(probes), max(probes)
+    # the second search of the probed pair is the one whose values hold
+    # the probes; the search before it is that pair's first
+    second = next(t for t, s in enumerate(searches) if lo in s[1])
+    pair, first_values, k, _ = searches[second - 1]
+    assert searches[second][0] == pair
+    out_lo = first_values[k - 1] if k else None
+    out_hi = first_values[k] if k < len(first_values) else None
+    allowed = {out_lo, out_hi, *probes}
+    assert set(searches[second][1]) <= allowed
+    assert searches[second][3] and set(searches[second][3]) <= allowed
+    assert out_lo is None or out_lo < lo and hi < out_hi
+
+
+@pytest.mark.parametrize("fam", FAMILIES)
+def test_search_starts_at_chain_floor(fam, monkeypatch):
+    # over the solve-16x8 instances, each search that returns starts at
+    # the first value that decide does not answer "chain-infeasible"
+    leftmost_feasible = opt._leftmost_feasible
+    seen = []
+
+    def recording(h, i, j, values, start):
+        got = leftmost_feasible(h, i, j, values, start)
+        seen.append((h, i, j, list(values), start))
+        return got
+
+    monkeypatch.setattr(opt, "_leftmost_feasible", recording)
+    for s in range(4):
+        inst = generate(fam, 16, 8, s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            try:
+                two_center(SimplePolygon(inst.polygon), inst.points)
+            except BoundaryAssemblyError:
+                pass
+    assert seen
+    for h, i, j, values, start in seen:
+        branches = [dec.decide(h, i, j, r).branch for r in values[:start + 1]]
+        assert branches[:start] == ["chain-infeasible"] * start
+        assert start == len(values) or branches[start] != "chain-infeasible"
 
 
 def test_optimize_axis_pair(qsym_hull):
