@@ -102,19 +102,22 @@ def _ring_param(h: GeodesicHull, p: Point2) -> float:
     return index.prefix[min(range(len(ring)), key=lambda s: dist(p, ring[s]))]
 
 
-def shared_vertex_decide(h: GeodesicHull, i: int, j: int, r: float):
-    """Witness centers whose disks both contain one of the four split
-    vertices, or None.  Free points are ordered by where the straight
-    extension of the path from the shared vertex meets the hull ring;
-    every prefix/suffix split of that order is tried on both sides.
-    """
-    pc = pair_chains(h, i, j)
-    region = h.region
-    tols = h.ambient.tol
-    tol = tols.check
+def _shared_vertex_orders(h: GeodesicHull,
+                          pc: PairChains) -> List[Tuple[Point2, List[Point2]]]:
+    """Each distinct split vertex of pc with the free points ordered by
+    where the straight extension of the path from it meets the hull
+    ring.  Nothing here depends on the radius, so the orders are built
+    once per pair and kept in the hull's pair cache under
+    ("orders", i, j)."""
+    cache = h._chain_cache
+    key = ("orders", pc.i, pc.j)
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
     vs = [h.extreme(pc.i), h.extreme(pc.i + 1), h.extreme(pc.j), h.extreme(pc.j + 1)]
     seen = set()
     ring_total = h.hull_region.ring_index.prefix[-1]
+    orders: List[Tuple[Point2, List[Point2]]] = []
     for vx in vs:
         if _key(vx) in seen:
             continue
@@ -126,7 +129,24 @@ def shared_vertex_decide(h: GeodesicHull, i: int, j: int, r: float):
             p = (_ring_param(h, hq) - base) % ring_total if ring_total > 0 else 0.0
             order.append((p, q))
         order.sort(key=lambda t: (t[0], t[1].x, t[1].y))
-        pts = [q for _p, q in order]
+        orders.append((vx, [q for _p, q in order]))
+    cache[key] = orders
+    return orders
+
+
+def shared_vertex_decide(h: GeodesicHull, i: int, j: int, r: float):
+    """Witness centers whose disks both contain one of the four split
+    vertices, or None.  Free points are ordered by where the straight
+    extension of the path from the shared vertex meets the hull ring;
+    every prefix/suffix split of that order is tried on both sides.
+    The orders are built once per pair (`_shared_vertex_orders`) and
+    read at every radius.
+    """
+    pc = pair_chains(h, i, j)
+    region = h.region
+    tols = h.ambient.tol
+    tol = tols.check
+    for vx, pts in _shared_vertex_orders(h, pc):
         m = len(pts)
         for flip in (False, True):
             for cut in range(m + 1):

@@ -141,12 +141,22 @@ def ring_elements_cw(ring) -> List[Element]:
 def _charts(region: Region, q: Point2, r: float):
     """Anchors of q's geodesic circle at radius r with their Euclidean
     radii, plus the straight extension segments bounding each anchor's
-    validity cell."""
+    validity cell.
+
+    The anchors are q itself and the ring corners that are polygon
+    vertices.  A shortest path in a simple polygon bends only at polygon
+    vertices (Guibas, Hershberger, Leven, Sharir and Tarjan 1987), so no
+    arc of q's circle is centered at any other corner, such as a point
+    of Q on a hull ring; such a corner gets no chart and no extension
+    segment."""
     q = Point2(q[0], q[1])
     charts: List[Tuple[Point2, float]] = [(q, r)]
     ext_segs: List[Tuple[Point2, Point2]] = []
     tree = region.tree(q)
+    vertices = region.tp.index
     for w in region.corners:
+        if _key(w) not in vertices:
+            continue
         R = r - tree.distance_to(w)
         if R <= 1e-12:
             continue
@@ -615,14 +625,16 @@ def one_center(space, pts: Sequence[Point2]) -> OneCenterResult:
     (`_equalize3`).  Raises CertificateError when a triple has neither.
     """
     region = _as_region(space)
-    uniq: List[Point2] = unique_points([Point2(p[0], p[1]) for p in pts])
-    if not uniq:
+    # the key drops exact duplicates as unique_points does, so a hit
+    # needs neither the Point2s nor the dedup
+    key = frozenset((p[0], p[1]) for p in pts)
+    if not key:
         raise ValueError("no points")
-    key = frozenset((p.x, p.y) for p in uniq)
     cache = region._onecenter_cache
     hit = cache.get(key)
     if hit is not None:
         return hit
+    uniq: List[Point2] = unique_points([Point2(p[0], p[1]) for p in pts])
 
     tol = region.tp.tol.near
 

@@ -3,13 +3,14 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from twocenter import disks
+from twocenter import decision, disks, driver
 from twocenter.disks import (CircArc, Seg, disk_contains, disks_intersection,
                              geodesic_circle, one_center)
-from twocenter.errors import CertificateError
-from twocenter.geom import TAU, Point2, dist
+from twocenter.errors import BoundaryAssemblyError, CertificateError
+from twocenter.geom import TAU, Point2, dist, unique_points
 from twocenter.hull import geodesic_hull
-from twocenter.instances import generate
+from twocenter.instances import FAMILIES, generate
+from twocenter.optimize import optimize_pair
 from twocenter.oracle import oracle_one_center
 from twocenter.polygon import SimplePolygon, triangulate
 from twocenter.region import Region
@@ -222,3 +223,167 @@ def test_membership_agrees_with_direct_distances(seed):
             assert max(reg.distance(x, s) for s in sites) <= r + 1e-6 * sc
             if isinstance(e, CircArc):
                 assert reg.distance(x, e.owner) == pytest.approx(r, abs=1e-6 * sc)
+
+
+def test_one_center_cache_key_ignores_order_and_duplicates(sq4_tp):
+    reg = Region(sq4_tp)
+    pts = [Point2(1, 1), Point2(3, 1.5), Point2(1.5, 3)]
+    first = one_center(reg, pts)
+    assert one_center(reg, pts[::-1]) is first
+    assert one_center(reg, pts + [pts[1], (1.0, 1.0)]) is first
+    with pytest.raises(ValueError):
+        one_center(reg, [])
+
+
+# -- the chart rule against the all-corner charts --------------------
+
+def _charts_all_corners(region, q, r):
+    """`disks._charts` with a chart at every ring corner, polygon vertex
+    or not: the slow reference for the vertex rule."""
+    q = Point2(q[0], q[1])
+    charts = [(q, r)]
+    ext_segs = []
+    tree = region.tree(q)
+    for w in region.corners:
+        R = r - tree.distance_to(w)
+        if R <= 1e-12 or dist(w, q) <= 1e-12:
+            continue
+        charts.append((w, R))
+        hit = tree.ext.get((w.x, w.y))
+        if hit is not None:
+            ext_segs.append((w, hit))
+    return charts, ext_segs
+
+
+def _joins(a, b, tol):
+    """a runs into b on one line or one circle."""
+    if dist(a.point(1.0), b.point(0.0)) > tol:
+        return False
+    if isinstance(a, Seg) and isinstance(b, Seg):
+        ux, uy = a.b.x - a.a.x, a.b.y - a.a.y
+        vx, vy = b.b.x - b.a.x, b.b.y - b.a.y
+        return (abs(ux * vy - uy * vx) <= 1e-9 * math.hypot(ux, uy) * math.hypot(vx, vy)
+                and ux * vx + uy * vy > 0)
+    if isinstance(a, CircArc) and isinstance(b, CircArc):
+        return a.anchor == b.anchor and a.radius == b.radius
+    return False
+
+
+def _join(a, b):
+    if isinstance(a, Seg):
+        return Seg(a.a, b.b)
+    return CircArc(a.anchor, a.radius, a.start, a.span + b.span, a.owner)
+
+
+def _merged(elements, tol):
+    """The cycle with consecutive pieces on one line or one circle joined."""
+    out = []
+    for e in elements:
+        if out and _joins(out[-1], e, tol):
+            out[-1] = _join(out[-1], e)
+        else:
+            out.append(e)
+    while len(out) > 1 and _joins(out[-1], out[0], tol):
+        out[0] = _join(out.pop(), out[0])
+    return out
+
+
+def _same_cycle(got, want, tols):
+    """The merged cycles agree piece by piece from some rotation: same
+    kind, endpoints within tols.join, lengths within 1e-9 relative (or
+    tols.radius, for sub-micron arcs whose spans differ in the last
+    ulps)."""
+    got, want = _merged(got, tols.join), _merged(want, tols.join)
+    if len(got) != len(want):
+        return False
+
+    def same(a, b):
+        return (type(a) is type(b)
+                and dist(a.point(0.0), b.point(0.0)) <= tols.join
+                and dist(a.point(1.0), b.point(1.0)) <= tols.join
+                and math.isclose(a.length(), b.length(), rel_tol=1e-9,
+                                 abs_tol=tols.radius))
+
+    n = len(got)
+    return any(all(same(got[k], want[(k + s) % n]) for k in range(n))
+               for s in range(n))
+
+
+def _scaled(cell):
+    """The triangulation and distinct sites of an instance, scaled as
+    `two_center` scales them."""
+    inst = generate(*cell)
+    poly = SimplePolygon(inst.polygon)
+    k = 2.0 ** round(math.log2(64.0 / poly.diameter))
+    tp = triangulate(SimplePolygon([(v.x * k, v.y * k) for v in poly.vertices]))
+    return tp, unique_points([Point2(q.x * k, q.y * k) for q in inst.points])
+
+
+def _intersection(reg, chain, r):
+    """`disks_intersection`, or the class of the error it raises: a chain
+    whose intersection raises under both chart rules agrees."""
+    try:
+        return disks_intersection(reg, chain, r)
+    except BoundaryAssemblyError as exc:
+        return type(exc)
+
+
+BENCH_CELLS = ([(f, 16, 8, s) for f in FAMILIES for s in range(4)]
+               + [(f, 48, 6, s) for f in FAMILIES for s in range(3)])
+# the first pair's search raises on these, after the decides it records
+FIRST_PAIR_RAISES = {("comb", 16, 8, 1), ("random", 16, 8, 1)}
+
+
+@pytest.mark.parametrize("cell", BENCH_CELLS, ids=lambda c: "{}/{}x{}/s{}".format(*c))
+def test_charts_only_at_polygon_vertices(cell, monkeypatch):
+    tp, pts = _scaled(cell)
+    h = geodesic_hull(tp, pts)
+    p = driver._by_balance(h, driver.candidate_pairs(h))[0]
+    decided = []
+    plain = decision._decide
+
+    def recording(hh, i, j, r):
+        res = plain(hh, i, j, r)
+        decided.append((i, j, r, res.feasible, res.branch))
+        return res
+
+    iv = driver.assistant_interval(h, [p])
+    with monkeypatch.context() as m:
+        m.setattr(decision, "_decide", recording)
+        if cell in FIRST_PAIR_RAISES:
+            with pytest.raises(BoundaryAssemblyError):
+                optimize_pair(h, p.i, p.j, iv)
+        else:
+            optimize_pair(h, p.i, p.j, iv)
+    assert decided
+
+    reg = h.hull_region
+    pc = decision.pair_chains(h, p.i, p.j)
+    for _i, _j, r, _f, _b in decided:
+        for q in pc.chain1 + pc.chain2 + pc.free:
+            charts, ext_segs = disks._charts(reg, q, r)
+            assert charts[0] == (q, r)
+            assert all((w.x, w.y) in tp.index for w, _R in charts[1:])
+            ref_charts, ref_segs = _charts_all_corners(reg, q, r)
+            assert charts[1:] == [c for c in ref_charts[1:] if (c[0].x, c[0].y) in tp.index]
+            assert ext_segs == [s for s in ref_segs if (s[0].x, s[0].y) in tp.index]
+        if r >= h.hull_center().radius - tp.tol.radius:
+            continue    # decide answers from the hull disk, no intersection
+        got = [_intersection(reg, c, r) for c in (pc.chain1, pc.chain2)]
+        with monkeypatch.context() as m:
+            m.setattr(disks, "_charts", _charts_all_corners)
+            want = [_intersection(reg, c, r) for c in (pc.chain1, pc.chain2)]
+        for g, w in zip(got, want):
+            if any(x is None or isinstance(x, type) for x in (g, w)):
+                assert g is w, (cell, r)
+            else:
+                assert g.point == w.point
+                if not g.is_point:
+                    assert _same_cycle(g.elements, w.elements, tp.tol), (cell, r)
+
+    # the cascade answers the same on a fresh hull with every corner charted
+    monkeypatch.setattr(disks, "_charts", _charts_all_corners)
+    h_ref = geodesic_hull(tp, pts)
+    for i, j, r, feasible, branch in decided:
+        res = decision._decide(h_ref, i, j, r)
+        assert (res.feasible, res.branch) == (feasible, branch), (cell, r)

@@ -5,6 +5,7 @@ import warnings
 import pytest
 
 from twocenter import decision, driver, region
+from twocenter.cli import make_record, verify_record
 from twocenter.decision import decide
 from twocenter.driver import (CandidatePair, assistant_interval, candidate_pairs,
                               two_center)
@@ -232,6 +233,15 @@ def test_convex_16x32_s0_solves():
     inst = generate("convex", 16, 32, 0)
     sol = two_center(SimplePolygon(inst.polygon), inst.points)
     assert math.isclose(sol.radius, 24.84884635052105, rel_tol=1e-9)
+
+
+def test_comb_16x32_s0_solves():
+    # raised "cycle not closed: gap 0.0257" from disks._assemble while
+    # every hull corner got a chart circle; no radius is asserted, since
+    # the exact reference would need 2^31 splits
+    inst = generate("comb", 16, 32, 0)
+    sol = two_center(SimplePolygon(inst.polygon), inst.points)
+    verify_record(inst, make_record(sol, inst.points, 0))
 
 
 @pytest.mark.parametrize("cell", [("star", 12, 6, 2), ("comb", 16, 8, 2),
