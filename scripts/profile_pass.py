@@ -15,12 +15,12 @@ walks expanded (`SiteMap._expand`), against the triangles of all the maps
 built, which shows how much of each map its queries needed, the
 `seg_point_distance` calls, the `RingIndex` queries by kind (classify,
 near), the `decide` calls with how many of them computed a fresh
-`chain_side` (one its hull's side cache did not hold yet), the chart
+`chain_side` (one its hull's side cache did not hold yet), and the chart
 circles `disks._charts` built around ring corners against the corners it
-was offered, and the `Region.extension_point` calls.  The second
-pass runs under cProfile; the script prints its top N functions by the
-chosen sort key, then the counts of the first pass.  An operation that raises is counted by error class and
-skipped, as the benchmark counts it.
+was offered.  The second pass runs under cProfile; the script prints its
+top N functions by the chosen sort key, then the counts of the first
+pass.  An operation that raises is counted by error class and skipped,
+as the benchmark counts it.
 """
 import argparse
 import cProfile
@@ -79,8 +79,8 @@ def counting_pass(ops, anchor: Repeats, inter: Repeats, maps: Expansion,
     """Run ops with the counted functions wrapped; returns `run`'s error
     count.  `calls` counts `seg_point_distance`, the `RingIndex` queries,
     the `decide` calls and those of them that grew their hull's side
-    cache, the `_charts` calls with their corner circles and the ring
-    corners offered, and the `extension_point` calls."""
+    cache, and the `_charts` calls with their corner circles and the ring
+    corners offered."""
     plain_anchor = region.SiteMap._anchor
     plain_inter = disks.disks_intersection
     plain_init = region.SiteMap.__init__
@@ -90,7 +90,6 @@ def counting_pass(ops, anchor: Repeats, inter: Repeats, maps: Expansion,
     plain_near = geom.RingIndex.near
     plain_decide = decision.decide
     plain_charts = disks._charts
-    plain_extension = region.Region.extension_point
 
     def counted_anchor(self, x):
         anchor.note((id(self), x[0], x[1]))
@@ -136,10 +135,6 @@ def counting_pass(ops, anchor: Repeats, inter: Repeats, maps: Expansion,
         calls["charts.corners"] += len(reg.corners)
         return charts, ext_segs
 
-    def counted_extension(self, frm, to):
-        calls["extension_point"] += 1
-        return plain_extension(self, frm, to)
-
     mods = [m for name, m in list(sys.modules.items()) if name.startswith("twocenter.")]
     holders = [m for m in mods if getattr(m, "disks_intersection", None) is plain_inter]
     spd_holders = [m for m in mods if getattr(m, "seg_point_distance", None) is plain_spd]
@@ -150,7 +145,6 @@ def counting_pass(ops, anchor: Repeats, inter: Repeats, maps: Expansion,
     geom.RingIndex.classify = counted_classify
     geom.RingIndex.near = counted_near
     disks._charts = counted_charts
-    region.Region.extension_point = counted_extension
     for m in holders:
         m.disks_intersection = counted_inter
     for m in spd_holders:
@@ -166,7 +160,6 @@ def counting_pass(ops, anchor: Repeats, inter: Repeats, maps: Expansion,
         geom.RingIndex.classify = plain_classify
         geom.RingIndex.near = plain_near
         disks._charts = plain_charts
-        region.Region.extension_point = plain_extension
         for m in holders:
             m.disks_intersection = plain_inter
         for m in spd_holders:
@@ -228,7 +221,6 @@ def main() -> int:
           f"a fresh chain_side")
     print(f"_charts: {calls['charts']} calls, {calls['charts.circles']} corner circles "
           f"built of {calls['charts.corners']} ring corners offered")
-    print(f"Region.extension_point: {calls['extension_point']} calls")
     return 0
 
 

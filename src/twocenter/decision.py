@@ -3,7 +3,7 @@
 decide(h, i, j, r) answers whether two geodesic disks of radius r can
 cover Q so that disk 1 contains the extreme chain v_{j+1}..v_i and disk 2
 contains v_{i+1}..v_j.  The cascade runs top to bottom, certain exits
-first: whole-hull disk, chain one-centers, shared-vertex search,
+first: whole-hull disk, chain one-centers, shared-vertex witness,
 interior-free exit, empty or pinched intersections, forced points.  Then
 one stage runs, chosen by which sides have events: "no-events",
 "one-side-quiet", or the three-cursor "scan" from either side.  When it
@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .disks import (ArcBoundary, Event, compute_events, disks_intersection,
                     one_center)
 from .errors import CertificateError, InvalidPair
-from .geom import Point2, dist, seg_point_distance
+from .geom import Point2, dist, seg_point_distance, unique_points
 from .hull import GeodesicHull
 from .region import Key, Region, _key
 
@@ -85,84 +85,30 @@ def _coverage_ok(region: Region, pc: PairChains, r: float,
                for sq in map(region.site_map, pc.free))
 
 
-# -- shared-vertex search ---------------------------------------------
-
-def _ring_param(h: GeodesicHull, p: Point2) -> float:
-    """Clockwise length coordinate of a point on the hull ring: on the
-    first segment of positive length within tol.check of p, else at the
-    nearest ring vertex."""
-    ring = h.ring
-    index = h.hull_region.ring_index
-    for s in index.near(p, h.ambient.tol.check):
-        a, b = index.segs[s]
-        L = dist(a, b)
-        if L > 0:
-            t = ((p.x - a.x) * (b.x - a.x) + (p.y - a.y) * (b.y - a.y)) / (L * L)
-            return index.prefix[s] + max(0.0, min(1.0, t)) * L
-    return index.prefix[min(range(len(ring)), key=lambda s: dist(p, ring[s]))]
-
-
-def _shared_vertex_orders(h: GeodesicHull,
-                          pc: PairChains) -> List[Tuple[Point2, List[Point2]]]:
-    """Each distinct split vertex of pc with the free points ordered by
-    where the straight extension of the path from it meets the hull
-    ring.  Nothing here depends on the radius, so the orders are built
-    once per pair and kept in the hull's pair cache under
-    ("orders", i, j)."""
-    cache = h._chain_cache
-    key = ("orders", pc.i, pc.j)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    vs = [h.extreme(pc.i), h.extreme(pc.i + 1), h.extreme(pc.j), h.extreme(pc.j + 1)]
-    seen = set()
-    ring_total = h.hull_region.ring_index.prefix[-1]
-    orders: List[Tuple[Point2, List[Point2]]] = []
-    for vx in vs:
-        if _key(vx) in seen:
-            continue
-        seen.add(_key(vx))
-        base = _ring_param(h, vx)
-        order: List[Tuple[float, Point2]] = []
-        for q in pc.free:
-            hq = h.hull_region.extension_point(vx, q)
-            p = (_ring_param(h, hq) - base) % ring_total if ring_total > 0 else 0.0
-            order.append((p, q))
-        order.sort(key=lambda t: (t[0], t[1].x, t[1].y))
-        orders.append((vx, [q for _p, q in order]))
-    cache[key] = orders
-    return orders
-
+# -- shared-vertex witness ---------------------------------------------
 
 def shared_vertex_decide(h: GeodesicHull, i: int, j: int, r: float):
     """Witness centers whose disks both contain one of the four split
-    vertices, or None.  Free points are ordered by where the straight
-    extension of the path from the shared vertex meets the hull ring;
-    every prefix/suffix split of that order is tried on both sides.
-    The orders are built once per pair (`_shared_vertex_orders`) and
-    read at every radius.
+    vertices while one of them takes every free point, or None.  It
+    answers before any disk intersection is built, which a hull ring
+    that turns left at an extreme (`tests/test_hull.py`) can make raise
+    BoundaryAssemblyError.
     """
     pc = pair_chains(h, i, j)
     region = h.region
     tols = h.ambient.tol
-    tol = tols.check
-    for vx, pts in _shared_vertex_orders(h, pc):
-        m = len(pts)
-        for flip in (False, True):
-            for cut in range(m + 1):
-                pre = pts[:cut]
-                suf = pts[cut:]
-                s1, s2 = (suf, pre) if not flip else (pre, suf)
-                set1 = list(pc.chain1) + [vx] + list(s1)
-                set2 = list(pc.chain2) + [vx] + list(s2)
-                d1 = one_center(region, set1)
-                if d1.radius > r + tols.radius:
-                    continue
-                d2 = one_center(region, set2)
-                if d2.radius > r + tols.radius:
-                    continue
-                if _coverage_ok(region, pc, r, d1.center, d2.center, tol):
-                    return d1.center, d2.center
+    free = list(pc.free)
+    for vx in unique_points([h.extreme(i), h.extreme(i + 1),
+                             h.extreme(j), h.extreme(j + 1)]):
+        for s1, s2 in ((free, []), ([], free)):
+            d1 = one_center(region, list(pc.chain1) + [vx] + s1)
+            if d1.radius > r + tols.radius:
+                continue
+            d2 = one_center(region, list(pc.chain2) + [vx] + s2)
+            if d2.radius > r + tols.radius:
+                continue
+            if _coverage_ok(region, pc, r, d1.center, d2.center, tols.check):
+                return d1.center, d2.center
     return None
 
 

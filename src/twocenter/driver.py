@@ -256,17 +256,10 @@ def two_center(poly: SimplePolygon, points: Sequence) -> TwoCenterSolution:
     else:
         spts = pts
     sol = _solve_on(triangulate(poly), spts)
-    if scale != 1.0:
-        inv = 1.0 / scale
-        assign = {}
-        for q in pts:
-            key = (q.x * scale, q.y * scale)
-            assign[(q.x, q.y)] = sol.assignment.get(key, 1)
-        sol = TwoCenterSolution(
-            Point2(sol.c1.x * inv, sol.c1.y * inv),
-            Point2(sol.c2.x * inv, sol.c2.y * inv),
-            sol.radius * inv, sol.pair, assign, sol.branch_stats)
-    else:
-        assign = {(q.x, q.y): sol.assignment.get((q.x, q.y), 1) for q in pts}
-        sol.assignment = assign
-    return sol
+    inv = 1.0 / scale
+    assign = {(q.x, q.y): sol.assignment.get((q.x * scale, q.y * scale), 1)
+              for q in pts}
+    return TwoCenterSolution(
+        Point2(sol.c1.x * inv, sol.c1.y * inv),
+        Point2(sol.c2.x * inv, sol.c2.y * inv),
+        sol.radius * inv, sol.pair, assign, sol.branch_stats)

@@ -278,11 +278,9 @@ class RingIndex:
 
     Segment s runs from ring[s] to ring[s + 1] (cyclically) and `segs[s]`
     holds its ends.  `rows[r]` lists, in index order, the segments whose
-    y-range meets grid row r, and `prefix[s]` is the ring's length up to
-    ring[s], summed in segment order from 0.0 (`prefix[-1]` is the whole
-    length).  `classify` and `near` give the answers of the whole-ring
-    scans (`ring_contains`, a `seg_point_distance` test per segment) bit
-    for bit.
+    y-range meets grid row r.  `classify` and `near` give the answers of
+    the whole-ring scans (`ring_contains`, a `seg_point_distance` test per
+    segment) bit for bit.
     """
 
     def __init__(self, ring):
@@ -296,11 +294,6 @@ class RingIndex:
         for s, (_x0, y0, _x1, y1) in enumerate(self.boxes):
             for r in range(grid.cell(y0, 1), grid.cell(y1, 1) + 1):
                 self.rows[r].append(s)
-        self.prefix = [0.0]
-        acc = 0.0
-        for a, b in self.segs:
-            acc += dist(a, b)
-            self.prefix.append(acc)
         self._slack = 1e-15 * max(1.0, *(abs(c) for c in box))
 
     def _meeting(self, p, eps: float):

@@ -42,10 +42,8 @@ class GeodesicHull:
                 self.boundary_points.append(q)
         self._radius_cache: Dict[Tuple[int, int], float] = {}
         self._hull_center: Optional[OneCenterResult] = None
-        # decision.pair_chains results keyed by (i, j), and the
-        # shared-vertex orders of decision._shared_vertex_orders keyed by
-        # ("orders", i, j)
-        self._chain_cache: Dict[tuple, object] = {}
+        # decision.pair_chains results keyed by (i, j)
+        self._chain_cache: Dict[Tuple[int, int], object] = {}
 
     def extreme(self, i: int) -> Point2:
         return self.extremes[i % self.k]

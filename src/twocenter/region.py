@@ -261,9 +261,8 @@ class Region:
     cached on the TriangulatedPolygon instead, in `tp._site_maps` and
     `tp._path_cache`, and shared by every Region over it.  The map that
     answers a two-point path is not kept.  Per-pair results live on the
-    GeodesicHull, in `h._chain_cache`: `decision.pair_chains` by (i, j),
-    and the radius-free free-point orders of
-    `decision.shared_vertex_decide` by ("orders", i, j).  A Region lives
+    GeodesicHull, in `h._chain_cache`: `decision.pair_chains` by (i, j).
+    A Region lives
     as long as its holder: `Region.of(tp)` keeps the polygon's own on tp
     and a GeodesicHull keeps its ring's, so within one solve every cache
     lives as long as the solve's TriangulatedPolygon.

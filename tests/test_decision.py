@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 import twocenter.decision as dec
 import twocenter.disks as disks
 import twocenter.optimize as opt
-import twocenter.region as region
 from twocenter.driver import two_center
 from twocenter.errors import BoundaryAssemblyError, CertificateError, InvalidPair
 from twocenter.disks import disks_intersection, one_center
@@ -323,39 +322,3 @@ def test_chain_side_tags_an_arcless_side():
     assert got == ("noarcs", None)
     assert dec.chain_side(h, pc, pc.chain1, r) is got
     assert dec.decide(h, 1, 5, r).branch == "no-arc-anomaly"
-
-
-def test_shared_vertex_orders_built_once_per_pair(monkeypatch):
-    # convex/16x8/s0, its first pair: three free points, and the search
-    # runs at all three radii (the first finds no shared-vertex witness)
-    inst = generate("convex", 16, 8, 0)
-
-    def hull():
-        tp = triangulate(SimplePolygon(inst.polygon))
-        return geodesic_hull(tp, _uniq(inst.points))
-
-    h = hull()
-    i, j = 2, 4
-    pc = dec.pair_chains(h, i, j)
-    assert len(pc.free) == 3
-    lo = max(one_center(h.region, c).radius for c in (pc.chain1, pc.chain2))
-    hi = h.hull_center().radius
-    radii = [lo + f * (hi - lo) for f in (0.2, 0.5, 0.8)]
-    calls = []
-    plain = region.Region.extension_point
-
-    def counting(self, frm, to):
-        calls.append((frm, to))
-        return plain(self, frm, to)
-
-    monkeypatch.setattr(region.Region, "extension_point", counting)
-    counts = []
-    for r in radii:
-        res = dec.decide(h, i, j, r)
-        counts.append(len(calls))
-        fresh = dec.decide(hull(), i, j, r)
-        assert (res.feasible, res.branch, res.centers) == \
-            (fresh.feasible, fresh.branch, fresh.centers)
-        del calls[counts[-1]:]    # the fresh hull's own orders
-    assert counts[0] > 0
-    assert counts == [counts[0]] * 3
