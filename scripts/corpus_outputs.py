@@ -45,23 +45,25 @@ def outcome(inst) -> dict:
     }
 
 
-def main() -> None:
+def write_outputs(cells) -> None:
+    """Solve the four families at every (n, m, seeds) cell and write the
+    outcomes to the path given as the one argument."""
     if len(sys.argv) != 2:
-        sys.exit("usage: corpus_outputs.py OUT.json")
+        sys.exit(f"usage: {os.path.basename(sys.argv[0])} OUT.json")
     out = {}
     t0 = time.perf_counter()
-    for n, m, seeds in CELLS:
+    for n, m, seeds in cells:
         for fam in FAMILIES:
             for s in seeds:
                 key = f"{fam}/{n}x{m}/s{s}"
                 out[key] = outcome(generate(fam, n, m, s))
                 print(key, out[key].get("error") or float.fromhex(out[key]["radius"]),
                       flush=True)
-    print(f"corpus wall time {time.perf_counter() - t0:.1f} s", file=sys.stderr)
+    print(f"wall time {time.perf_counter() - t0:.1f} s", file=sys.stderr)
     with open(sys.argv[1], "w") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
 if __name__ == "__main__":
-    main()
+    write_outputs(CELLS)

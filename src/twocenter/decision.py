@@ -5,9 +5,8 @@ cover Q so that disk 1 contains the extreme chain v_{j+1}..v_i and disk 2
 contains v_{i+1}..v_j.  The cascade runs top to bottom, certain exits
 first: whole-hull disk, chain one-centers, shared-vertex witness,
 interior-free exit, empty or pinched intersections, forced points.  Then
-one stage runs, chosen by which sides have events: "no-events",
-"one-side-quiet", or the three-cursor "scan" from either side.  When it
-finds no witness, exhaustive split enumeration settles the answer; above
+the "one-side-quiet" witness is tried from either side.  When it finds
+none, exhaustive split enumeration settles the answer; above
 SPLIT_ENUM_CAP free points nothing settles it and CertificateError is
 raised.
 """
@@ -16,10 +15,9 @@ from __future__ import annotations
 from collections import Counter
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .disks import (ArcBoundary, Event, compute_events, disks_intersection,
-                    one_center)
+from .disks import compute_events, disks_intersection, one_center
 from .errors import CertificateError, InvalidPair
 from .geom import Point2, dist, seg_point_distance, unique_points
 from .hull import GeodesicHull
@@ -112,67 +110,12 @@ def shared_vertex_decide(h: GeodesicHull, i: int, j: int, r: float):
     return None
 
 
-# -- events with a verified reference point ---------------------------
+# -- sides of the chain intersections ---------------------------------
 
 @dataclass
 class SideData:
-    events: List[Event]
+    events: List[Tuple[Point2, str]]
     sides: Dict[Key, str]
-    ref_pos: Point2
-    total: float
-
-
-def _prepare_side(region: Region, boundary: ArcBoundary,
-                  interior: Sequence[Point2]) -> SideData:
-    """Events of the interior points on a boundary that has at least one
-    arc, measured from a reference point that no covered span holds."""
-    arcs = boundary.arcs()
-    e0 = arcs[0][0]
-    p0 = boundary.elements[e0].point(0.0)
-    events, sides = compute_events(region, boundary, interior, e0, p0)
-    total = boundary.total_length()
-    spans: List[Tuple[float, float]] = []
-    by_owner: Dict[Key, List[Event]] = {}
-    for e in events:
-        by_owner.setdefault(_key(e.owner), []).append(e)
-    for k_, evs in by_owner.items():
-        ins = [e.param for e in evs if e.flag == "in"]
-        outs = [e.param for e in evs if e.flag == "out"]
-        for a, b in zip(ins, outs):
-            spans.append((a, b))
-    # a reference point must not sit strictly inside any covered span
-    cum = boundary.cum_lengths()
-    base = cum[e0]
-
-    def rel(s: float) -> float:
-        return (s - base) % total if total > 0 else 0.0
-
-    cands: List[float] = []
-    for idx, arc in arcs:
-        cands.append(rel(cum[idx]))
-        cands.append(rel(cum[idx] + arc.length()))
-    cands.extend(e.param for e in events)
-    tol = region.tp.tol.near
-
-    def violations(p: float) -> int:
-        n = 0
-        for a, b in spans:
-            width = (b - a) % total if total > 0 else 0.0
-            off = (p - a) % total if total > 0 else 0.0
-            if tol < off < width - tol:
-                n += 1
-        return n
-
-    cands = sorted(set(c % total if total > 0 else 0.0 for c in cands))
-    best = min(cands, key=lambda p: (violations(p), p))
-    ref_param = best
-    # locate the reference position on the boundary
-    ref_pos = _pos_at_param(boundary, (ref_param + base) % total if total > 0 else 0.0)
-    shifted = [Event(e.position, e.owner, e.flag,
-                     (e.param - ref_param) % total if total > 0 else 0.0)
-               for e in events]
-    shifted.sort(key=lambda e: (e.param, e.flag == "out", e.owner.x, e.owner.y))
-    return SideData(shifted, sides, ref_pos, total)
 
 
 def chain_side(h: GeodesicHull, pc: PairChains, chain: Tuple[Point2, ...],
@@ -197,149 +140,37 @@ def chain_side(h: GeodesicHull, pc: PairChains, chain: Tuple[Point2, ...],
         elif not b.arcs():
             hit = ("noarcs", None)
         else:
-            hit = ("arcs", _prepare_side(h.region, b, pc.free))
+            hit = ("arcs", SideData(*compute_events(h.region, b, pc.free)))
         cache[key] = hit
     return hit
 
 
-def _pos_at_param(boundary: ArcBoundary, param: float) -> Point2:
-    cum = boundary.cum_lengths()
-    total = cum[-1]
-    if total <= 0:
-        return boundary.elements[0].point(0.0)
-    param %= total
-    for idx, e in enumerate(boundary.elements):
-        if param <= cum[idx + 1] + 1e-15:
-            L = e.length()
-            t = 0.0 if L <= 0 else (param - cum[idx]) / L
-            return e.point(max(0.0, min(1.0, t)))
-    return boundary.elements[-1].point(1.0)
-
-
-# -- three-cursor scan -------------------------------------------------
-
-def scan_decide(region: Region, pc: PairChains, r: float,
-                side1: SideData, side2: SideData, tol: float):
-    """Walk c1 clockwise over side 1's events while two side-2 cursors
-    chase clockwise and counterclockwise; test full coverage of the free
-    points at every stop.  Returns witness centers or None."""
-    free = list(pc.free)
-    keys = [_key(q) for q in free]
-    qmap = {k_: q for k_, q in zip(keys, free)}
-    M1, M2 = side1.events, side2.events
-    ev2 = {}
-    for e in M2:
-        ev2.setdefault(_key(e.owner), {})[e.flag] = e
-
-    pos1 = side1.ref_pos
-    pos2c = side2.ref_pos
-    pos2cc = side2.ref_pos
-
-    in1 = {k_: region.site_map(qmap[k_]).distance(pos1) <= r + tol for k_ in keys}
-    in2c = {k_: region.site_map(qmap[k_]).distance(pos2c) <= r + tol for k_ in keys}
-    in2cc = dict(in2c)
-
-    def check() -> Optional[Tuple[Point2, Point2]]:
-        if all(in1[k_] or in2c[k_] for k_ in keys):
-            if _coverage_ok(region, pc, r, pos1, pos2c, tol):
-                return pos1, pos2c
-        if all(in1[k_] or in2cc[k_] for k_ in keys):
-            if _coverage_ok(region, pc, r, pos1, pos2cc, tol):
-                return pos1, pos2cc
-        return None
-
-    hit = check()
-    if hit:
-        return hit
-
-    i2c = 0
-    i2cc = len(M2) - 1
-
-    def param2c() -> float:
-        return 0.0 if i2c == 0 else M2[i2c - 1].param
-
-    def param2cc() -> float:
-        return side2.total if i2cc == len(M2) - 1 else M2[i2cc + 1].param
-
-    def chase_cw(target: Event) -> Optional[Tuple[Point2, Point2]]:
-        nonlocal i2c, pos2c
-        if param2c() > target.param + 1e-12:
-            return None
-        while i2c < len(M2):
-            y = M2[i2c]
-            if y.param > target.param + 1e-12:
-                break
-            i2c += 1
-            pos2c = y.position
-            if y.flag == "in":
-                in2c[_key(y.owner)] = True
-            hit = check()
-            if hit:
-                return hit
-            if y is target:
-                break
-            if y.flag == "out":
-                in2c[_key(y.owner)] = False
-        return None
-
-    def chase_ccw(target: Event) -> Optional[Tuple[Point2, Point2]]:
-        nonlocal i2cc, pos2cc
-        if param2cc() < target.param - 1e-12:
-            return None
-        while i2cc >= 0:
-            y = M2[i2cc]
-            if y.param < target.param - 1e-12:
-                break
-            i2cc -= 1
-            pos2cc = y.position
-            if y.flag == "out":
-                in2cc[_key(y.owner)] = True
-            hit = check()
-            if hit:
-                return hit
-            if y is target:
-                break
-            if y.flag == "in":
-                in2cc[_key(y.owner)] = False
-        return None
-
-    for x in M1:
-        pos1 = x.position
-        kx = _key(x.owner)
-        if x.flag == "in":
-            in1[kx] = True
-            hit = check()
-            if hit:
-                return hit
+def one_side_witness(region: Region, pc: PairChains, r: float,
+                     sides: Tuple[Dict[Key, str], Dict[Key, str]],
+                     forced: Tuple[List[Point2], List[Point2]]):
+    """Witness centers built from one side a, tried with a = chain 1 and
+    then with a = chain 2, or None.  sides[t] and forced[t] belong to
+    chain t + 1: its free points' classifications on that chain's arcs,
+    and the free points only that chain's disk can reach.  Disk b takes
+    forced[b] and the points whose disks miss side a's arcs entirely;
+    disk a takes whatever disk b's one-center leaves uncovered.
+    """
+    tols = region.tp.tol
+    chains = (pc.chain1, pc.chain2)
+    for a, b in ((0, 1), (1, 0)):
+        need = {_key(q) for q in forced[b]}
+        pts = [q for q in pc.free
+               if _key(q) in need or sides[a].get(_key(q)) == "disjoint"]
+        ocb = one_center(region, list(chains[b]) + pts)
+        if ocb.radius > r + tols.radius:
             continue
-        # an Out event: x.owner is about to fall out of disk 1
-        hit = check()
-        if hit:
-            return hit
-        side = side2.sides.get(kx)
-        if side == "events":
-            tgt = ev2.get(kx, {})
-            if not (in2c.get(kx) and param2c() <= tgt.get("out", x).param):
-                t_in = tgt.get("in")
-                if t_in is not None:
-                    hit = chase_cw(t_in)
-                    if hit:
-                        return hit
-            t_out = tgt.get("out")
-            if t_out is not None and not in2cc.get(kx):
-                hit = chase_ccw(t_out)
-                if hit:
-                    return hit
-        elif side == "disjoint" and not in2c.get(kx) and not in2cc.get(kx):
-            # nobody else can serve x.owner once c1 moves on
-            return check()
-        if param2c() > param2cc() + 1e-12:
-            return check()
-        in1[kx] = False
-        hit = check()
-        if hit:
-            return hit
-    return check()
+        rest = [q for q in pc.free
+                if region.site_map(q).distance(ocb.center) > r + tols.check]
+        ca = one_center(region, list(chains[a]) + rest).center
+        c1, c2 = (ca, ocb.center) if a == 0 else (ocb.center, ca)
+        if _coverage_ok(region, pc, r, c1, c2, tols.check):
+            return c1, c2
+    return None
 
 
 # -- the cascade -------------------------------------------------------
@@ -432,60 +263,21 @@ def _decide(h: GeodesicHull, i: int, j: int, r: float) -> DecisionResult:
     for q in forced2:
         if _key(q) in fk1:
             return DecisionResult(False, "separated-point")
-    ocf1 = one_center(region, list(pc.chain1) + forced1)
-    if ocf1.radius > r + eps:
-        return DecisionResult(False, "forced-overload")
-    ocf2 = one_center(region, list(pc.chain2) + forced2)
-    if ocf2.radius > r + eps:
+    if any(one_center(region, list(c) + f).radius > r + eps
+           for c, f in ((pc.chain1, forced1), (pc.chain2, forced2))):
         return DecisionResult(False, "forced-overload")
 
-    # one stage, chosen by which sides have events; `found` labels a
-    # witness that only split enumeration finds
-    if not s1.events and not s2.events:
-        stage = found = "no-events"
-        for c1p, c2p in ((s1.ref_pos, s2.ref_pos), (ocf1.center, ocf2.center)):
-            if _coverage_ok(region, pc, r, c1p, c2p, tol):
-                return DecisionResult(True, stage, (c1p, c2p))
-    elif not s1.events or not s2.events:
-        # disks around the quiet side a never cross its arcs; points its
-        # disks miss entirely must all fit in the other side's disk
-        stage = found = "one-side-quiet"
-        flip = not s2.events
-        sa, ca, cb, forced_b = ((s2, pc.chain2, pc.chain1, forced1) if flip
-                                else (s1, pc.chain1, pc.chain2, forced2))
-        need = {_key(q) for q in pc.free if sa.sides.get(_key(q)) == "disjoint"}
-        need |= {_key(q) for q in forced_b}
-        pts = [q for q in pc.free if _key(q) in need]
-        oc = one_center(region, list(cb) + pts)
-        if oc.radius <= r + eps:
-            rest = [q for q in pc.free
-                    if region.site_map(q).distance(oc.center) > r + tol]
-            oca = one_center(region, list(ca) + rest)
-            for c_a in (oca.center, sa.ref_pos):
-                c1c, c2c = (oc.center, c_a) if flip else (c_a, oc.center)
-                if _coverage_ok(region, pc, r, c1c, c2c, tol):
-                    return DecisionResult(True, stage, (c1c, c2c))
-    else:
-        stage, found = "scan", "split-enum"
-        for flip in (False, True):
-            pcs, sa, sb = (_swap(pc), s2, s1) if flip else (pc, s1, s2)
-            hit = scan_decide(region, pcs, r, sa, sb, tol)
-            if hit is not None:
-                c1c, c2c = hit[::-1] if flip else hit
-                return DecisionResult(True, stage, (c1c, c2c))
-
+    hit = one_side_witness(region, pc, r, (s1.sides, s2.sides), (forced1, forced2))
+    if hit is not None:
+        return DecisionResult(True, "one-side-quiet", hit)
     if len(pc.free) > SPLIT_ENUM_CAP:
         raise CertificateError(
             f"pair ({i},{j}) at r={r}: {len(pc.free)} free points exceed "
-            f"SPLIT_ENUM_CAP={SPLIT_ENUM_CAP} and the scan found no witness")
+            f"SPLIT_ENUM_CAP={SPLIT_ENUM_CAP} and no one-side witness covers Q")
     hit = _split_enumerate(region, pc, r, tol)
     if hit is not None:
-        return DecisionResult(True, found, hit)
-    return DecisionResult(False, stage)
-
-
-def _swap(pc: PairChains) -> PairChains:
-    return PairChains(pc.j, pc.i, pc.chain2, pc.chain1, pc.free)
+        return DecisionResult(True, "split-enum", hit)
+    return DecisionResult(False, "one-side-quiet")
 
 
 def _split_enumerate(region: Region, pc: PairChains, r: float, tol: float):

@@ -93,27 +93,8 @@ class ArcBoundary:
     def is_point(self) -> bool:
         return self.point is not None
 
-    def arcs(self) -> List[Tuple[int, CircArc]]:
-        return [(i, e) for i, e in enumerate(self.elements)
-                if isinstance(e, CircArc)]
-
-    def total_length(self) -> float:
-        return sum(e.length() for e in self.elements)
-
-    def cum_lengths(self) -> List[float]:
-        out = [0.0]
-        for e in self.elements:
-            out.append(out[-1] + e.length())
-        return out
-
-
-@dataclass(frozen=True)
-class Event:
-    """Boundary-crossing marker of one interior point's disk on the arcs."""
-    position: Point2
-    owner: Point2
-    flag: str              # "in" | "out"
-    param: float           # clockwise length from the reference point
+    def arcs(self) -> List[CircArc]:
+        return [e for e in self.elements if isinstance(e, CircArc)]
 
 
 @dataclass(frozen=True)
@@ -411,82 +392,38 @@ def disk_contains(tp: TriangulatedPolygon, c, r: float, x) -> bool:
 # -- events on an arc boundary ----------------------------------------
 
 def compute_events(region: Region, boundary: ArcBoundary,
-                   interior: Sequence[Point2], ref_elem: int, ref_pos: Point2):
+                   interior: Sequence[Point2]):
     """Events of each interior point's disk on the boundary's arcs; the
     boundary has at least one arc.
 
-    Returns (events, sides): events sorted by clockwise length from the
-    reference position; sides maps each point's key to "covers",
-    "disjoint", or "events".  Coverage transitions are taken at true
-    crossings (distance = radius) and at arc junctions where a covered
-    arc run is truncated by a non-arc piece of the boundary.
+    Returns (events, sides): sides maps each point's key to "covers",
+    "disjoint", or "events"; events holds one (point, "in") and one
+    (point, "out") pair for each maximal run of arc material, taken in
+    cyclic order over the arcs, that an "events" point's disk covers.
+    The arcs are cut at true crossings (distance = radius).
     """
     r = boundary.radius
     tol = region.tp.tol.check
     arcs = boundary.arcs()
-    cum = boundary.cum_lengths()
-    total = boundary.total_length()
-    ref_abs = cum[ref_elem] + _param_on_elem(boundary.elements[ref_elem], ref_pos)
-
-    def rel(p_abs: float) -> float:
-        return (p_abs - ref_abs) % total if total > 0 else 0.0
-
-    events: List[Event] = []
+    events: List[Tuple[Point2, str]] = []
     sides: Dict[Tuple[float, float], str] = {}
     for q in interior:
         q = Point2(q[0], q[1])
         charts, _ = _charts(region, q, r)
         # split every arc at q's circle crossings, classify sub-arcs
-        runs: List[Tuple[int, Element, bool]] = []
-        for idx, arc in arcs:
-            ts = _cut_points_on_elem(arc, charts)
-            for s in _split_elem(arc, ts):
-                runs.append((idx, s, _within(region, q, s.point(0.5), r, tol)))
-        if all(c for (_i, _s, c) in runs):
+        covered = [_within(region, q, s.point(0.5), r, tol)
+                   for arc in arcs
+                   for s in _split_elem(arc, _cut_points_on_elem(arc, charts))]
+        if all(covered):
             sides[(q.x, q.y)] = "covers"
-            continue
-        if not any(c for (_i, _s, c) in runs):
+        elif not any(covered):
             sides[(q.x, q.y)] = "disjoint"
-            continue
-        sides[(q.x, q.y)] = "events"
-        # maximal covered runs in cyclic order over arc material only
-        n = len(runs)
-        start = next(i for i in range(n) if not runs[i][2])
-        rot = [runs[(start + i) % n] for i in range(n)]
-        i = 0
-        while i < len(rot):
-            if not rot[i][2]:
-                i += 1
-                continue
-            j = i
-            while j < len(rot) and rot[j][2]:
-                j += 1
-            first_idx, first_piece, _ = rot[i]
-            last_idx, last_piece, _ = rot[j - 1]
-            pin = first_piece.point(0.0)
-            pout = last_piece.point(1.0)
-            events.append(Event(pin, q, "in",
-                                rel(cum[first_idx] +
-                                    _param_on_elem(boundary.elements[first_idx], pin))))
-            events.append(Event(pout, q, "out",
-                                rel(cum[last_idx] +
-                                    _param_on_elem(boundary.elements[last_idx], pout))))
-            i = j
-    events.sort(key=lambda e: (e.param, e.flag == "out",
-                               e.owner.x, e.owner.y))
+        else:
+            sides[(q.x, q.y)] = "events"
+            # a run starts at each covered sub-arc after an uncovered one
+            runs = sum(c and not covered[k - 1] for k, c in enumerate(covered))
+            events += [(q, "in"), (q, "out")] * runs
     return events, sides
-
-
-def _param_on_elem(e: Element, p: Point2) -> float:
-    if isinstance(e, Seg):
-        L = e.length()
-        if L <= 1e-15:
-            return 0.0
-        t = ((p.x - e.a.x) * (e.b.x - e.a.x) +
-             (p.y - e.a.y) * (e.b.y - e.a.y)) / (L * L)
-    else:
-        t = e.angle_param(angle_of(e.anchor, p))
-    return max(0.0, min(1.0, t)) * e.length()
 
 
 # -- geodesic one-center ----------------------------------------------

@@ -137,8 +137,8 @@ def _event_signature(h: GeodesicHull, pc: PairChains, r: float):
     sig = []
     for chain in (pc.chain1, pc.chain2):
         tag, side = chain_side(h, pc, chain, r)
-        sig.append(tuple(sorted(((e.owner.x, e.owner.y), e.flag)
-                                for e in side.events)) if tag == "arcs" else (tag,))
+        sig.append(tuple(sorted(((q.x, q.y), flag) for q, flag in side.events))
+                   if tag == "arcs" else (tag,))
     return tuple(sig)
 
 

@@ -3,14 +3,12 @@ import math
 import warnings
 
 import pytest
-from hypothesis import given, strategies as st
 
 import twocenter.decision as dec
 import twocenter.disks as disks
 import twocenter.optimize as opt
 from twocenter.driver import two_center
 from twocenter.errors import BoundaryAssemblyError, CertificateError, InvalidPair
-from twocenter.disks import disks_intersection, one_center
 from twocenter.geom import Point2, dist
 from twocenter.hull import geodesic_hull
 from twocenter.instances import generate
@@ -126,21 +124,26 @@ def test_hull_radius_shortcut(sq4_tp):
 
 
 def test_scan_branch_fires():
+    # at r = 1.6 the free point's disk crosses both sides' arcs, the case
+    # the deleted event scan decided; the one-side witness decides it
     sq6 = SimplePolygon([Point2(0, 0), Point2(6, 0), Point2(6, 6), Point2(0, 6)])
     tp = triangulate(sq6)
     h = geodesic_hull(tp, [Point2(1, 2), Point2(1, 4), Point2(5, 2),
                            Point2(5, 4), Point2(2.5, 3)])
     pc = dec.pair_chains(h, 1, 3)
     assert [tuple(p) for p in pc.free] == [(2.5, 3.0)]
+    assert all(dec.chain_side(h, pc, c, 1.6)[1].events for c in (pc.chain1, pc.chain2))
     res = dec.decide(h, 1, 3, 1.6)
-    assert res.feasible and res.branch == "scan"
+    assert res.feasible and res.branch == "one-side-quiet"
+    assert dec._split_enumerate(h.region, pc, 1.6, h.ambient.tol.check) is not None
     c1, c2 = res.centers
     reg = h.region
     assert max(reg.distance(c1, p) for p in pc.chain1) <= 1.6 + 1e-9
     assert max(reg.distance(c2, p) for p in pc.chain2) <= 1.6 + 1e-9
     q = pc.free[0]
     assert min(reg.distance(c1, q), reg.distance(c2, q)) <= 1.6 + 1e-9
-    # at a lower radius the free point sees only one side
+    # at a lower radius the free point's disk misses one side's arcs
+    assert not dec.chain_side(h, pc, pc.chain2, 1.3)[1].events
     res2 = dec.decide(h, 1, 3, 1.3)
     assert res2.feasible and res2.branch == "one-side-quiet"
 
@@ -152,10 +155,10 @@ def test_split_enum_cap_is_undecided(monkeypatch):
     h = geodesic_hull(triangulate(sq6), [Point2(1, 2), Point2(1, 4), Point2(5, 2),
                                          Point2(5, 4)] + free)
     assert len(dec.pair_chains(h, 1, 3).free) > dec.SPLIT_ENUM_CAP
-    assert dec.decide(h, 1, 3, 1.6).branch == "scan"
-    # with the scan missing, only split enumeration is left, and it is
+    assert dec.decide(h, 1, 3, 1.6).branch == "one-side-quiet"
+    # with the witness missing, only split enumeration is left, and it is
     # not run on this many free points: no answer is certified
-    monkeypatch.setattr(dec, "scan_decide", lambda *args: None)
+    monkeypatch.setattr(dec, "one_side_witness", lambda *args: None)
     with pytest.raises(CertificateError):
         dec.decide(h, 1, 3, 1.6)
 
@@ -180,7 +183,7 @@ def test_witness_covers_extremes(solved_pool):
                 assert min(reg.distance(c1, q), reg.distance(c2, q)) <= tol
 
 
-@given(st.integers(0, 60))
+@pytest.mark.parametrize("seed", range(61))
 def test_monotone_in_radius(seed):
     h = _hull_for(seed)
     if h.k < 2:
@@ -198,7 +201,7 @@ def test_monotone_in_radius(seed):
     assert answers[-1]
 
 
-@given(st.integers(0, 40))
+@pytest.mark.parametrize("seed", range(41))
 def test_decide_matches_exhaustive_split(seed):
     """The cascade agrees with brute-force assignment of free points."""
     h = _hull_for(seed, m=4 + seed % 4)
@@ -238,39 +241,31 @@ def _solver_hull(fam, n, m, seed):
     return scale, geodesic_hull(tp, pts)
 
 
-# Radii at which the arc machinery cannot decide on its own: the first
-# two fall through to split enumeration, the third is decided only by
-# the scan with the sides swapped.
+# Splits whose free points' disks cross the arcs of one side (comb) or of
+# both.  The one-side witness decides each; with it patched out, split
+# enumeration does.  The first two ids name the stage that decided the
+# case before the event stages became one witness; the third case was
+# the event scan's.
 FALLBACK_CASES = [
-    (("star", 16, 8, 13), 0.5, (1, 3), 8.64155849580668, "split-enum"),
-    (("comb", 16, 8, 6), 2.0, (2, 4), 14.82111759785373, "one-side-quiet"),
-    (("convex", 24, 12, 3), 0.5, (0, 2), 15.105993478356341, "scan"),
+    (("star", 16, 8, 13), 0.5, (1, 3), 8.64155849580668),
+    (("comb", 16, 8, 6), 2.0, (2, 4), 14.82111759785373),
+    (("convex", 24, 12, 3), 0.5, (0, 2), 15.105993478356341),
 ]
 
 
-@pytest.mark.parametrize("cell,scale,pair,r,branch", FALLBACK_CASES,
-                         ids=["split-enum", "one-side-quiet", "swapped-scan"])
-def test_exact_fallbacks(cell, scale, pair, r, branch):
+@pytest.mark.parametrize("cell,scale,pair,r", FALLBACK_CASES,
+                         ids=["split-enum", "one-side-quiet", "events-on-both-sides"])
+def test_exact_fallbacks(cell, scale, pair, r, monkeypatch):
     got_scale, h = _solver_hull(*cell)
     assert got_scale == scale
     i, j = pair
     res = dec.decide(h, i, j, r)
-    assert res.feasible and res.branch == branch
+    assert res.feasible and res.branch == "one-side-quiet"
     pc = dec.pair_chains(h, i, j)
     assert dec._split_enumerate(h.region, pc, r, h.ambient.tol.check) is not None
-
-
-def test_swapped_scan_decides_alone():
-    _, h = _solver_hull("convex", 24, 12, 3)
-    r = 15.105993478356341
-    pc = dec.pair_chains(h, 0, 2)
-    reg = h.region
-    tol = h.ambient.tol.check
-    s1 = dec._prepare_side(reg, disks_intersection(h.hull_region, pc.chain1, r), pc.free)
-    s2 = dec._prepare_side(reg, disks_intersection(h.hull_region, pc.chain2, r), pc.free)
-    assert s1.events and s2.events
-    assert dec.scan_decide(reg, pc, r, s1, s2, tol) is None
-    assert dec.scan_decide(reg, dec._swap(pc), r, s2, s1, tol) is not None
+    monkeypatch.setattr(dec, "one_side_witness", lambda *args: None)
+    res = dec.decide(h, i, j, r)
+    assert res.feasible and res.branch == "split-enum"
 
 
 def test_decide_reuses_the_probe_intersections(monkeypatch):

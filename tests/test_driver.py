@@ -9,7 +9,7 @@ from twocenter.cli import make_record, verify_record
 from twocenter.decision import decide
 from twocenter.driver import (CandidatePair, assistant_interval, candidate_pairs,
                               two_center)
-from twocenter.errors import CertificateError, PointOutsidePolygon
+from twocenter.errors import PointOutsidePolygon
 from twocenter.geom import Point2
 from twocenter.instances import generate
 from twocenter.optimize import RadiusInterval
@@ -218,18 +218,19 @@ def test_no_arc_anomaly_reaches_oracle(cell, oracle_radius):
     assert sol.radius <= oracle_radius * (1 + 1e-9)
 
 
-def test_undecided_split_raises():
-    # convex/16x32/s2 reaches a split, pair (2, 6) at r = 19.1094827..., whose
-    # scan finds no witness with more free points (21) than split
-    # enumeration runs on
+def test_convex_16x32_s2_solves():
+    # pair (2, 6) at scaled r = 19.1094827... has 21 free points, more
+    # than split enumeration runs on, so only the one-side witness can
+    # decide it
     inst = generate("convex", 16, 32, 2)
-    with pytest.raises(CertificateError, match="SPLIT_ENUM_CAP"):
-        two_center(SimplePolygon(inst.polygon), inst.points)
+    sol = two_center(SimplePolygon(inst.polygon), inst.points)
+    verify_record(inst, make_record(sol, inst.points, 0))
+    assert math.isclose(sol.radius, 38.21896542000993, rel_tol=1e-9)
 
 
 def test_convex_16x32_s0_solves():
     # no pair search reaches a split with more than SPLIT_ENUM_CAP free
-    # points that the scan cannot decide
+    # points that the one-side witness cannot decide
     inst = generate("convex", 16, 32, 0)
     sol = two_center(SimplePolygon(inst.polygon), inst.points)
     assert math.isclose(sol.radius, 24.84884635052105, rel_tol=1e-9)
