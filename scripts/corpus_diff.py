@@ -4,8 +4,10 @@
     python3 scripts/corpus_diff.py OLD.json NEW.json
 
 Prints how many instances moved in each field (radius, centers, pair,
-branch_stats, error class) and the largest relative radius move, then
-lists every instance that moved.  An instance whose error outcome
+branch_stats, error class), then each `branch_stats` label whose total
+over the instances that both files solve differs, as
+`label old -> new`, and the largest relative radius move, then lists
+every instance that moved.  An instance whose error outcome
 changed is listed with its old and new outcome (an error class, a radius
 or "missing"), so that an error -> radius change can be checked against
 the oracle directly.  Exits 1 when a radius moves by more than 1e-12
@@ -17,6 +19,7 @@ Centers may move without failing the check.
 
 import json
 import sys
+from collections import Counter
 
 REL_TOL = 1e-12
 FIELDS = ("radius", "centers", "pair", "branch_stats", "error")
@@ -61,6 +64,21 @@ def diff(old: dict, new: dict):
     return moved, worst
 
 
+def branch_totals(old: dict, new: dict):
+    """(label, old total, new total) for each `branch_stats` label whose
+    total over the instances solved in both files differs."""
+    tot_old: Counter = Counter()
+    tot_new: Counter = Counter()
+    for key in set(old) & set(new):
+        a, b = old[key], new[key]
+        if "error" not in a and "error" not in b:
+            tot_old.update(a["branch_stats"])
+            tot_new.update(b["branch_stats"])
+    return [(label, tot_old[label], tot_new[label])
+            for label in sorted(set(tot_old) | set(tot_new))
+            if tot_old[label] != tot_new[label]]
+
+
 def main() -> int:
     if len(sys.argv) != 3:
         sys.exit("usage: corpus_diff.py OLD.json NEW.json")
@@ -69,6 +87,8 @@ def main() -> int:
     print(f"instances: {len(old)} old, {len(new)} new")
     for f in FIELDS:
         print(f"{f} moved: {len(moved[f])}")
+    for label, a, b in branch_totals(old, new):
+        print(f"{label} {a} -> {b}")
     print(f"largest relative radius move: {worst:.3g}"
           + (f" ({worst_key})" if worst_key else ""))
     for f in FIELDS:

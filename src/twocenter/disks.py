@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .errors import BoundaryAssemblyError, CertificateError
 from .geom import (TAU, Point2, angle_of, circle_circle_intersections,
                    circle_segment_intersections, cw_delta, dist, point_at,
-                   polyline_length, quadratic_roots, ring_area2, unique_points)
+                   polyline_length, quadratic_roots, ring_area2)
 from .polygon import TriangulatedPolygon
 from .region import Region, _key
 
@@ -562,8 +562,9 @@ def one_center(space, pts: Sequence[Point2]) -> OneCenterResult:
     (`_equalize3`).  Raises CertificateError when a triple has neither.
     """
     region = _as_region(space)
-    # the key drops exact duplicates as unique_points does, so a hit
-    # needs neither the Point2s nor the dedup
+    # the key is the point set: a hit needs no Point2s, and a miss
+    # solves the set in sorted order, so the caller's order and
+    # duplicates never reach the result
     key = frozenset((p[0], p[1]) for p in pts)
     if not key:
         raise ValueError("no points")
@@ -571,7 +572,7 @@ def one_center(space, pts: Sequence[Point2]) -> OneCenterResult:
     hit = cache.get(key)
     if hit is not None:
         return hit
-    uniq: List[Point2] = unique_points([Point2(p[0], p[1]) for p in pts])
+    uniq: List[Point2] = sorted(Point2(x, y) for x, y in key)
 
     tol = region.tp.tol.near
 

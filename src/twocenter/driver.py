@@ -1,13 +1,13 @@
 """Top-level two-center solver.
 
-Puts the pieces together: build the hull of Q, enumerate candidate
-chain splits, bound the radius by the hull's one-center, optimize each
-pair below that bound, and keep the best witness.
+Puts the pieces together: build the hull of Q, bound the radius by the
+hull's one-center, optimize every chain split of the hull's extremes
+below that bound and below the best radius so far, in increasing order
+of the split's larger chain radius, and keep the best witness.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -26,7 +26,6 @@ from .region import Key
 class CandidatePair:
     i: int
     j: int
-    kind: str            # "Type1" | "Type2"
 
 
 @dataclass
@@ -46,66 +45,24 @@ def _balance(h: GeodesicHull, i: int, j: int) -> float:
                h.chain_radius((j + 1) % k, i % k))
 
 
-def _by_balance(h: GeodesicHull,
-                pairs: Sequence[CandidatePair]) -> List[CandidatePair]:
-    """Pairs in increasing balance, ties by index."""
-    return sorted(pairs, key=lambda p: (_balance(h, p.i, p.j), p.i, p.j))
-
-
 def candidate_pairs(h: GeodesicHull) -> List[CandidatePair]:
-    """Chain splits that are guaranteed to include an optimal one."""
+    """Every chain split (i, j) with i < j, in increasing balance, ties by
+    index.
+
+    The paper keeps only the O(k) splits next to each extreme's balance
+    minimizers, which bounds its running time, not its answer.  Searched
+    in this order, a split whose chain one-centers already exceed the best
+    radius so far costs one decision, answered by those one-centers.
+    """
     k = h.k
     if k < 2:
         raise DegenerateHull(f"{k} extreme(s)")
-    if k == 2:
-        return [CandidatePair(0, 1, "Type1")]
-    tol = h.ambient.tol.near
-
-    v_cw = [0] * k
-    v_ccw = [0] * k
-    for i in range(k):
-        order = [(i + 1 + t) % k for t in range(k - 1)]
-        vals = [_balance(h, i, j) for j in order]
-        lo = min(vals)
-        idxs = [t for t, v in enumerate(vals) if v <= lo + tol]
-        first, last = idxs[0], idxs[-1]
-        if last - first + 1 != len(idxs):
-            warnings.warn(
-                f"balance minimizers for extreme {i} are not consecutive; "
-                f"widening to the enclosing run", RuntimeWarning)
-        v_cw[i] = (order[first] - 1) % k
-        v_ccw[i] = (order[last] + 1) % k
-
-    chosen: Dict[Tuple[int, int], str] = {}
-
-    def put(i: int, j: int, kind: str):
-        i %= k
-        j %= k
-        if i == j:
-            return
-        key = (i, j) if i < j else (j, i)
-        if key not in chosen:
-            chosen[key] = kind
-
-    for i in range(k):
-        a = v_ccw[i]
-        b = v_cw[(i + 1) % k]
-        for j in (a, (a - 1) % k, b, (b - 1) % k):
-            put(i, j, "Type1")
-        pa = (a - i) % k
-        pb = (b - i) % k
-        if 0 < pa < pb:
-            j = a
-            while j != b:
-                put(i, j, "Type2")
-                j = (j + 1) % k
-
-    return [CandidatePair(i, j, kind)
-            for (i, j), kind in sorted(chosen.items())]
+    splits = sorted((_balance(h, i, j), i, j)
+                    for i in range(k) for j in range(i + 1, k))
+    return [CandidatePair(i, j) for _b, i, j in splits]
 
 
-def assistant_interval(h: GeodesicHull,
-                       candidates: Sequence[CandidatePair]) -> RadiusInterval:
+def assistant_interval(h: GeodesicHull) -> RadiusInterval:
     """(0, r_U] with r_U the radius of the hull's one-center.
 
     One disk of that radius covers Q, so the optimum lies in the
@@ -114,8 +71,6 @@ def assistant_interval(h: GeodesicHull,
     `optimize_pair` fixes the exact radius either way, and a false "no"
     from `decide` could steer those tests past the optimum.
     """
-    if not candidates:
-        raise DegenerateHull("no candidate pairs")
     return RadiusInterval(0.0, h.hull_center().radius)
 
 
@@ -157,7 +112,7 @@ def _line_solution(h: GeodesicHull, pts: List[Point2]) -> TwoCenterSolution:
     assign: Dict[Key, int] = {}
     for s, q in coord:
         assign[(q.x, q.y)] = 1 if s <= left[-1] + 1e-12 else 2
-    pair = CandidatePair(0, 1 % max(1, h.k), "Type1")
+    pair = CandidatePair(0, 1 % max(1, h.k))
     return TwoCenterSolution(c1, c2, r, pair, assign)
 
 
@@ -203,23 +158,21 @@ def _solve_on(tp: TriangulatedPolygon, pts: List[Point2]) -> TwoCenterSolution:
         uniq = unique_points(pts)
         if len(uniq) == 1:
             q = uniq[0]
-            sol = TwoCenterSolution(q, q, 0.0, CandidatePair(0, 0, "Type1"),
+            sol = TwoCenterSolution(q, q, 0.0, CandidatePair(0, 0),
                                     {(q.x, q.y): 1 for q in pts})
         elif len(uniq) == 2:
             a, b = uniq
             assign = {(q.x, q.y): (1 if (q.x, q.y) == (a.x, a.y) else 2)
                       for q in uniq}
-            sol = TwoCenterSolution(a, b, 0.0, CandidatePair(0, 1, "Type1"), assign)
+            sol = TwoCenterSolution(a, b, 0.0, CandidatePair(0, 1), assign)
         else:
             h = geodesic_hull(tp, uniq)
             if h.k == 2 or abs(ring_area2(h.ring)) <= tp.tol.area:
                 sol = _line_solution(h, uniq)
             else:
-                pairs = candidate_pairs(h)
-                iv = assistant_interval(h, pairs)
-                order = _by_balance(h, pairs)
+                iv = assistant_interval(h)
                 best: Optional[Tuple[float, Point2, Point2, CandidatePair]] = None
-                for p in order:
+                for p in candidate_pairs(h):
                     hi = iv.hi if best is None else min(iv.hi, best[0])
                     got = optimize_pair(h, p.i, p.j, RadiusInterval(iv.lo, hi))
                     if got is None:

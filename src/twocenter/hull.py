@@ -6,7 +6,7 @@ between two boundary points, and their one-center radii live here too.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .disks import OneCenterResult, one_center
 from .errors import HullConvergenceError, PointOutsidePolygon
@@ -40,8 +40,6 @@ class GeodesicHull:
             else:
                 # construction guarantees not outside; anything else is on
                 self.boundary_points.append(q)
-        self._radius_cache: Dict[Tuple[int, int], float] = {}
-        self._hull_center: Optional[OneCenterResult] = None
         # decision.pair_chains results keyed by (i, j)
         self._chain_cache: Dict[Tuple[int, int], object] = {}
 
@@ -80,24 +78,13 @@ class GeodesicHull:
         of the extremes v_a..v_b, and geodesic distance is convex along
         geodesics (Pollack, Sharir and Rote 1989), so the extremes alone
         set the radius."""
-        a %= self.k
-        b %= self.k
-        key = (a, b)
-        hit = self._radius_cache.get(key)
-        if hit is not None:
-            return hit
-        if a == b:
-            r = 0.0
-        else:
-            r = one_center(self.region, self.chain_extremes(a, b)).radius
-        self._radius_cache[key] = r
-        return r
+        if (a - b) % self.k == 0:
+            return 0.0
+        return one_center(self.region, self.chain_extremes(a, b)).radius
 
     def hull_center(self) -> OneCenterResult:
         """Smallest disk covering the whole hull (its corners suffice)."""
-        if self._hull_center is None:
-            self._hull_center = one_center(self.region, self.hull_region.corners)
-        return self._hull_center
+        return one_center(self.region, self.hull_region.corners)
 
     def __repr__(self):
         return f"GeodesicHull(k={self.k}, interior={len(self.interior_points)})"

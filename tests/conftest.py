@@ -95,5 +95,5 @@ class SolvedInstance:
 def solved_pool():
     import warnings
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         return [SolvedInstance(*cell) for cell in pool_spec()]

@@ -289,7 +289,7 @@ EXACT_XFAIL = {
 def test_two_center_matches_exact_reference(cell):
     inst = generate(*cell)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         r = two_center(SimplePolygon(inst.polygon), inst.points).radius
     ref = _exact_radius(inst)
     assert abs(r - ref) <= 1e-9 * ref, (r, ref)

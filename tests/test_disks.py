@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -235,6 +236,23 @@ def test_one_center_cache_key_ignores_order_and_duplicates(sq4_tp):
         one_center(reg, [])
 
 
+@pytest.mark.parametrize("fam", FAMILIES)
+def test_one_center_ignores_point_order(fam):
+    """The cache keeps the first caller's result for a point set, so the
+    result must not depend on the order in which that caller listed it."""
+    rng = random.Random(fam)
+    for seed in range(6):
+        inst = generate(fam, 16, 8, seed)
+        tp = triangulate(SimplePolygon(inst.polygon))
+        pts = unique_points(inst.points)
+        for _ in range(20):
+            sub = rng.sample(pts, rng.randint(3, 6))
+            shuffled = rng.sample(sub, len(sub))
+            a = one_center(Region(tp), sub)
+            b = one_center(Region(tp), shuffled)
+            assert (a.center, a.radius) == (b.center, b.radius), (seed, sub, shuffled)
+
+
 # -- the chart rule against the all-corner charts --------------------
 
 def _charts_all_corners(region, q, r):
@@ -338,7 +356,7 @@ FIRST_PAIR_RAISES = {("comb", 16, 8, 1), ("random", 16, 8, 1)}
 def test_charts_only_at_polygon_vertices(cell, monkeypatch):
     tp, pts = _scaled(cell)
     h = geodesic_hull(tp, pts)
-    p = driver._by_balance(h, driver.candidate_pairs(h))[0]
+    p = driver.candidate_pairs(h)[0]
     decided = []
     plain = decision._decide
 
@@ -347,7 +365,7 @@ def test_charts_only_at_polygon_vertices(cell, monkeypatch):
         decided.append((i, j, r, res.feasible, res.branch))
         return res
 
-    iv = driver.assistant_interval(h, [p])
+    iv = driver.assistant_interval(h)
     with monkeypatch.context() as m:
         m.setattr(decision, "_decide", recording)
         if cell in FIRST_PAIR_RAISES:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import warnings
@@ -7,8 +8,7 @@ import pytest
 from twocenter import decision, driver, region
 from twocenter.cli import make_record, verify_record
 from twocenter.decision import decide
-from twocenter.driver import (CandidatePair, assistant_interval, candidate_pairs,
-                              two_center)
+from twocenter.driver import assistant_interval, candidate_pairs, two_center
 from twocenter.errors import PointOutsidePolygon
 from twocenter.geom import Point2
 from twocenter.instances import generate
@@ -87,22 +87,22 @@ def test_scaling_invariance():
 
 
 def test_candidate_pairs_contain_axis_split(qsym_hull):
-    pairs = candidate_pairs(qsym_hull)
-    assert pairs and len(pairs) <= 6
-    keys = {(p.i, p.j) for p in pairs}
-    assert all(0 <= p.i < p.j < qsym_hull.k for p in pairs)
-    assert all(p.kind in ("Type1", "Type2") for p in pairs)
-    # both diagonal splits of the symmetric square are optimal; at least
-    # one must be offered
-    assert (0, 2) in keys or (1, 3) in keys
+    h = qsym_hull
+    pairs = candidate_pairs(h)
+    keys = [(p.i, p.j) for p in pairs]
+    assert sorted(keys) == list(itertools.combinations(range(h.k), 2))
+    balances = [driver._balance(h, p.i, p.j) for p in pairs]
+    assert balances == sorted(balances)
+    # both diagonal splits of the symmetric square are optimal
+    assert (0, 2) in keys and (1, 3) in keys
 
 
 def test_assistant_interval_brackets_optimum(qsym_hull):
-    pairs = candidate_pairs(qsym_hull)
-    iv = assistant_interval(qsym_hull, pairs)
+    iv = assistant_interval(qsym_hull)
     assert iv == RadiusInterval(0.0, qsym_hull.hull_center().radius)
     assert iv.lo < 1.0 <= iv.hi + 1e-12
-    assert any(decide(qsym_hull, p.i, p.j, iv.hi).feasible for p in pairs)
+    assert any(decide(qsym_hull, p.i, p.j, iv.hi).feasible
+               for p in candidate_pairs(qsym_hull))
 
 
 def test_branch_stats_recorded():
