@@ -17,9 +17,11 @@ built, which shows how much of each map its queries needed, the
 near), the `decide` calls with how many of them computed a fresh
 `chain_side` (one its hull's side cache did not hold yet), and the chart
 circles `disks._charts` built around ring corners against the corners it
-was offered.  The second pass runs under cProfile; the script prints its
-top N functions by the chosen sort key, then the counts of the first
-pass.  An operation that raises is counted by error class and skipped,
+was offered, and the probe rounds of `optimize.narrow_interval`: run (it
+called `_event_signature`) or skipped (it reached a split with free
+points and returned without one).  The second pass runs under cProfile;
+the script prints its top N functions by the chosen sort key, then the
+counts of the first pass.  An operation that raises is counted by error class and skipped,
 as the benchmark counts it.
 """
 import argparse
@@ -36,7 +38,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import workloads  # noqa: E402
-from twocenter import decision, disks, geom, region  # noqa: E402
+from twocenter import decision, disks, geom, optimize, region  # noqa: E402
 
 
 class Repeats:
@@ -79,8 +81,9 @@ def counting_pass(ops, anchor: Repeats, inter: Repeats, maps: Expansion,
     """Run ops with the counted functions wrapped; returns `run`'s error
     count.  `calls` counts `seg_point_distance`, the `RingIndex` queries,
     the `decide` calls and those of them that grew their hull's side
-    cache, and the `_charts` calls with their corner circles and the ring
-    corners offered."""
+    cache, the `_charts` calls with their corner circles and the ring
+    corners offered, and the probe rounds run and skipped with the
+    `_event_signature` calls."""
     plain_anchor = region.SiteMap._anchor
     plain_inter = disks.disks_intersection
     plain_init = region.SiteMap.__init__
@@ -90,6 +93,8 @@ def counting_pass(ops, anchor: Repeats, inter: Repeats, maps: Expansion,
     plain_near = geom.RingIndex.near
     plain_decide = decision.decide
     plain_charts = disks._charts
+    plain_narrow = optimize.narrow_interval
+    plain_signature = optimize._event_signature
 
     def counted_anchor(self, x):
         anchor.note((id(self), x[0], x[1]))
@@ -135,6 +140,20 @@ def counting_pass(ops, anchor: Repeats, inter: Repeats, maps: Expansion,
         calls["charts.corners"] += len(reg.corners)
         return charts, ext_segs
 
+    def counted_narrow(h, i, j, iv):
+        before = calls["signature"]
+        try:
+            out = plain_narrow(h, i, j, iv)
+        finally:
+            calls["probe.run"] += calls["signature"] > before
+        if calls["signature"] == before and decision.pair_chains(h, i, j).free:
+            calls["probe.skipped"] += 1
+        return out
+
+    def counted_signature(h, pc, r):
+        calls["signature"] += 1
+        return plain_signature(h, pc, r)
+
     mods = [m for name, m in list(sys.modules.items()) if name.startswith("twocenter.")]
     holders = [m for m in mods if getattr(m, "disks_intersection", None) is plain_inter]
     spd_holders = [m for m in mods if getattr(m, "seg_point_distance", None) is plain_spd]
@@ -145,6 +164,8 @@ def counting_pass(ops, anchor: Repeats, inter: Repeats, maps: Expansion,
     geom.RingIndex.classify = counted_classify
     geom.RingIndex.near = counted_near
     disks._charts = counted_charts
+    optimize.narrow_interval = counted_narrow
+    optimize._event_signature = counted_signature
     for m in holders:
         m.disks_intersection = counted_inter
     for m in spd_holders:
@@ -160,6 +181,8 @@ def counting_pass(ops, anchor: Repeats, inter: Repeats, maps: Expansion,
         geom.RingIndex.classify = plain_classify
         geom.RingIndex.near = plain_near
         disks._charts = plain_charts
+        optimize.narrow_interval = plain_narrow
+        optimize._event_signature = plain_signature
         for m in holders:
             m.disks_intersection = plain_inter
         for m in spd_holders:
@@ -221,6 +244,8 @@ def main() -> int:
           f"a fresh chain_side")
     print(f"_charts: {calls['charts']} calls, {calls['charts.circles']} corner circles "
           f"built of {calls['charts.corners']} ring corners offered")
+    print(f"probe rounds: {calls['probe.run']} run ({calls['signature']} "
+          f"_event_signature calls), {calls['probe.skipped']} skipped")
     return 0
 
 

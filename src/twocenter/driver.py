@@ -3,7 +3,9 @@
 Puts the pieces together: build the hull of Q, bound the radius by the
 hull's one-center, optimize every chain split of the hull's extremes
 below that bound and below the best radius so far, in increasing order
-of the split's larger chain radius, and keep the best witness.
+of the split's larger chain radius, and keep the best witness.  The
+search stops at the first split whose larger chain radius exceeds the
+best radius so far.
 """
 from __future__ import annotations
 
@@ -51,8 +53,9 @@ def candidate_pairs(h: GeodesicHull) -> List[CandidatePair]:
 
     The paper keeps only the O(k) splits next to each extreme's balance
     minimizers, which bounds its running time, not its answer.  Searched
-    in this order, a split whose chain one-centers already exceed the best
-    radius so far costs one decision, answered by those one-centers.
+    in this order, the first split whose chain one-centers exceed the best
+    radius so far ends the search without a decision: `decide` would
+    answer "no" from those one-centers there and at every later split.
     """
     k = h.k
     if k < 2:
@@ -171,9 +174,12 @@ def _solve_on(tp: TriangulatedPolygon, pts: List[Point2]) -> TwoCenterSolution:
                 sol = _line_solution(h, uniq)
             else:
                 iv = assistant_interval(h)
+                eps = tp.tol.radius
                 best: Optional[Tuple[float, Point2, Point2, CandidatePair]] = None
                 for p in candidate_pairs(h):
                     hi = iv.hi if best is None else min(iv.hi, best[0])
+                    if hi < iv.hi - eps and _balance(h, p.i, p.j) > hi + eps:
+                        break    # decide's chain-infeasible exit, here and after
                     got = optimize_pair(h, p.i, p.j, RadiusInterval(iv.lo, hi))
                     if got is None:
                         continue

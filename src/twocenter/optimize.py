@@ -7,7 +7,9 @@ two point circles can meet on the boundary, then search that set with
 the decision procedure.  Both searches are `_leftmost_feasible`, which
 gallops up from the first candidate that `decision.chain_infeasible`
 passes: r*_ij is never below either chain's one-center radius, and the
-optimum usually sits at or just above that floor.
+optimum usually sits at or just above that floor.  The same floor skips
+the probe round of `narrow_interval` wherever it could not move the
+gap's upper end.
 """
 from __future__ import annotations
 
@@ -181,7 +183,10 @@ def narrow_interval(h: GeodesicHull, i: int, j: int,
     """Shrink iv around r*_ij to the gap between two neighbouring
     structure-change candidates.  When the event signatures at three
     probes inside that gap differ, the gap is searched once more over its
-    two ends and the probes; the result is not checked again."""
+    two ends and the probes; the result is not checked again.  That
+    search starts at `_chain_start`, so when the largest probe fails
+    `chain_infeasible`, it would skip every probe and keep the gap's
+    upper end: the probe round is skipped and the gap returned as is."""
     if not decide(h, i, j, iv.hi).feasible:
         raise InfeasibleInterval(f"pair ({i},{j}) infeasible at {iv.hi}")
     pc = pair_chains(h, i, j)
@@ -197,6 +202,8 @@ def narrow_interval(h: GeodesicHull, i: int, j: int,
     if not pc.free:
         return out
     probes = [out.lo + (out.hi - out.lo) * f for f in (1e-3, 0.5, 1 - 1e-9)]
+    if chain_infeasible(h, pc, probes[-1]):
+        return out    # a search from `_chain_start` would skip every probe
     sig = _event_signature(h, pc, probes[0])
     if all(_event_signature(h, pc, r) == sig for r in probes[1:]):
         return out

@@ -1,5 +1,6 @@
 """Shared fixtures: canonical polygons and a pool of solved instances."""
 
+import math
 import os
 
 import pytest
@@ -97,3 +98,17 @@ def solved_pool():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         return [SolvedInstance(*cell) for cell in pool_spec()]
+
+
+@pytest.fixture(scope="session")
+def scaled_hull():
+    """Factory: for a (family, n, m, seed) cell, the scale `two_center`
+    applies to the instance and a fresh geodesic hull of the scaled
+    instance, with caches of its own."""
+    def build(cell):
+        inst = generate(*cell)
+        poly = SimplePolygon(inst.polygon)
+        k = 2.0 ** round(math.log2(64.0 / poly.diameter))
+        tp = triangulate(SimplePolygon([(v.x * k, v.y * k) for v in poly.vertices]))
+        return k, geodesic_hull(tp, _uniq([Point2(q.x * k, q.y * k) for q in inst.points]))
+    return build

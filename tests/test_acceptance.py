@@ -276,8 +276,8 @@ _CRASH = pytest.mark.xfail(strict=True, raises=BoundaryAssemblyError,
                            reason="boundary stitching defect")
 EXACT_XFAIL = {
     ("random", 16, 8, 3): _WRONG, ("random", 48, 6, 3): _WRONG,
-    ("comb", 12, 6, 5): _CRASH, ("comb", 16, 8, 1): _CRASH,
-    ("random", 16, 8, 1): _CRASH, ("random", 16, 8, 4): _CRASH,
+    ("comb", 12, 6, 5): _CRASH, ("random", 16, 8, 1): _CRASH,
+    ("random", 16, 8, 4): _CRASH,
     ("random", 48, 6, 8): _WRONG, ("random", 12, 6, 12): _WRONG,
     ("random", 48, 6, 6): _WRONG,
 }

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import warnings
+from collections import Counter
 
 import pytest
 
@@ -9,10 +10,10 @@ from twocenter import decision, driver, region
 from twocenter.cli import make_record, verify_record
 from twocenter.decision import decide
 from twocenter.driver import assistant_interval, candidate_pairs, two_center
-from twocenter.errors import PointOutsidePolygon
+from twocenter.errors import BoundaryAssemblyError, PointOutsidePolygon
 from twocenter.geom import Point2
-from twocenter.instances import generate
-from twocenter.optimize import RadiusInterval
+from twocenter.instances import FAMILIES, generate
+from twocenter.optimize import RadiusInterval, optimize_pair
 from twocenter.polygon import SimplePolygon, triangulate
 
 SQ4 = [Point2(0, 0), Point2(4, 0), Point2(4, 4), Point2(0, 4)]
@@ -258,3 +259,48 @@ def test_solve_runs_no_two_point_funnel(cell, monkeypatch):
                         lambda *a: pytest.fail("two-point path in a solve"))
     got = two_center(poly, inst.points)
     assert (got.radius, got.c1, got.c2) == (want.radius, want.c1, want.c2)
+
+
+def _pair_loop_without_stop(h):
+    """`driver._solve_on`'s pair loop without its early stop: the best
+    (radius, c1, c2, pair) over every candidate pair."""
+    iv = assistant_interval(h)
+    best = None
+    for p in candidate_pairs(h):
+        hi = iv.hi if best is None else min(iv.hi, best[0])
+        got = optimize_pair(h, p.i, p.j, RadiusInterval(iv.lo, hi))
+        if got is None:
+            continue
+        r, c1, c2 = got
+        if best is None or r < best[0] - 1e-15:
+            best = (r, c1, c2, p)
+    return best
+
+
+def test_pair_loop_stops_where_every_later_split_is_chain_infeasible(scaled_hull):
+    # on the cells of the solve-16x8 and solve-48x6 benchmark workloads,
+    # stopping drops only decisions that answer "chain-infeasible"
+    dropped = 0
+    for cell in ([(f, 16, 8, s) for f in FAMILIES for s in range(4)]
+                 + [(f, 48, 6, s) for f in FAMILIES for s in range(3)]):
+        inst = generate(*cell)
+        poly = SimplePolygon(inst.polygon)
+        k, h = scaled_hull(cell)
+        stats = Counter()
+        token = decision.BRANCH_COUNTS.set(stats)
+        try:
+            want = _pair_loop_without_stop(h)
+        except BoundaryAssemblyError:
+            with pytest.raises(BoundaryAssemblyError):
+                two_center(poly, inst.points)
+            continue
+        finally:
+            decision.BRANCH_COUNTS.reset(token)
+        sol = two_center(poly, inst.points)
+        r, c1, c2, p = want
+        # the scale is a power of two, so unscaling is exact
+        assert (sol.radius * k, sol.c1.x * k, sol.c1.y * k, sol.c2.x * k, sol.c2.y * k,
+                sol.pair) == (r, c1.x, c1.y, c2.x, c2.y, p), cell
+        dropped += stats.pop("chain-infeasible:n", 0)
+        assert sol.branch_stats == dict(stats), cell
+    assert dropped > 0

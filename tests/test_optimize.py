@@ -5,8 +5,8 @@ import pytest
 
 import twocenter.decision as dec
 import twocenter.optimize as opt
-from twocenter.driver import candidate_pairs, two_center
-from twocenter.errors import BoundaryAssemblyError, InfeasibleInterval
+from twocenter.driver import assistant_interval, candidate_pairs, two_center
+from twocenter.errors import BoundaryAssemblyError, CertificateError, InfeasibleInterval
 from twocenter.geom import Point2, dist, unique_points
 from twocenter.hull import geodesic_hull
 from twocenter.instances import FAMILIES, generate
@@ -307,3 +307,101 @@ def test_boundary_pair_radii_match_bisection(fam):
                 ref = _bisected_pair_radii(h.hull_region, pts[a], pts[b])
                 assert all(near(v, ref) for v in got), (pts[a], pts[b])
                 assert all(near(v, got) for v in ref), (pts[a], pts[b])
+
+
+# the cells of the solve-16x8 and solve-48x6 benchmark workloads
+SOLVE_CELLS = ([(f, 16, 8, s) for f in FAMILIES for s in range(4)]
+               + [(f, 48, 6, s) for f in FAMILIES for s in range(3)])
+
+
+def _narrow_interval_probing(h, i, j, iv):
+    """`opt.narrow_interval` without the probe skip: the probe round runs
+    on every split with free points."""
+    if not opt.decide(h, i, j, iv.hi).feasible:
+        raise InfeasibleInterval(f"pair ({i},{j}) infeasible at {iv.hi}")
+    pc = dec.pair_chains(h, i, j)
+    eps = h.ambient.tol.radius
+
+    def search(cands):
+        inside = sorted(v for v in set(cands) if iv.lo + eps < v < iv.hi - eps)
+        k, _res = opt._leftmost_feasible(h, i, j, inside, opt._chain_start(h, pc, inside))
+        return opt.RadiusInterval(inside[k - 1] if k else iv.lo,
+                                  inside[k] if k < len(inside) else iv.hi)
+
+    out = search(opt.interval_candidates(h, i, j))
+    if not pc.free:
+        return out
+    probes = [out.lo + (out.hi - out.lo) * f for f in (1e-3, 0.5, 1 - 1e-9)]
+    sig = opt._event_signature(h, pc, probes[0])
+    if all(opt._event_signature(h, pc, r) == sig for r in probes[1:]):
+        return out
+    return search([out.lo] + probes + [out.hi])
+
+
+def _first_pair_round(h, narrow, monkeypatch):
+    """`optimize_pair` on the first candidate pair of the fresh hull h,
+    with `narrow` as its `narrow_interval`.  Returns its result or the class of the error it
+    raised; the first search's gap, None when that search raised; whether
+    the largest probe of the round in that gap fails `chain_infeasible`;
+    the radii `_event_signature` was called at; and whether one of those
+    calls raised."""
+    p = candidate_pairs(h)[0]
+    iv = assistant_interval(h)
+    gaps, signed, raised = [], [], []
+    leftmost, signature = opt._leftmost_feasible, opt._event_signature
+
+    def first_search(hh, i, j, values, start):
+        got = leftmost(hh, i, j, values, start)
+        if not gaps:
+            n = got[0]
+            gaps.append((values[n - 1] if n else iv.lo,
+                         values[n] if n < len(values) else iv.hi))
+        return got
+
+    def signing(hh, pc, r):
+        signed.append(r)
+        try:
+            return signature(hh, pc, r)
+        except BoundaryAssemblyError:
+            raised.append(r)
+            raise
+
+    with monkeypatch.context() as m:
+        m.setattr(opt, "narrow_interval", narrow)
+        m.setattr(opt, "_leftmost_feasible", first_search)
+        m.setattr(opt, "_event_signature", signing)
+        try:
+            got = opt.optimize_pair(h, p.i, p.j, iv)
+        except (BoundaryAssemblyError, CertificateError) as exc:
+            got = type(exc)
+    if not gaps:    # the first search raised
+        return got, None, None, signed, bool(raised)
+    lo, hi = gaps[0]
+    pc = dec.pair_chains(h, p.i, p.j)
+    dead = bool(pc.free) and dec.chain_infeasible(h, pc, lo + (hi - lo) * (1 - 1e-9))
+    return got, gaps[0], dead, signed, bool(raised)
+
+
+def test_probe_round_skipped_only_where_its_outcome_is_fixed(scaled_hull, monkeypatch):
+    # a round whose largest probe fails chain_infeasible cannot move the
+    # gap's upper end, which is all optimize_pair reads of the gap
+    paths = set()
+    for cell in SOLVE_CELLS:
+        want, gap, dead, ref_signed, ref_raised = _first_pair_round(
+            scaled_hull(cell)[1], _narrow_interval_probing, monkeypatch)
+        got, got_gap, got_dead, signed, _ = _first_pair_round(
+            scaled_hull(cell)[1], opt.narrow_interval, monkeypatch)
+        assert (got_gap, got_dead) == (gap, dead), cell
+        if dead:
+            paths.add("skipped")
+            assert signed == [], cell
+        elif ref_signed:
+            paths.add("live")
+            assert signed == ref_signed, cell
+        if dead and ref_raised:
+            # only a dead probe's intersection raised, and it is not built now
+            assert cell == ("comb", 16, 8, 1)
+            assert got[0] == gap[1]
+        else:
+            assert got == want, cell
+    assert paths == {"skipped", "live"}
