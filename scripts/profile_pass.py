@@ -8,11 +8,13 @@ distance-128), which is imported and not changed; S seeds the order in
 which each pass visits the corpus, as in `perfbench/run.py --seed S`.
 
 A first pass runs unprofiled, to warm up, and counts the calls of
-`SiteMap._anchor` and `disks_intersection` against their distinct
-arguments: (map, point) and (region, sites, radius), distinct within one
-operation.  It also counts the `SiteMap` builds and the triangles their
-walks expanded (`SiteMap._expand`), against the triangles of all the maps
-built, which shows how much of each map its queries needed, the
+`SiteMap._anchor`, `disks_intersection`, `disks._disk2` and
+`disks._solve3` against their distinct arguments: (map, point),
+(region, sites, radius) and (region, ordered points), distinct within one
+operation, and how many of the `_disk2` and `_solve3` calls solved their
+basis rather than reading it from the region's cache.  It also counts the
+`SiteMap` builds and the triangles their walks expanded
+(`SiteMap._expand`), against the triangles of all the maps built, which shows how much of each map its queries needed, the
 `seg_point_distance` calls, the `RingIndex` queries by kind (classify,
 near), the `decide` calls with how many of them computed a fresh
 `chain_side` (one its hull's side cache did not hold yet), and the chart
@@ -32,6 +34,7 @@ import random
 import sys
 import warnings
 from collections import Counter
+from typing import Tuple
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -76,10 +79,11 @@ class Expansion:
                 f"{self.triangles} triangles expanded ({100 * share:.1f} %)")
 
 
-def counting_pass(ops, anchor: Repeats, inter: Repeats, maps: Expansion,
-                  calls: Counter) -> Counter:
+def counting_pass(ops, anchor: Repeats, inter: Repeats, basis: Tuple[Repeats, Repeats],
+                  maps: Expansion, calls: Counter) -> Counter:
     """Run ops with the counted functions wrapped; returns `run`'s error
-    count.  `calls` counts `seg_point_distance`, the `RingIndex` queries,
+    count.  `calls` counts the `_disk2` and `_solve3` calls that solved
+    their basis, `seg_point_distance`, the `RingIndex` queries,
     the `decide` calls and those of them that grew their hull's side
     cache, the `_charts` calls with their corner circles and the ring
     corners offered, and the probe rounds run and skipped with the
@@ -95,6 +99,9 @@ def counting_pass(ops, anchor: Repeats, inter: Repeats, maps: Expansion,
     plain_charts = disks._charts
     plain_narrow = optimize.narrow_interval
     plain_signature = optimize._event_signature
+    plain_disk2, plain_solve3 = disks._disk2, disks._solve3
+    plain_pair, plain_triple = disks._path_midpoint_disk, disks._triple_disk
+    disk2, solve3 = basis
 
     def counted_anchor(self, x):
         anchor.note((id(self), x[0], x[1]))
@@ -112,6 +119,22 @@ def counting_pass(ops, anchor: Repeats, inter: Repeats, maps: Expansion,
     def counted_inter(reg, sites, r):
         inter.note((id(reg), tuple((s[0], s[1]) for s in sites), r))
         return plain_inter(reg, sites, r)
+
+    def counted_disk2(reg, a, b):
+        disk2.note((id(reg), a[0], a[1], b[0], b[1]))
+        return plain_disk2(reg, a, b)
+
+    def counted_solve3(reg, a, b, c):
+        solve3.note((id(reg), a[0], a[1], b[0], b[1], c[0], c[1]))
+        return plain_solve3(reg, a, b, c)
+
+    def counted_pair(reg, a, b):
+        calls["disk2.solved"] += 1
+        return plain_pair(reg, a, b)
+
+    def counted_triple(reg, a, b, c):
+        calls["solve3.solved"] += 1
+        return plain_triple(reg, a, b, c)
 
     def counted_spd(p, a, b):
         calls["seg_point_distance"] += 1
@@ -166,6 +189,8 @@ def counting_pass(ops, anchor: Repeats, inter: Repeats, maps: Expansion,
     disks._charts = counted_charts
     optimize.narrow_interval = counted_narrow
     optimize._event_signature = counted_signature
+    disks._disk2, disks._solve3 = counted_disk2, counted_solve3
+    disks._path_midpoint_disk, disks._triple_disk = counted_pair, counted_triple
     for m in holders:
         m.disks_intersection = counted_inter
     for m in spd_holders:
@@ -173,7 +198,7 @@ def counting_pass(ops, anchor: Repeats, inter: Repeats, maps: Expansion,
     for m in decide_holders:
         m.decide = counted_decide
     try:
-        return run(ops, fresh=(anchor, inter))
+        return run(ops, fresh=(anchor, inter) + basis)
     finally:
         region.SiteMap._anchor = plain_anchor
         region.SiteMap.__init__ = plain_init
@@ -183,6 +208,8 @@ def counting_pass(ops, anchor: Repeats, inter: Repeats, maps: Expansion,
         disks._charts = plain_charts
         optimize.narrow_interval = plain_narrow
         optimize._event_signature = plain_signature
+        disks._disk2, disks._solve3 = plain_disk2, plain_solve3
+        disks._path_midpoint_disk, disks._triple_disk = plain_pair, plain_triple
         for m in holders:
             m.disks_intersection = plain_inter
         for m in spd_holders:
@@ -221,9 +248,10 @@ def main() -> int:
     rng = random.Random(args.seed)
 
     anchor, inter = Repeats("SiteMap._anchor"), Repeats("disks_intersection")
+    basis = Repeats("_disk2"), Repeats("_solve3")
     maps = Expansion()
     calls = Counter()
-    warm_errors = counting_pass(wl.ops(rng), anchor, inter, maps, calls)
+    warm_errors = counting_pass(wl.ops(rng), anchor, inter, basis, maps, calls)
 
     ops = wl.ops(rng)
     prof = cProfile.Profile()
@@ -236,6 +264,8 @@ def main() -> int:
     pstats.Stats(prof, stream=sys.stdout).sort_stats(args.sort).print_stats(args.top)
     print(anchor.line())
     print(inter.line())
+    for rep, solved in zip(basis, ("disk2.solved", "solve3.solved")):
+        print(f"{rep.line()}, {calls[solved]} solved")
     print(maps.line())
     print(f"seg_point_distance: {calls['seg_point_distance']} calls")
     print(f"RingIndex: {calls['RingIndex.classify']} classify, "

@@ -435,6 +435,16 @@ def _as_region(obj) -> Region:
 
 
 def _disk2(region: Region, a: Point2, b: Point2) -> OneCenterResult:
+    """Disk centered at the midpoint of the path a -> b, read from a's
+    map; kept in `region._basis_cache` by the ordered coordinates."""
+    key = (a[0], a[1], b[0], b[1])
+    hit = region._basis_cache.get(key)
+    if hit is None:
+        hit = region._basis_cache[key] = _path_midpoint_disk(region, a, b)
+    return hit
+
+
+def _path_midpoint_disk(region: Region, a: Point2, b: Point2) -> OneCenterResult:
     p = region.site_map(a).path(b)
     L = polyline_length(p)
     half = L / 2
@@ -534,7 +544,18 @@ def _equalize3(region: Region, a: Point2, b: Point2, c: Point2,
 
 def _solve3(region: Region, a: Point2, b: Point2, c: Point2) -> OneCenterResult:
     """One-center of three points: a pair disk that covers the third
-    point, or the equalizer of all three, whichever is smaller."""
+    point, or the equalizer of all three, whichever is smaller.  Kept in
+    `region._basis_cache` by the ordered coordinates, since the order
+    sets the pair disks' paths and the candidates' order; a
+    CertificateError is raised again on every call."""
+    key = (a[0], a[1], b[0], b[1], c[0], c[1])
+    hit = region._basis_cache.get(key)
+    if hit is None:
+        hit = region._basis_cache[key] = _triple_disk(region, a, b, c)
+    return hit
+
+
+def _triple_disk(region: Region, a: Point2, b: Point2, c: Point2) -> OneCenterResult:
     tol = region.tp.tol.near
     cands: List[OneCenterResult] = []
     pairs = [_disk2(region, u, v) for (u, v) in ((a, b), (a, c), (b, c))]

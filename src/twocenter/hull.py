@@ -83,8 +83,13 @@ class GeodesicHull:
         return one_center(self.region, self.chain_extremes(a, b)).radius
 
     def hull_center(self) -> OneCenterResult:
-        """Smallest disk covering the whole hull (its corners suffice)."""
-        return one_center(self.region, self.hull_region.corners)
+        """Smallest disk covering the whole hull.
+
+        A geodesic disk is geodesically convex (Pollack, Sharir and Rote
+        1989), and the hull is the smallest geodesically convex set that
+        holds the extremes, so a disk that covers the extremes covers the
+        hull: the extremes alone set the disk, as in `chain_radius`."""
+        return one_center(self.region, self.extremes)
 
     def __repr__(self):
         return f"GeodesicHull(k={self.k}, interior={len(self.interior_points)})"

@@ -101,11 +101,14 @@ def _boundary_pair_radii(ring: Region, a: Point2, b: Point2,
 
 
 def interval_candidates(h: GeodesicHull, i: int, j: int) -> List[float]:
-    """Radii at which the boundary structure of either side can change."""
+    """Radii at which the boundary structure of either side can change.
+
+    Each chain is taken with the free points; what depends only on the
+    free points (their corner distances and the boundary radii of two
+    free points) is the same for both chains and computed once."""
     pc = pair_chains(h, i, j)
-    region = h.region
+    region, ring, free = h.region, h.hull_region, pc.free
     vals: List[float] = []
-    cuts: Dict[Point2, List[Set[float]]] = {}
     for chain in (pc.chain1, pc.chain2):
         ext = list(chain)
         for a in range(len(ext)):
@@ -113,23 +116,22 @@ def interval_candidates(h: GeodesicHull, i: int, j: int) -> List[float]:
                 vals.append(one_center(region, [ext[a], ext[b]]).radius)
                 for c in range(b + 1, len(ext)):
                     vals.append(one_center(region, [ext[a], ext[b], ext[c]]).radius)
-        for q in pc.free:
+        for q in free:
             for e in ext:
                 vals.append(0.5 * region.site_map(q).distance(e))
             vals.append(one_center(region, ext + [q]).radius)
-        pts = ext + list(pc.free)
-        for p in pts:
-            if p not in cuts:
-                cuts[p] = _segment_cuts(h.hull_region, p)
-        # radii at which an arc endpoint crosses a hull corner
-        for w in h.hull_region.corners:
-            sw = region.site_map(w)
-            for x in pts:
-                vals.append(sw.distance(x))
-        for a in range(len(pts)):
-            for b in range(a + 1, len(pts)):
-                vals.extend(_boundary_pair_radii(h.hull_region, pts[a], pts[b],
-                                                 cuts[pts[a]], cuts[pts[b]]))
+    pts = pc.chain1 + pc.chain2 + free
+    cuts: Dict[Point2, List[Set[float]]] = {p: _segment_cuts(ring, p) for p in pts}
+    # radii at which an arc endpoint crosses a hull corner, read from the
+    # trees `_segment_cuts` built
+    for x in pts:
+        tree = ring.tree(x)
+        vals.extend(tree.distance_to(w) for w in ring.corners)
+    pairs = [(x, y) for chain in (pc.chain1, pc.chain2)
+             for a, x in enumerate(chain) for y in chain[a + 1:] + free]
+    pairs += [(x, y) for a, x in enumerate(free) for y in free[a + 1:]]
+    for x, y in pairs:
+        vals.extend(_boundary_pair_radii(ring, x, y, cuts[x], cuts[y]))
     return vals
 
 

@@ -250,6 +250,9 @@ class Region:
     - `_tree_cache`: `tree(s)` by the source's (x, y).
     - `_onecenter_cache`: `disks.one_center` by the frozenset of the
       points' (x, y).
+    - `_basis_cache`: the one-center of a basis of two or three points,
+      `disks._disk2` and `disks._solve3`, by the points' coordinates in
+      argument order.
     - `_side_cache`: `decision.chain_side`, the disk intersection of a
       chain at radius r and its prepared side, by (chain, free points, r);
       filled on a hull's ring region only.  Errors are not cached.
@@ -275,6 +278,7 @@ class Region:
         self.diameter = tp.diameter
         self._tree_cache: Dict[Key, ShortestPathTree] = {}
         self._onecenter_cache: Dict[frozenset, object] = {}
+        self._basis_cache: Dict[Tuple[float, ...], object] = {}
         self._side_cache: Dict[tuple, object] = {}
         self._ring_index: Optional[RingIndex] = None
 

@@ -180,6 +180,31 @@ def test_no_one_center_candidate_raises(sq4, monkeypatch):
         one_center(triangulate(sq4), [Point2(1, 1), Point2(3, 1), Point2(2, 2.7)])
 
 
+def test_basis_disks_solved_once_per_region(l6, l6_tp, sq4, monkeypatch):
+    # the path from a to b bends at the reflex corner (2, 2)
+    a, b, c = Point2(3.5, 1.5), Point2(1.5, 3.5), Point2(0.5, 0.5)
+    reg, fresh = Region(l6_tp), Region(triangulate(l6))
+    d_ab = disks._disk2(reg, a, b)
+    assert disks._disk2(reg, a, b) is d_ab
+    assert disks._disk2(fresh, a, b) == d_ab
+    # the argument order sets the path direction: (b, a) is its own entry
+    d_ba = disks._disk2(reg, b, a)
+    assert disks._disk2(reg, b, a) is d_ba and d_ba is not d_ab
+    assert {(a.x, a.y, b.x, b.y), (b.x, b.y, a.x, a.y)} <= set(reg._basis_cache)
+    t = disks._solve3(reg, a, b, c)
+    assert disks._solve3(reg, a, b, c) is t
+    assert disks._solve3(fresh, a, b, c) == t
+    assert disks._solve3(reg, c, b, a) is not t
+    # an acute triangle without an equalizer: no candidate, raised each time
+    monkeypatch.setattr(disks, "_equalize3", lambda *args: None)
+    reg = Region(triangulate(sq4))
+    p, q, s = Point2(1, 1), Point2(3, 1), Point2(2, 2.7)
+    for _ in range(2):
+        with pytest.raises(CertificateError):
+            disks._solve3(reg, p, q, s)
+    assert (p.x, p.y, q.x, q.y, s.x, s.y) not in reg._basis_cache
+
+
 @given(st.integers(0, 60))
 def test_one_center_covers_and_is_tight(seed):
     inst = generate(("star", "comb", "random")[seed % 3], 6 + seed % 9,

@@ -261,6 +261,24 @@ def test_solve_runs_no_two_point_funnel(cell, monkeypatch):
     assert (got.radius, got.c1, got.c2) == (want.radius, want.c1, want.c2)
 
 
+@pytest.mark.parametrize("cell", [(f, 16, 8, s) for f in FAMILIES for s in range(4)]
+                         + [(f, 48, 6, s) for f in FAMILIES for s in range(3)],
+                         ids=lambda c: "{}/{}x{}/s{}".format(*c))
+def test_solve_builds_site_maps_only_at_points_of_q(cell):
+    # the cells of the solve-16x8 and solve-48x6 benchmark workloads; a
+    # hull corner that is no point of Q is read from the points' own maps
+    inst = generate(*cell)
+    poly = SimplePolygon(inst.polygon)
+    k = 2.0 ** round(math.log2(64.0 / poly.diameter))
+    tp = triangulate(SimplePolygon([(v.x * k, v.y * k) for v in poly.vertices]))
+    pts = [Point2(q.x * k, q.y * k) for q in inst.points]
+    try:
+        driver._solve_on(tp, pts)
+    except BoundaryAssemblyError:
+        pass    # random/16x8/s1 raises in every pass; its maps still count
+    assert tp._site_maps and set(tp._site_maps) <= {(q.x, q.y) for q in pts}
+
+
 def _pair_loop_without_stop(h):
     """`driver._solve_on`'s pair loop without its early stop: the best
     (radius, c1, c2, pair) over every candidate pair."""

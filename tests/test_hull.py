@@ -107,9 +107,11 @@ def _solver_hull(cell):
     return geodesic_hull(triangulate(poly), [Point2(q.x * s, q.y * s) for q in inst.points])
 
 
-@pytest.mark.parametrize("cell", [(fam, n, m, s) for fam in ("convex", "star", "comb", "random")
-                                  for n, m in ((16, 8), (48, 6)) for s in range(6)],
-                         ids=lambda c: "{}/{}x{}/s{}".format(*c))
+_CHAIN_RADIUS_CELLS = [(fam, n, m, s) for fam in ("convex", "star", "comb", "random")
+                       for n, m in ((16, 8), (48, 6)) for s in range(6)]
+
+
+@pytest.mark.parametrize("cell", _CHAIN_RADIUS_CELLS, ids=lambda c: "{}/{}x{}/s{}".format(*c))
 def test_chain_radius_matches_corners(cell):
     # the chain's extremes set the radius of all its corners, bit for bit
     h = _solver_hull(cell)
@@ -195,3 +197,29 @@ def test_ring_turns_right_at_every_extreme(cell):
     ring, n = h.ring, len(h.ring)
     for i in h.pos:
         assert orientation(ring[i - 1], ring[i], ring[(i + 1) % n]) <= 0, ring[i]
+
+
+def _hull_center_against_corners(h, left_turning: bool) -> None:
+    # a geodesic disk is geodesically convex, so the extremes set the
+    # smallest disk over the whole ring; a ring that turns left at an
+    # extreme is not the convex hull, and only its subset bound holds
+    got = h.hull_center().radius
+    want = one_center(h.region, h.hull_region.corners).radius
+    if left_turning:
+        assert got <= want
+    else:
+        assert got == pytest.approx(want, rel=0.0, abs=h.ambient.tol.radius)
+
+
+def test_hull_center_from_extremes_small(qsym_hull, arms_hull, sq4_tp, l6_tp):
+    # the l6 three-point hull bends at the reflex corner (2, 2), no point of Q
+    for h in (qsym_hull, arms_hull,
+              geodesic_hull(l6_tp, [Point2(1, 1), Point2(3, 1), Point2(1, 3)]),
+              geodesic_hull(sq4_tp, [Point2(1, 1), Point2(2, 1), Point2(3, 1)])):
+        _hull_center_against_corners(h, left_turning=False)
+
+
+@pytest.mark.parametrize("cell", sorted(set(_CHAIN_RADIUS_CELLS) | set(_HULL_ORDER_CELLS)),
+                         ids=lambda c: "{}/{}x{}/s{}".format(*c))
+def test_hull_center_from_extremes(cell):
+    _hull_center_against_corners(_solver_hull(cell), cell in _HULL_ORDER_DEFECT)
