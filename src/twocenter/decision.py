@@ -3,7 +3,8 @@
 decide(h, i, j, r) answers whether two geodesic disks of radius r can
 cover Q so that disk 1 contains the extreme chain v_{j+1}..v_i and disk 2
 contains v_{i+1}..v_j.  The cascade runs top to bottom, certain exits
-first: whole-hull disk, chain one-centers, shared-vertex witness,
+first: whole-hull disk, chain one-centers, the shared-vertex witness
+(one-centers only, tried before any disk intersection is built),
 interior-free exit, empty or pinched intersections, forced points.  Then
 the "one-side-quiet" witness is tried from either side.  When it finds
 none, exhaustive split enumeration settles the answer; above
@@ -88,9 +89,8 @@ def _coverage_ok(region: Region, pc: PairChains, r: float,
 def shared_vertex_decide(h: GeodesicHull, i: int, j: int, r: float):
     """Witness centers whose disks both contain one of the four split
     vertices while one of them takes every free point, or None.  It
-    answers before any disk intersection is built, which a hull ring
-    that turns left at an extreme (`tests/test_hull.py`) can make raise
-    BoundaryAssemblyError.
+    answers from one-centers alone, before any disk intersection is
+    built, so a split it settles costs no `chain_side` call.
     """
     pc = pair_chains(h, i, j)
     region = h.region

@@ -22,7 +22,7 @@ class InfeasibleInterval(Exception):
 
 
 class HullConvergenceError(Exception):
-    """Relative hull construction did not reach a fixed point."""
+    """The geodesic hull's gift wrap did not return to its start."""
 
 
 class BoundaryAssemblyError(Exception):

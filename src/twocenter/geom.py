@@ -228,27 +228,6 @@ def ring_area2(ring) -> float:
     return s
 
 
-def convex_hull_ccw(points):
-    """Strict convex hull in counterclockwise order (collinear points dropped)."""
-    P = sorted(set((p[0], p[1]) for p in points))
-    if len(P) == 1:
-        return [Point2(*P[0])]
-    if len(P) == 2:
-        return [Point2(*P[0]), Point2(*P[1])]
-
-    def half(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2 and cross(out[-2], out[-1], p) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = half(P)
-    upper = half(reversed(P))
-    return [Point2(*p) for p in lower[:-1] + upper[:-1]]
-
-
 def ring_contains(pt, ring, eps: float = EPS) -> str:
     """Classify pt against a closed (possibly weakly simple) ring.
 

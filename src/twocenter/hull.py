@@ -1,8 +1,11 @@
 """Geodesic convex hulls of point sets inside a polygon.
 
-The hull of Q is traced as a closed (weakly simple) ring: extreme points
-of Q in clockwise order joined by geodesic paths.  Chains, subregions
-between two boundary points, and their one-center radii live here too.
+The hull of Q (its relative convex hull in the polygon) is traced as a
+closed (weakly simple) ring: extreme points of Q in clockwise order
+joined by geodesic paths.  The extremes are found by gift wrapping along
+shortest paths, each step read from the current extreme's shortest-path
+map.  Chains, subregions between two boundary points, and their
+one-center radii live here too.
 """
 from __future__ import annotations
 
@@ -10,10 +13,9 @@ from typing import Dict, List, Sequence, Tuple
 
 from .disks import OneCenterResult, one_center
 from .errors import HullConvergenceError, PointOutsidePolygon
-from .geom import (Point2, convex_hull_ccw, ring_area2, ring_contains,
-                   unique_points)
+from .geom import Point2, orientation, unique_points
 from .polygon import TriangulatedPolygon, point_in_polygon
-from .region import Region
+from .region import Region, SiteMap
 
 
 class GeodesicHull:
@@ -108,13 +110,31 @@ def _trace_ring(region: Region, extremes: List[Point2]) -> Tuple[List[Point2], L
     return ring, pos
 
 
-def geodesic_hull(tp: TriangulatedPolygon, Q: Sequence[Point2]) -> GeodesicHull:
-    """Geodesic convex hull of Q inside the polygon.
+def _left_of(sm: SiteMap, pa: List[Point2], pb: List[Point2]) -> bool:
+    """Whether path pa from sm's source runs left of path pb.
 
-    Starts from the Euclidean hull order, joins consecutive extremes by
-    geodesics, then alternates inserting points left outside the traced
-    ring (at the position of least perimeter increase) and dropping
-    extremes engulfed by the rest, until stable.
+    The paths share a prefix and part at its last vertex; the one that
+    leaves it to the left of the other is the left one.  A straight turn
+    means one end lies on the other's path, and the farther end wins."""
+    t = 1
+    while t < len(pa) and t < len(pb) and pa[t] == pb[t]:
+        t += 1
+    if t < len(pa) and t < len(pb):
+        turn = orientation(pa[t - 1], pb[t], pa[t])
+        if turn:
+            return turn > 0
+    return sm.distance(pa[-1]) > sm.distance(pb[-1])
+
+
+def geodesic_hull(tp: TriangulatedPolygon, Q: Sequence[Point2]) -> GeodesicHull:
+    """Geodesic convex hull of Q inside the polygon, by gift wrapping.
+
+    The wrap starts at the point of Q farthest from Q[0]: geodesic
+    distance is convex along geodesics (Pollack, Sharir and Rote 1989),
+    so that point is an extreme.  From each extreme v it steps to the
+    point whose shortest path from v is leftmost, which leaves every
+    other point on its right, until it is back at the start (Toussaint
+    1986).  Every map it reads is a point of Q's.
     """
     region = Region.of(tp)
     pts = [Point2(float(q[0]), float(q[1])) for q in Q]
@@ -127,53 +147,22 @@ def geodesic_hull(tp: TriangulatedPolygon, Q: Sequence[Point2]) -> GeodesicHull:
     if len(pts) == 1:
         return GeodesicHull(tp, [pts[0]], pts)
 
-    hull_ccw = convex_hull_ccw(pts)
-    extremes: List[Point2] = list(reversed(hull_ccw))
-    eps = tp.tol.near
-
-    guard = 0
-    limit = 4 * len(pts) * len(pts) + 16
+    sm = region.site_map(pts[0])
+    start = max(pts, key=lambda q: (sm.distance(q), q.x, q.y))
+    extremes = [start]
     while True:
-        guard += 1
-        if guard > limit:
-            raise HullConvergenceError("hull construction did not stabilize")
-        ring, _ = _trace_ring(region, extremes)
-        ex_keys = {(p.x, p.y) for p in extremes}
-        outside = [q for q in pts if (q.x, q.y) not in ex_keys
-                   and ring_contains(q, ring, eps) == "outside"]
-        if outside:
-            # bring in the worst offender at the cheapest boundary slot
-            def slack(q):
-                best = None
-                for i in range(len(extremes)):
-                    a = extremes[i]
-                    b = extremes[(i + 1) % len(extremes)]
-                    sa = region.site_map(a)
-                    inc = sa.distance(q) + region.site_map(q).distance(b) \
-                        - sa.distance(b)
-                    if best is None or inc < best[0]:
-                        best = (inc, i)
-                return best
-            q = max(outside, key=lambda q: slack(q)[0])
-            _, slot = slack(q)
-            extremes.insert(slot + 1, q)
-            continue
-        if len(extremes) > 2:
-            removed = False
-            for i in range(len(extremes)):
-                rest = extremes[:i] + extremes[i + 1:]
-                rring, _ = _trace_ring(region, rest)
-                if ring_contains(extremes[i], rring, eps) != "outside":
-                    extremes.pop(i)
-                    removed = True
-                    break
-            if removed:
-                continue
-        break
-
-    ring, _ = _trace_ring(region, extremes)
-    if ring_area2(ring) > 0:
-        extremes.reverse()
-    start = min(range(len(extremes)), key=lambda i: (extremes[i].x, extremes[i].y))
-    extremes = extremes[start:] + extremes[:start]
-    return GeodesicHull(tp, extremes, pts)
+        v = extremes[-1]
+        sm = region.site_map(v)
+        best, pb = None, None
+        for q in pts:
+            if q != v:
+                pq = sm.path(q)
+                if pb is None or _left_of(sm, pq, pb):
+                    best, pb = q, pq
+        if best == start:
+            break
+        if len(extremes) == len(pts):
+            raise HullConvergenceError("hull gift wrap did not close")
+        extremes.append(best)
+    first = min(range(len(extremes)), key=lambda i: (extremes[i].x, extremes[i].y))
+    return GeodesicHull(tp, extremes[first:] + extremes[:first], pts)

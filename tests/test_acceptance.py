@@ -269,15 +269,15 @@ EXACT_CELLS = [(fam, n, m, s)
     ("random", 12, 6, 10), ("comb", 48, 6, 8), ("star", 48, 6, 11),
     ("random", 128, 6, 0), ("comb", 16, 16, 0), ("comb", 16, 8, 8),
     ("random", 20, 10, 7), ("random", 48, 6, 8), ("random", 12, 6, 12),
-    ("random", 48, 6, 6)]
+    ("random", 48, 6, 6), ("comb", 24, 12, 2), ("comb", 48, 6, 6),
+    ("random", 16, 16, 1)]
 _WRONG = pytest.mark.xfail(strict=True, raises=AssertionError,
                            reason="radius above the optimum")
-_CRASH = pytest.mark.xfail(strict=True, raises=BoundaryAssemblyError,
-                           reason="boundary stitching defect")
 EXACT_XFAIL = {
     ("random", 16, 8, 3): _WRONG, ("random", 48, 6, 3): _WRONG,
-    ("comb", 12, 6, 5): _CRASH, ("random", 16, 8, 1): _CRASH,
-    ("random", 16, 8, 4): _CRASH,
+    ("random", 16, 8, 1): pytest.mark.xfail(
+        strict=True, raises=BoundaryAssemblyError,
+        reason="boundary stitching defect on a right-turning hull"),
     ("random", 48, 6, 8): _WRONG, ("random", 12, 6, 12): _WRONG,
     ("random", 48, 6, 6): _WRONG,
 }

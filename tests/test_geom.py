@@ -5,9 +5,8 @@ from hypothesis import assume, given, strategies as st
 
 from twocenter import geom
 from twocenter.geom import (EPS, TAU, Point2, angle_of,
-                            circle_circle_intersections, convex_hull_ccw,
-                            cw_delta, dist, orientation, point_at,
-                            ring_contains, seg_point_distance,
+                            circle_circle_intersections, cw_delta, dist,
+                            orientation, point_at, seg_point_distance,
                             segments_properly_cross)
 
 coords = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
@@ -130,14 +129,3 @@ def test_circle_circle():
         assert math.isclose(dist(h, Point2(0, 0)), 1.0, abs_tol=1e-12)
         assert math.isclose(dist(h, Point2(1, 0)), 1.0, abs_tol=1e-12)
     assert circle_circle_intersections(Point2(0, 0), 1.0, Point2(5, 0), 1.0) == []
-
-
-@given(st.lists(st.tuples(coords, coords), min_size=3, max_size=12))
-def test_convex_hull_contains_points(raw):
-    pts = [Point2(x, y) for x, y in raw]
-    hull = convex_hull_ccw(pts)
-    assert all(h in pts for h in hull)
-    if len(hull) >= 3:
-        ring = list(reversed(hull))      # ring_contains expects clockwise
-        for p in pts:
-            assert ring_contains(p, ring, 1e-7) in ("inside", "boundary")

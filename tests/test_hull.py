@@ -3,7 +3,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from twocenter import hull
 from twocenter.disks import one_center
+from twocenter.errors import HullConvergenceError
 from twocenter.geom import Point2, orientation, ring_contains, unique_points
 from twocenter.hull import geodesic_hull
 from twocenter.instances import generate
@@ -175,40 +177,61 @@ def test_hull_geodesically_convex(seed):
                 assert ring_contains(w, h.ring, 1e-7 * sc) != "outside"
 
 
-# Hulls whose traced ring turns left at an extreme: a site in a pocket
-# behind a reflex vertex shared by two hull paths, while the extremes
-# keep their Euclidean cyclic order (the hull only ever inserts or drops
-# one).  The lobe then runs counterclockwise inside the clockwise ring.
-_HULL_ORDER_DEFECT = {("comb", 12, 6, 5), ("comb", 16, 8, 1), ("random", 16, 8, 1),
-                      ("random", 16, 8, 4), ("random", 48, 6, 2), ("comb", 16, 8, 8),
-                      ("comb", 48, 6, 6), ("random", 48, 6, 6), ("random", 48, 6, 8),
-                      ("random", 20, 10, 4), ("comb", 24, 12, 2), ("random", 16, 16, 1)}
+# Beside the 16x8 grid, hulls with a site in a pocket behind a reflex
+# vertex shared by two hull paths: a hull order repaired from the
+# Euclidean one turns left at an extreme on each of them.
+_LEFT_TURN_CELLS = [("comb", 12, 6, 5), ("comb", 16, 8, 8), ("comb", 24, 12, 2),
+                    ("comb", 48, 6, 6), ("random", 16, 16, 1), ("random", 20, 10, 4),
+                    ("random", 48, 6, 2), ("random", 48, 6, 6), ("random", 48, 6, 8)]
 _HULL_ORDER_GRID = [(fam, 16, 8, s) for fam in ("convex", "star", "comb", "random")
                     for s in range(6)]
-_HULL_ORDER_CELLS = _HULL_ORDER_GRID + sorted(_HULL_ORDER_DEFECT - set(_HULL_ORDER_GRID))
+_HULL_ORDER_CELLS = _HULL_ORDER_GRID + _LEFT_TURN_CELLS
 
 
-@pytest.mark.parametrize("cell", [
-    pytest.param(c, marks=pytest.mark.xfail(strict=True, reason="hull order defect"))
-    if c in _HULL_ORDER_DEFECT else c for c in _HULL_ORDER_CELLS],
-    ids=lambda c: "{}/{}x{}/s{}".format(*c))
-def test_ring_turns_right_at_every_extreme(cell):
-    h = _solver_hull(cell)
+def _turns_right_at_every_extreme(h) -> bool:
     ring, n = h.ring, len(h.ring)
-    for i in h.pos:
-        assert orientation(ring[i - 1], ring[i], ring[(i + 1) % n]) <= 0, ring[i]
+    return all(orientation(ring[i - 1], ring[i], ring[(i + 1) % n]) <= 0 for i in h.pos)
 
 
-def _hull_center_against_corners(h, left_turning: bool) -> None:
+@pytest.mark.parametrize("cell", _HULL_ORDER_CELLS, ids=lambda c: "{}/{}x{}/s{}".format(*c))
+def test_ring_turns_right_at_every_extreme(cell):
+    assert _turns_right_at_every_extreme(_solver_hull(cell))
+
+
+def test_wrap_closes_around_a_doubled_corridor():
+    # unscaled random/13x8/s149: its smallest (x, y) point is not an
+    # extreme, and the hull's corridor passes to its left
+    inst = generate("random", 13, 8, 149)
+    h = geodesic_hull(triangulate(SimplePolygon(inst.polygon)), inst.points)
+    assert h.k == 5
+    assert _turns_right_at_every_extreme(h)
+    assert (23.446864233287805, 18.1950199007627) in _keyset(h.interior_points)
+
+
+def test_wrap_drops_extremes_inside_a_shorter_ring():
+    # a longer ring through these two points also turns right at every
+    # extreme, but the relative hull of random/15x6/s147 holds them inside
+    h = _solver_hull(("random", 15, 6, 147))
+    assert h.k == 4
+    assert _turns_right_at_every_extreme(h)
+    assert {(44.387485847553606, 26.249028804002755),
+            (38.837318648789505, 33.64908100148236)} <= _keyset(h.interior_points)
+
+
+def test_wrap_that_does_not_close_raises(monkeypatch, sq4_tp):
+    # a step that always keeps the first candidate cycles between two
+    # points that are not the start
+    monkeypatch.setattr(hull, "_left_of", lambda sm, pa, pb: False)
+    with pytest.raises(HullConvergenceError):
+        geodesic_hull(sq4_tp, QSYM)
+
+
+def _hull_center_against_corners(h) -> None:
     # a geodesic disk is geodesically convex, so the extremes set the
-    # smallest disk over the whole ring; a ring that turns left at an
-    # extreme is not the convex hull, and only its subset bound holds
+    # smallest disk over the whole ring
     got = h.hull_center().radius
     want = one_center(h.region, h.hull_region.corners).radius
-    if left_turning:
-        assert got <= want
-    else:
-        assert got == pytest.approx(want, rel=0.0, abs=h.ambient.tol.radius)
+    assert got == pytest.approx(want, rel=0.0, abs=h.ambient.tol.radius)
 
 
 def test_hull_center_from_extremes_small(qsym_hull, arms_hull, sq4_tp, l6_tp):
@@ -216,10 +239,10 @@ def test_hull_center_from_extremes_small(qsym_hull, arms_hull, sq4_tp, l6_tp):
     for h in (qsym_hull, arms_hull,
               geodesic_hull(l6_tp, [Point2(1, 1), Point2(3, 1), Point2(1, 3)]),
               geodesic_hull(sq4_tp, [Point2(1, 1), Point2(2, 1), Point2(3, 1)])):
-        _hull_center_against_corners(h, left_turning=False)
+        _hull_center_against_corners(h)
 
 
 @pytest.mark.parametrize("cell", sorted(set(_CHAIN_RADIUS_CELLS) | set(_HULL_ORDER_CELLS)),
                          ids=lambda c: "{}/{}x{}/s{}".format(*c))
 def test_hull_center_from_extremes(cell):
-    _hull_center_against_corners(_solver_hull(cell), cell in _HULL_ORDER_DEFECT)
+    _hull_center_against_corners(_solver_hull(cell))
