@@ -16,8 +16,8 @@ from .driver import two_center, TwoCenterSolution
 from .errors import (BoundaryAssemblyError, CertificateError, DegenerateHull,
                      HullConvergenceError, InfeasibleInterval, InvalidPolygon,
                      PointOutsidePolygon, TooLarge)
-from .geom import Point2, dist, unique_points
-from .instances import FAMILIES, Instance, dump_instance, generate, parse_instance
+from .geom import Point2, unique_points
+from .instances import FAMILIES, Instance, dump_instance, generate, load_instance
 from .oracle import oracle_two_center
 from .polygon import SimplePolygon, triangulate
 from .region import Region
@@ -71,12 +71,6 @@ def verify_record(inst: Instance, rec: dict, epsilon: float = 1e-9) -> None:
                 f"radius {radius}")
 
 
-def _load_instance_file(path: str) -> Instance:
-    with open(path, "r") as fh:
-        obj = json.load(fh)
-    return parse_instance(obj)
-
-
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w") as fh:
@@ -87,7 +81,7 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 def cmd_solve(args) -> int:
     try:
-        inst = _load_instance_file(args.input)
+        inst = load_instance(args.input)
     except PointOutsidePolygon as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -128,7 +122,7 @@ def cmd_solve(args) -> int:
             else:
                 gap = abs(sol.radius - r_ref)
                 tol = 1e-4 * max(abs(sol.radius), abs(r_ref))
-                tol += 1e-9 * max(tp_diam(poly), 1.0)
+                tol += 1e-9 * max(poly.diameter, 1.0)
                 if gap > tol:
                     print(f"oracle mismatch: solver {sol.radius!r} vs "
                           f"oracle {r_ref!r}", file=sys.stderr)
@@ -145,11 +139,6 @@ def cmd_solve(args) -> int:
     return code
 
 
-def tp_diam(poly: SimplePolygon) -> float:
-    vs = poly.vertices
-    return max(dist(a, b) for a in vs for b in vs)
-
-
 def cmd_gen(args) -> int:
     try:
         inst = generate(args.family, args.n, args.m, args.seed)
@@ -162,7 +151,7 @@ def cmd_gen(args) -> int:
 
 def cmd_render(args) -> int:
     try:
-        inst = _load_instance_file(args.input)
+        inst = load_instance(args.input)
     except (OSError, ValueError, InvalidPolygon, PointOutsidePolygon) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -5,8 +5,9 @@ cover Q so that disk 1 contains the extreme chain v_{j+1}..v_i and disk 2
 contains v_{i+1}..v_j.  The cascade runs top to bottom, certain exits
 first: whole-hull disk, chain one-centers, the shared-vertex witness
 (one-centers only, tried before any disk intersection is built),
-interior-free exit, empty or pinched intersections, forced points.  Then
-the "one-side-quiet" witness is tried from either side.  When it finds
+interior-free exit, empty or pinched intersections, forced points (one
+that neither chain reaches is forced to both sides).  Then the
+"one-side-quiet" witness is tried from either side.  When it finds
 none, exhaustive split enumeration settles the answer; above
 SPLIT_ENUM_CAP free points nothing settles it and CertificateError is
 raised.
@@ -259,10 +260,6 @@ def _decide(h: GeodesicHull, i: int, j: int, r: float) -> DecisionResult:
 
     forced2 = [q for q in pc.free if not reach(pc.chain1, q)]
     forced1 = [q for q in pc.free if not reach(pc.chain2, q)]
-    fk1 = {_key(q) for q in forced1}
-    for q in forced2:
-        if _key(q) in fk1:
-            return DecisionResult(False, "separated-point")
     if any(one_center(region, list(c) + f).radius > r + eps
            for c, f in ((pc.chain1, forced1), (pc.chain2, forced2))):
         return DecisionResult(False, "forced-overload")

@@ -5,7 +5,10 @@ hull's one-center, optimize every chain split of the hull's extremes
 below that bound and below the best radius so far, in increasing order
 of the split's larger chain radius, and keep the best witness.  The
 search stops at the first split whose larger chain radius exceeds the
-best radius so far.
+best radius so far.  A flat hull (one or two extremes, or a ring of
+zero area, as for one or two distinct points) puts Q on one geodesic;
+its best prefix split is scored by one-centers instead.  Every answer
+is certified before it is returned.
 """
 from __future__ import annotations
 
@@ -16,8 +19,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import decision
 from .decision import pair_chains
+from .disks import one_center
 from .errors import CertificateError, DegenerateHull, PointOutsidePolygon
-from .geom import Point2, dist, ring_area2, unique_points
+from .geom import Point2, ring_area2, unique_points
 from .hull import GeodesicHull, geodesic_hull
 from .optimize import RadiusInterval, optimize_pair
 from .polygon import SimplePolygon, TriangulatedPolygon, point_in_polygon, triangulate
@@ -77,58 +81,34 @@ def assistant_interval(h: GeodesicHull) -> RadiusInterval:
     return RadiusInterval(0.0, h.hull_center().radius)
 
 
-def _point_along(path: Sequence[Point2], s: float) -> Point2:
-    acc = 0.0
-    for a, b in zip(path, path[1:]):
-        step = dist(a, b)
-        if acc + step >= s - 1e-12:
-            t = 0.0 if step <= 0 else max(0.0, min(1.0, (s - acc) / step))
-            return Point2(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
-        acc += step
-    return path[-1]
-
-
 def _line_solution(h: GeodesicHull, pts: List[Point2]) -> TwoCenterSolution:
-    """All of Q on one geodesic path: a prefix split in path order."""
+    """All of Q on one geodesic path: the best prefix split in path order.
+
+    Each side's disk is the one-center of its two end points.  Geodesic
+    distance is convex along the path (Pollack, Sharir and Rote 1989), so
+    that disk covers every point of the side between them."""
     region = h.region
-    far = max(((a, b) for a in h.extremes for b in h.extremes),
-              key=lambda ab: region.site_map(ab[0]).distance(ab[1]))
-    a, b = far
+    a, _b = max(((a, b) for a in h.extremes for b in h.extremes),
+                key=lambda ab: region.site_map(ab[0]).distance(ab[1]))
     sa = region.site_map(a)
-    path = sa.path(b)
-    coord = sorted(set((sa.distance(q), q) for q in pts))
-    svals = [s for s, _q in coord]
-    best = None
-    for cut in range(1, len(svals) + 1):
-        left = svals[:cut]
-        right = svals[cut:]
-        r = (left[-1] - left[0]) / 2 if left else 0.0
-        if right:
-            r = max(r, (right[-1] - right[0]) / 2)
-        if best is None or r < best[0] - 1e-15:
-            best = (r, cut)
-    r, cut = best
-    left = svals[:cut]
-    right = svals[cut:]
-    c1 = _point_along(path, (left[0] + left[-1]) / 2)
-    c2 = _point_along(path, (right[0] + right[-1]) / 2) if right else c1
-    assign: Dict[Key, int] = {}
-    for s, q in coord:
-        assign[(q.x, q.y)] = 1 if s <= left[-1] + 1e-12 else 2
-    pair = CandidatePair(0, 1 % max(1, h.k))
-    return TwoCenterSolution(c1, c2, r, pair, assign)
+    order = sorted(pts, key=lambda q: (sa.distance(q), q))
+
+    def split(cut: int):
+        d1 = one_center(region, (order[0], order[cut - 1]))
+        d2 = one_center(region, (order[cut], order[-1])) if cut < len(order) else d1
+        return max(d1.radius, d2.radius), d1.center, d2.center, cut
+
+    r, c1, c2, cut = min(map(split, range(1, len(order) + 1)), key=lambda s: s[0])
+    assign = {(q.x, q.y): 1 if t < cut else 2 for t, q in enumerate(order)}
+    return TwoCenterSolution(c1, c2, r, CandidatePair(0, 1 % h.k), assign)
 
 
 def _assignment(h: GeodesicHull, pr: CandidatePair, c1: Point2, c2: Point2,
                 pts: Sequence[Point2]) -> Dict[Key, int]:
     region = h.region
-    forced: Dict[Key, int] = {}
-    if h.k >= 2 and pr.i != pr.j:
-        pc = pair_chains(h, pr.i, pr.j)
-        for e in pc.chain1:
-            forced[(e.x, e.y)] = 1
-        for e in pc.chain2:
-            forced[(e.x, e.y)] = 2
+    pc = pair_chains(h, pr.i, pr.j)
+    forced: Dict[Key, int] = {(e.x, e.y): 1 for e in pc.chain1}
+    forced.update({(e.x, e.y): 2 for e in pc.chain2})
     out: Dict[Key, int] = {}
     for q in pts:
         key = (q.x, q.y)
@@ -159,39 +139,28 @@ def _solve_on(tp: TriangulatedPolygon, pts: List[Point2]) -> TwoCenterSolution:
     token = decision.BRANCH_COUNTS.set(stats)
     try:
         uniq = unique_points(pts)
-        if len(uniq) == 1:
-            q = uniq[0]
-            sol = TwoCenterSolution(q, q, 0.0, CandidatePair(0, 0),
-                                    {(q.x, q.y): 1 for q in pts})
-        elif len(uniq) == 2:
-            a, b = uniq
-            assign = {(q.x, q.y): (1 if (q.x, q.y) == (a.x, a.y) else 2)
-                      for q in uniq}
-            sol = TwoCenterSolution(a, b, 0.0, CandidatePair(0, 1), assign)
+        h = geodesic_hull(tp, uniq)
+        if h.k <= 2 or abs(ring_area2(h.ring)) <= tp.tol.area:
+            sol = _line_solution(h, uniq)
         else:
-            h = geodesic_hull(tp, uniq)
-            if h.k == 2 or abs(ring_area2(h.ring)) <= tp.tol.area:
-                sol = _line_solution(h, uniq)
-            else:
-                iv = assistant_interval(h)
-                eps = tp.tol.radius
-                best: Optional[Tuple[float, Point2, Point2, CandidatePair]] = None
-                for p in candidate_pairs(h):
-                    hi = iv.hi if best is None else min(iv.hi, best[0])
-                    if hi < iv.hi - eps and _balance(h, p.i, p.j) > hi + eps:
-                        break    # decide's chain-infeasible exit, here and after
-                    got = optimize_pair(h, p.i, p.j, RadiusInterval(iv.lo, hi))
-                    if got is None:
-                        continue
-                    r, c1, c2 = got
-                    if best is None or r < best[0] - 1e-15:
-                        best = (r, c1, c2, p)
-                if best is None:
-                    raise CertificateError("no candidate pair optimized")
-                r, c1, c2, p = best
-                sol = TwoCenterSolution(c1, c2, r, p,
-                                        _assignment(h, p, c1, c2, uniq))
-            _certify(h, sol, uniq)
+            iv = assistant_interval(h)
+            eps = tp.tol.radius
+            best: Optional[Tuple[float, Point2, Point2, CandidatePair]] = None
+            for p in candidate_pairs(h):
+                hi = iv.hi if best is None else min(iv.hi, best[0])
+                if hi < iv.hi - eps and _balance(h, p.i, p.j) > hi + eps:
+                    break    # decide's chain-infeasible exit, here and after
+                got = optimize_pair(h, p.i, p.j, RadiusInterval(iv.lo, hi))
+                if got is None:
+                    continue
+                r, c1, c2 = got
+                if best is None or r < best[0] - 1e-15:
+                    best = (r, c1, c2, p)
+            if best is None:
+                raise CertificateError("no candidate pair optimized")
+            r, c1, c2, p = best
+            sol = TwoCenterSolution(c1, c2, r, p, _assignment(h, p, c1, c2, uniq))
+        _certify(h, sol, uniq)
         sol.branch_stats = dict(sorted(stats.items()))
         return sol
     finally:

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -18,6 +19,7 @@ import warnings
 import pytest
 
 import frozen_oracle
+from twocenter import driver
 from twocenter.decision import decide, pair_chains
 from twocenter.disks import CircArc, disks_intersection, one_center
 from twocenter.driver import candidate_pairs, two_center
@@ -270,7 +272,11 @@ EXACT_CELLS = [(fam, n, m, s)
     ("random", 128, 6, 0), ("comb", 16, 16, 0), ("comb", 16, 8, 8),
     ("random", 20, 10, 7), ("random", 48, 6, 8), ("random", 12, 6, 12),
     ("random", 48, 6, 6), ("comb", 24, 12, 2), ("comb", 48, 6, 6),
-    ("random", 16, 16, 1)]
+    ("random", 16, 16, 1), ("random", 17, 8, 115), ("random", 17, 9, 115),
+    ("random", 10, 4, 2), ("random", 22, 5, 110)]
+# a seeded slice of scripts/fuzz_exact.py
+FUZZ_SLICE = [(fam, n, m, s) for fam in FAMS for n in (8, 13) for m in (5, 8)
+              for s in (100, 101)]
 _WRONG = pytest.mark.xfail(strict=True, raises=AssertionError,
                            reason="radius above the optimum")
 EXACT_XFAIL = {
@@ -280,12 +286,16 @@ EXACT_XFAIL = {
         reason="boundary stitching defect on a right-turning hull"),
     ("random", 48, 6, 8): _WRONG, ("random", 12, 6, 12): _WRONG,
     ("random", 48, 6, 6): _WRONG,
+    # each of these solves records a false "no" of `no-arc-anomaly:n`
+    ("random", 17, 8, 115): _WRONG, ("random", 17, 9, 115): _WRONG,
+    ("random", 10, 4, 2): _WRONG, ("random", 22, 5, 110): _WRONG,
+    ("random", 13, 5, 100): _WRONG,
 }
 
 
 @pytest.mark.parametrize("cell", [
     pytest.param(c, marks=EXACT_XFAIL.get(c, ()), id="{}/{}x{}/s{}".format(*c))
-    for c in EXACT_CELLS])
+    for c in EXACT_CELLS + FUZZ_SLICE])
 def test_two_center_matches_exact_reference(cell):
     inst = generate(*cell)
     with warnings.catch_warnings():
@@ -293,6 +303,35 @@ def test_two_center_matches_exact_reference(cell):
         r = two_center(SimplePolygon(inst.polygon), inst.points).radius
     ref = _exact_radius(inst)
     assert abs(r - ref) <= 1e-9 * ref, (r, ref)
+
+
+# straight segment (0.5, 1)-(3.5, 3) in the 4x4 square, and the geodesic
+# (3.5, 1.25)-(2, 2)-(1.25, 3.5) that bends at the L-shape's notch
+# corner; each is sampled at parameters k/8, exact in binary
+_FLAT_PATHS = {
+    "square-segment": ([(0, 0), (4, 0), (4, 4), (0, 4)], 9,
+                       lambda t: Point2(0.5 + 3 * t, 1 + 2 * t)),
+    "l-notch-bend": ([(0, 0), (4, 0), (4, 2), (2, 2), (2, 4), (0, 4)], 17,
+                     lambda t: (Point2(3.5 - 1.5 * t, 1.25 + 0.75 * t) if t <= 1 else
+                                Point2(2 - 0.75 * (t - 1), 2 + 1.5 * (t - 1)))),
+}
+
+
+@pytest.mark.parametrize("path", sorted(_FLAT_PATHS))
+@pytest.mark.parametrize("m", range(1, 10))
+def test_flat_inputs_match_exact_reference(path, m, monkeypatch):
+    # every point of Q on one geodesic: 1 to 9 points, a third of them
+    # repeated, solved by prefix splits and certified like any other solve
+    polygon, steps, at = _FLAT_PATHS[path]
+    rng = random.Random(m)
+    pts = [at(rng.randrange(steps) / 8) for _ in range(m)]
+    pts += pts[:m // 3]
+    real, certified = driver._certify, []
+    monkeypatch.setattr(driver, "_certify", lambda *a: certified.append(real(*a)))
+    r = two_center(SimplePolygon(polygon), pts).radius
+    assert len(certified) == 1
+    ref = _exact_radius(types.SimpleNamespace(polygon=polygon, points=pts))
+    assert abs(r - ref) <= 1e-12, (r, ref)
 
 
 def test_criterion_08_candidates_cover_an_optimal_split(solved_pool):
