@@ -17,16 +17,15 @@ from .optimize import (RadiusInterval, narrow_interval, optimize_pair,
 from .oracle import (oracle_distance, oracle_one_center, oracle_path,
                      oracle_two_center)
 from .polygon import SimplePolygon, TriangulatedPolygon, point_in_polygon, triangulate
-from .region import (Region, ShortestPathTree, geodesic_distance,
-                     shortest_path, shortest_path_tree, spm_vertices)
+from .region import Region, geodesic_distance, shortest_path, spm_vertices
 from .svg import render_svg
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Point2", "SimplePolygon", "TriangulatedPolygon", "triangulate",
-    "point_in_polygon", "Region", "ShortestPathTree", "shortest_path",
-    "geodesic_distance", "shortest_path_tree", "spm_vertices",
+    "point_in_polygon", "Region", "shortest_path", "geodesic_distance",
+    "spm_vertices",
     "GeodesicHull", "geodesic_hull",
     "ArcBoundary", "CircArc", "OneCenterResult", "one_center",
     "disks_intersection", "geodesic_circle", "disk_contains",

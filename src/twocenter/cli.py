@@ -110,25 +110,20 @@ def cmd_solve(args) -> int:
 
     code = 0
     if args.oracle:
-        qs = unique_points(inst.points)
-        if len(qs) > 12:
-            print(f"oracle skipped: {len(qs)} distinct points exceeds "
-                  "the enumeration cap of 12", file=sys.stderr)
+        try:
+            r_ref, _centers, _sides = oracle_two_center(poly, unique_points(inst.points))
+        except TooLarge as e:
+            print(f"oracle skipped: {e}", file=sys.stderr)
         else:
-            try:
-                r_ref, _centers, _sides = oracle_two_center(poly, qs)
-            except TooLarge as e:
-                print(f"oracle skipped: {e}", file=sys.stderr)
+            gap = abs(sol.radius - r_ref)
+            tol = 1e-4 * max(abs(sol.radius), abs(r_ref))
+            tol += 1e-9 * max(poly.diameter, 1.0)
+            if gap > tol:
+                print(f"oracle mismatch: solver {sol.radius!r} vs "
+                      f"oracle {r_ref!r}", file=sys.stderr)
+                code = 3
             else:
-                gap = abs(sol.radius - r_ref)
-                tol = 1e-4 * max(abs(sol.radius), abs(r_ref))
-                tol += 1e-9 * max(poly.diameter, 1.0)
-                if gap > tol:
-                    print(f"oracle mismatch: solver {sol.radius!r} vs "
-                          f"oracle {r_ref!r}", file=sys.stderr)
-                    code = 3
-                else:
-                    print(f"oracle agreement: {r_ref!r}", file=sys.stderr)
+                print(f"oracle agreement: {r_ref!r}", file=sys.stderr)
 
     _emit(json.dumps(rec, indent=2) + "\n", args.out)
     if args.svg:

@@ -133,18 +133,18 @@ def _charts(region: Region, q: Point2, r: float):
     q = Point2(q[0], q[1])
     charts: List[Tuple[Point2, float]] = [(q, r)]
     ext_segs: List[Tuple[Point2, Point2]] = []
-    tree = region.tree(q)
+    ext, sq = region.tree(q), region.site_map(q)
     vertices = region.tp.index
     for w in region.corners:
         if _key(w) not in vertices:
             continue
-        R = r - tree.distance_to(w)
+        R = r - sq.distance(w)
         if R <= 1e-12:
             continue
         if dist(w, q) <= 1e-12:
             continue
         charts.append((w, R))
-        h = tree.ext.get(_key(w))
+        h = ext.get(_key(w))
         if h is not None:
             ext_segs.append((w, h))
     return charts, ext_segs

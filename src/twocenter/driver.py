@@ -185,8 +185,7 @@ def two_center(poly: SimplePolygon, points: Sequence) -> TwoCenterSolution:
         spts = pts
     sol = _solve_on(triangulate(poly), spts)
     inv = 1.0 / scale
-    assign = {(q.x, q.y): sol.assignment.get((q.x * scale, q.y * scale), 1)
-              for q in pts}
+    assign = {(q.x, q.y): sol.assignment[(q.x * scale, q.y * scale)] for q in pts}
     return TwoCenterSolution(
         Point2(sol.c1.x * inv, sol.c1.y * inv),
         Point2(sol.c2.x * inv, sol.c2.y * inv),

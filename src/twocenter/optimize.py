@@ -73,7 +73,7 @@ def _boundary_pair_radii(ring: Region, a: Point2, b: Point2,
     cuts_a = _segment_cuts(ring, a) if cuts_a is None else cuts_a
     cuts_b = _segment_cuts(ring, b) if cuts_b is None else cuts_b
     out = []
-    for (u, v), ca, cb in zip(ring.ring_segments(), cuts_a, cuts_b):
+    for (u, v), ca, cb in zip(ring.ring_index.segs, cuts_a, cuts_b):
         ex, ey = v.x - u.x, v.y - u.y
         ee = ex * ex + ey * ey
         if ee == 0.0:
@@ -123,10 +123,10 @@ def interval_candidates(h: GeodesicHull, i: int, j: int) -> List[float]:
     pts = pc.chain1 + pc.chain2 + free
     cuts: Dict[Point2, List[Set[float]]] = {p: _segment_cuts(ring, p) for p in pts}
     # radii at which an arc endpoint crosses a hull corner, read from the
-    # trees `_segment_cuts` built
+    # maps `_segment_cuts` queried
     for x in pts:
-        tree = ring.tree(x)
-        vals.extend(tree.distance_to(w) for w in ring.corners)
+        sx = ring.site_map(x)
+        vals.extend(sx.distance(w) for w in ring.corners)
     pairs = [(x, y) for chain in (pc.chain1, pc.chain2)
              for a, x in enumerate(chain) for y in chain[a + 1:] + free]
     pairs += [(x, y) for a, x in enumerate(free) for y in free[a + 1:]]

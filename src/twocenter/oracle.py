@@ -370,9 +370,6 @@ def oracle_two_center(poly, sites, n_grid: int = 64, refine: int = 5,
     Returns (radius, (center1, center2), (side1, side2)).  Coarse grid
     values select finalist splits, which are then solved exactly.
     """
-    import numpy as np
-
-    geo = _geometry(poly)
     sites = [Point2(s[0], s[1]) for s in sites]
     m = len(sites)
     if m > max_sites:
@@ -384,6 +381,9 @@ def oracle_two_center(poly, sites, n_grid: int = 64, refine: int = 5,
         c2 = sites[-1]
         return 0.0, (c1, c2), ((sites[0],), tuple(sites[1:]))
 
+    import numpy as np
+
+    geo = _geometry(poly)
     fields = [_Field(geo, s) for s in sites]
     Xf, Yf = _candidate_points(geo, sites, n_grid)
     F = np.stack([f.on_grid(Xf, Yf) for f in fields])

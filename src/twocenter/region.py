@@ -13,7 +13,6 @@ full polygon but membership and ray casts use the ring.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import PointOutsidePolygon
@@ -224,30 +223,13 @@ class SiteMap:
         return out
 
 
-@dataclass
-class ShortestPathTree:
-    """Distances and predecessors from one source to a set of corners.
-
-    `ext` maps each corner whose path, extended straight past it, runs
-    into the region to the point where that extension meets the ring.
-    """
-    dist: Dict[Key, float]
-    parent: Dict[Key, Optional[Point2]]
-    ext: Dict[Key, Point2]
-
-    def distance_to(self, p) -> float:
-        return self.dist[_key(p)]
-
-    def parent_of(self, p) -> Optional[Point2]:
-        return self.parent[_key(p)]
-
-
 class Region:
     """Geodesic queries restricted to a ring inside a triangulated polygon.
 
     Caches, each filled on first use and never evicted:
 
-    - `_tree_cache`: `tree(s)` by the source's (x, y).
+    - `_tree_cache`: `tree(s)`, the ring-extension hits of s's paths to
+      the corners, by the source's (x, y).
     - `_onecenter_cache`: `disks.one_center` by the frozenset of the
       points' (x, y).
     - `_basis_cache`: the one-center of a basis of two or three points,
@@ -276,7 +258,7 @@ class Region:
         self.ring: Tuple[Point2, ...] = tuple(ring) if ring is not None else tp.vertices
         self.corners: Tuple[Point2, ...] = tuple(unique_points(self.ring))
         self.diameter = tp.diameter
-        self._tree_cache: Dict[Key, ShortestPathTree] = {}
+        self._tree_cache: Dict[Key, Dict[Key, Point2]] = {}
         self._onecenter_cache: Dict[frozenset, object] = {}
         self._basis_cache: Dict[Tuple[float, ...], object] = {}
         self._side_cache: Dict[tuple, object] = {}
@@ -333,36 +315,27 @@ class Region:
             hit = maps[_key(s)] = SiteMap(self.tp, s)
         return hit
 
-    # -- trees over the ring corners ----------------------------------
+    # -- extensions past the ring corners -----------------------------
 
-    def tree(self, s) -> ShortestPathTree:
-        s = Point2(s[0], s[1])
+    def tree(self, s) -> Dict[Key, Point2]:
+        """For each corner v whose path from s, extended straight past v,
+        runs into the region, v's (x, y) -> the point where that extension
+        first meets the ring.  Distances and last bends are read from
+        `site_map(s)`; the name is the span `perfbench/tracing.py` times."""
         ks = _key(s)
         hit = self._tree_cache.get(ks)
         if hit is not None:
             return hit
         sm = self.site_map(s)
-        d: Dict[Key, float] = {ks: 0.0}
-        par: Dict[Key, Optional[Point2]] = {ks: None}
         ext: Dict[Key, Point2] = {}
         for v in self.corners:
-            w, _ = sm.anchor(v)
-            kv = _key(v)
-            d[kv] = sm.distance(v)
-            par[kv] = None if _same(w, v) else w
-            h = self._extend(w, v)
+            h = self._extend(sm.anchor(v)[0], v)
             if h is not None:
-                ext[kv] = h
-        tree = ShortestPathTree(d, par, ext)
-        self._tree_cache[ks] = tree
-        return tree
+                ext[_key(v)] = h
+        self._tree_cache[ks] = ext
+        return ext
 
     # -- boundary rays -------------------------------------------------
-
-    def ring_segments(self):
-        R = self.ring
-        n = len(R)
-        return [(R[i], R[(i + 1) % n]) for i in range(n)]
 
     def ray_to_boundary(self, origin, direction) -> Optional[Point2]:
         """First ring hit strictly ahead of origin along direction."""
@@ -372,7 +345,7 @@ class Region:
         d = Point2(direction[0] / norm, direction[1] / norm)
         t_min = self.tp.tol.near
         best_t, best_p = None, None
-        for a, b in self.ring_segments():
+        for a, b in self.ring_index.segs:
             hit = ray_segment_hit(Point2(origin[0], origin[1]), d, a, b, t_min=t_min)
             if hit is not None and (best_t is None or hit[0] < best_t):
                 best_t, best_p = hit
@@ -399,14 +372,6 @@ class Region:
             return None
         return self.ray_to_boundary(to, d)
 
-    def extension_point(self, frm, to) -> Point2:
-        """Where the path frm -> to, extended straight past `to`, first
-        meets the ring; `to` itself when the extension leaves at once.
-        The path's last bend is read from frm's shortest-path map."""
-        to = Point2(to[0], to[1])
-        hit = self._extend(self.site_map(frm).anchor(to)[0], to)
-        return to if hit is None else hit
-
     # -- shortest path map vertices -----------------------------------
 
     def spm_points(self, s) -> List[Tuple[Point2, float]]:
@@ -417,12 +382,12 @@ class Region:
         path bends around, the point where the bent path's straight
         continuation meets the ring again.
         """
-        tree = self.tree(s)
+        ext, sm = self.tree(s), self.site_map(s)
         out: List[Tuple[Point2, float]] = []
         for v in self.corners:
-            dv = tree.distance_to(v)
+            dv = sm.distance(v)
             out.append((v, dv))
-            h = tree.ext.get(_key(v))
+            h = ext.get(_key(v))
             if h is not None:
                 out.append((h, dv + dist(v, h)))
         return out
@@ -446,11 +411,6 @@ def shortest_path(tp: TriangulatedPolygon, a, b) -> List[Point2]:
 def geodesic_distance(tp: TriangulatedPolygon, a, b) -> float:
     _check_inside(tp, a, b)
     return Region.of(tp).distance(a, b)
-
-
-def shortest_path_tree(tp: TriangulatedPolygon, s) -> ShortestPathTree:
-    _check_inside(tp, s)
-    return Region.of(tp).tree(s)
 
 
 def spm_vertices(tp: TriangulatedPolygon, s) -> List[Tuple[Point2, float]]:

@@ -20,13 +20,14 @@ import pytest
 
 import frozen_oracle
 from twocenter import driver
+from twocenter.cli import make_record, verify_record
 from twocenter.decision import decide, pair_chains
 from twocenter.disks import CircArc, disks_intersection, one_center
 from twocenter.driver import candidate_pairs, two_center
 from twocenter.errors import BoundaryAssemblyError
 from twocenter.geom import Point2, unique_points
 from twocenter.hull import geodesic_hull
-from twocenter.instances import generate
+from twocenter.instances import Instance, generate
 from twocenter.oracle import oracle_distance, oracle_two_center
 from twocenter.polygon import SimplePolygon, triangulate
 from twocenter.region import Region, geodesic_distance
@@ -332,6 +333,36 @@ def test_flat_inputs_match_exact_reference(path, m, monkeypatch):
     assert len(certified) == 1
     ref = _exact_radius(types.SimpleNamespace(polygon=polygon, points=pts))
     assert abs(r - ref) <= 1e-12, (r, ref)
+
+
+_RING_SQUARE = [(0, 0), (10, 0), (10, 10), (0, 10)]
+
+
+def _ring_points(p):
+    """The corners of the square [1, 9]^2 and p - 1 more points evenly
+    along each of its sides, 4p points in all."""
+    pts = []
+    for t in range(p):
+        f = 1 + 8 * t / p
+        pts += [Point2(f, 1), Point2(9, f), Point2(10 - f, 9), Point2(1, 10 - f)]
+    return pts
+
+
+@pytest.mark.parametrize("p,want", [(3, 4.216370213557839), (4, 4.47213595499958)])
+def test_points_on_a_hull_ring_match_exact_reference(p, want):
+    # every point of Q on the ring of a hull that is not flat
+    pts = _ring_points(p)
+    r = two_center(SimplePolygon(_RING_SQUARE), pts).radius
+    ref = _exact_radius(types.SimpleNamespace(polygon=_RING_SQUARE, points=pts))
+    assert abs(ref - want) <= 1e-12 and abs(r - ref) <= 1e-12, (r, ref)
+
+
+def test_points_on_a_hull_ring_solve_past_the_split_cap():
+    # 16 points off the hull's corners, more than SPLIT_ENUM_CAP; each
+    # lies on a chain's portion of the ring, so no split has them free
+    inst = Instance([Point2(*v) for v in _RING_SQUARE], _ring_points(5))
+    sol = two_center(SimplePolygon(inst.polygon), inst.points)
+    verify_record(inst, make_record(sol, inst.points, 0))
 
 
 def test_criterion_08_candidates_cover_an_optimal_split(solved_pool):

@@ -62,6 +62,18 @@ def test_solve_oracle_agreement(capsys):
     assert "oracle agreement" in err
 
 
+def test_solve_oracle_skipped_past_its_cap(capsys, tmp_path):
+    # 13 distinct points, one more than the oracle enumerates; the repeat
+    # of (1, 1) is not counted
+    pts = [[1 + k % 4 * 2, 1 + k // 4 * 2] for k in range(13)] + [[1, 1]]
+    inst = tmp_path / "grid13.json"
+    inst.write_text(json.dumps({"polygon": [[0, 0], [10, 0], [10, 10], [0, 10]],
+                                "points": pts}))
+    code, out, err = _run(capsys, "solve", "--oracle", str(inst))
+    assert code == 0 and "oracle skipped" in err
+    assert len(json.loads(out)["assignment"]) == 14
+
+
 def test_solve_deterministic_modulo_time(capsys):
     path = str(FIXTURES / "rnd_seed7.json")
     _, out1, _ = _run(capsys, "solve", path)

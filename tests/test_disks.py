@@ -286,13 +286,13 @@ def _charts_all_corners(region, q, r):
     q = Point2(q[0], q[1])
     charts = [(q, r)]
     ext_segs = []
-    tree = region.tree(q)
+    ext, sq = region.tree(q), region.site_map(q)
     for w in region.corners:
-        R = r - tree.distance_to(w)
+        R = r - sq.distance(w)
         if R <= 1e-12 or dist(w, q) <= 1e-12:
             continue
         charts.append((w, R))
-        hit = tree.ext.get((w.x, w.y))
+        hit = ext.get((w.x, w.y))
         if hit is not None:
             ext_segs.append((w, hit))
     return charts, ext_segs

@@ -262,7 +262,7 @@ def _bisected_pair_radii(ring, a, b, K=64):
     """Slow reference: d(x, a) at each root of d(x, a) - d(x, b) along a
     ring segment, bracketed on K samples and bisected 60 times."""
     out = []
-    for u, v in ring.ring_segments():
+    for u, v in ring.ring_index.segs:
         if dist(u, v) <= 1e-12:
             continue
 

@@ -15,8 +15,7 @@ from twocenter.oracle import oracle_distance
 from twocenter.polygon import (SimplePolygon, TriangulatedPolygon, point_in_polygon,
                                triangulate)
 from twocenter.region import (Region, SiteMap, _corridor, _past_left, _past_right, _same,
-                              geodesic_distance, shortest_path, shortest_path_tree,
-                              spm_vertices)
+                              geodesic_distance, shortest_path, spm_vertices)
 
 SQRT2 = math.sqrt(2.0)
 L6_ARMS = [Point2(3, 1), Point2(3, 1.5), Point2(1, 3), Point2(1.5, 3)]
@@ -56,15 +55,15 @@ def test_outside_query_raises(sq4_tp):
 
 
 def test_tree_all_visible(sq4_tp):
-    tree = shortest_path_tree(sq4_tp, Point2(2, 2))
+    sm = Region.of(sq4_tp).site_map(Point2(2, 2))
     for v in sq4_tp.polygon.vertices:
-        assert tree.parent_of(v) == Point2(2, 2)
+        assert sm.anchor(v)[0] == Point2(2, 2)
 
 
 def test_tree_reflex_bend(l6_tp):
-    tree = shortest_path_tree(l6_tp, Point2(3, 1))
-    assert tree.parent_of(Point2(0, 4)) == Point2(2, 2)
-    assert tree.distance_to(Point2(0, 4)) == pytest.approx(3 * SQRT2)
+    sm = Region.of(l6_tp).site_map(Point2(3, 1))
+    assert sm.anchor(Point2(0, 4))[0] == Point2(2, 2)
+    assert sm.distance(Point2(0, 4)) == pytest.approx(3 * SQRT2)
 
 
 def test_spm_square_center(sq4_tp):
@@ -186,11 +185,9 @@ def test_corridor_matches_reference_on_128_gons(family):
 
 # -- reference: the extension ray cast once inlined in disks._charts ----
 
-def _charts_ray(region, tree, q, w):
+def _charts_ray(region, q, w):
     """Verbatim ray cast from w along the path q -> w, or None."""
-    pred = tree.parent_of(w)
-    if pred is None:
-        pred = q
+    pred = region.site_map(q).anchor(w)[0]
     dvec = Point2(w.x - pred.x, w.y - pred.y)
     if region._ray_enters(w, dvec):
         h = region.ray_to_boundary(w, dvec)
@@ -202,9 +199,9 @@ def _charts_ray(region, tree, q, w):
 def _assert_ext_matches(region, sites):
     for q in sites:
         q = Point2(q[0], q[1])
-        tree = region.tree(q)
+        ext = region.tree(q)
         for w in region.corners:
-            assert tree.ext.get((w.x, w.y)) == _charts_ray(region, tree, q, w), (q, w)
+            assert ext.get((w.x, w.y)) == _charts_ray(region, q, w), (q, w)
 
 
 def test_tree_ext_matches_ray_cast_l6(l6_tp, arms_hull):
@@ -218,12 +215,12 @@ def test_tree_ext_matches_ray_cast_48x6():
     _assert_ext_matches(h.hull_region, inst.points)
 
 
-def test_extension_point_reads_the_ray(l6_tp):
+def test_tree_reads_the_extension_ray(l6_tp):
     region = Region.of(l6_tp)
-    hit = region.extension_point(Point2(3, 0.5), Point2(2, 2))
+    hit = region.tree(Point2(3, 0.5))[(2.0, 2.0)]
     assert hit.y == pytest.approx(4) and hit.x == pytest.approx(2 / 3)
     # a path ending on the boundary with its extension pointing out
-    assert region.extension_point(Point2(1, 1), Point2(4, 0)) == Point2(4, 0)
+    assert (4.0, 0.0) not in region.tree(Point2(1, 1))
 
 
 # (0, -1) ends up exactly straight between two diagonals, from (0, -4) and
