@@ -17,11 +17,15 @@ basis rather than reading it from the region's cache.  It also counts the
 (`SiteMap._expand`), against the triangles of all the maps built, which shows how much of each map its queries needed, the
 `seg_point_distance` calls, the `RingIndex` queries by kind (classify,
 near), the `decide` calls with how many of them computed a fresh
-`chain_side` (one its hull's side cache did not hold yet), and the chart
-circles `disks._charts` built around ring corners against the corners it
-was offered, and the probe rounds of `optimize.narrow_interval`: run (it
-called `_event_signature`) or skipped (it reached a split with free
-points and returned without one).  The second pass runs under cProfile;
+`chain_side` (one its hull's side cache did not hold yet) and how many
+the bound exit (`decision.below_bound`) answered before any `chain_side`
+call, and the chart circles `disks._charts` built around ring corners
+against the corners it was offered, and the probe rounds of
+`optimize.narrow_interval`: run (it called `_event_signature`), skipped
+(it reached a split with free points and returned without one, its
+largest probe failing `chain_infeasible`) or settled by the bound
+(returned without one otherwise: its other probes are below L_ij and
+`decide` rejects the largest).  The second pass runs under cProfile;
 the script prints its top N functions by the chosen sort key, then the
 counts of the first pass.  An operation that raises is counted by error class and skipped,
 as the benchmark counts it.
@@ -84,10 +88,11 @@ def counting_pass(ops, anchor: Repeats, inter: Repeats, basis: Tuple[Repeats, Re
     """Run ops with the counted functions wrapped; returns `run`'s error
     count.  `calls` counts the `_disk2` and `_solve3` calls that solved
     their basis, `seg_point_distance`, the `RingIndex` queries,
-    the `decide` calls and those of them that grew their hull's side
-    cache, the `_charts` calls with their corner circles and the ring
-    corners offered, and the probe rounds run and skipped with the
-    `_event_signature` calls."""
+    the `decide` calls, those of them that grew their hull's side cache
+    and those the bound exit answered without a `chain_side` call, the
+    `_charts` calls with their corner circles and the ring corners
+    offered, and the probe rounds run, skipped and settled by the bound
+    with the `_event_signature` calls."""
     plain_anchor = region.SiteMap._anchor
     plain_inter = disks.disks_intersection
     plain_init = region.SiteMap.__init__
@@ -96,6 +101,7 @@ def counting_pass(ops, anchor: Repeats, inter: Repeats, basis: Tuple[Repeats, Re
     plain_classify = geom.RingIndex.classify
     plain_near = geom.RingIndex.near
     plain_decide = decision.decide
+    plain_side = decision.chain_side
     plain_charts = disks._charts
     plain_narrow = optimize.narrow_interval
     plain_signature = optimize._event_signature
@@ -151,10 +157,16 @@ def counting_pass(ops, anchor: Repeats, inter: Repeats, basis: Tuple[Repeats, Re
     def counted_decide(h, i, j, r):
         calls["decide"] += 1
         side_cache = h.hull_region._side_cache
-        before = len(side_cache)
+        before, sides = len(side_cache), calls["chain_side"]
         res = plain_decide(h, i, j, r)
         calls["decide.fresh_side"] += len(side_cache) > before
+        calls["decide.bound"] += (res.branch == "forced-overload"
+                                  and calls["chain_side"] == sides)
         return res
+
+    def counted_side(h, pc, chain, r):
+        calls["chain_side"] += 1
+        return plain_side(h, pc, chain, r)
 
     def counted_charts(reg, q, r):
         charts, ext_segs = plain_charts(reg, q, r)
@@ -169,8 +181,11 @@ def counting_pass(ops, anchor: Repeats, inter: Repeats, basis: Tuple[Repeats, Re
             out = plain_narrow(h, i, j, iv)
         finally:
             calls["probe.run"] += calls["signature"] > before
-        if calls["signature"] == before and decision.pair_chains(h, i, j).free:
-            calls["probe.skipped"] += 1
+        pc = decision.pair_chains(h, i, j)
+        if calls["signature"] == before and pc.free:
+            top = out.lo + (out.hi - out.lo) * (1 - 1e-9)    # the largest probe
+            calls["probe.skipped" if decision.chain_infeasible(h, pc, top)
+                  else "probe.settled"] += 1
         return out
 
     def counted_signature(h, pc, r):
@@ -181,6 +196,7 @@ def counting_pass(ops, anchor: Repeats, inter: Repeats, basis: Tuple[Repeats, Re
     holders = [m for m in mods if getattr(m, "disks_intersection", None) is plain_inter]
     spd_holders = [m for m in mods if getattr(m, "seg_point_distance", None) is plain_spd]
     decide_holders = [m for m in mods if getattr(m, "decide", None) is plain_decide]
+    side_holders = [m for m in mods if getattr(m, "chain_side", None) is plain_side]
     region.SiteMap._anchor = counted_anchor
     region.SiteMap.__init__ = counted_init
     region.SiteMap._expand = counted_expand
@@ -197,6 +213,8 @@ def counting_pass(ops, anchor: Repeats, inter: Repeats, basis: Tuple[Repeats, Re
         m.seg_point_distance = counted_spd
     for m in decide_holders:
         m.decide = counted_decide
+    for m in side_holders:
+        m.chain_side = counted_side
     try:
         return run(ops, fresh=(anchor, inter) + basis)
     finally:
@@ -216,6 +234,8 @@ def counting_pass(ops, anchor: Repeats, inter: Repeats, basis: Tuple[Repeats, Re
             m.seg_point_distance = plain_spd
         for m in decide_holders:
             m.decide = plain_decide
+        for m in side_holders:
+            m.chain_side = plain_side
 
 
 def run(ops, fresh=()) -> Counter:
@@ -271,11 +291,13 @@ def main() -> int:
     print(f"RingIndex: {calls['RingIndex.classify']} classify, "
           f"{calls['RingIndex.near']} near queries")
     print(f"decide: {calls['decide']} calls, {calls['decide.fresh_side']} computed "
-          f"a fresh chain_side")
+          f"a fresh chain_side, {calls['decide.bound']} answered by the bound "
+          f"before any chain_side")
     print(f"_charts: {calls['charts']} calls, {calls['charts.circles']} corner circles "
           f"built of {calls['charts.corners']} ring corners offered")
     print(f"probe rounds: {calls['probe.run']} run ({calls['signature']} "
-          f"_event_signature calls), {calls['probe.skipped']} skipped")
+          f"_event_signature calls), {calls['probe.skipped']} skipped, "
+          f"{calls['probe.settled']} settled by the bound")
     return 0
 
 

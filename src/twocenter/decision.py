@@ -3,7 +3,9 @@
 decide(h, i, j, r) answers whether two geodesic disks of radius r can
 cover Q so that disk 1 contains the extreme chain v_{j+1}..v_i and disk 2
 contains v_{i+1}..v_j.  The cascade runs top to bottom, certain exits
-first: whole-hull disk, chain one-centers, the shared-vertex witness
+first: whole-hull disk, chain one-centers, the split's one-center lower
+bound L_ij (`below_bound`: some free point is out of both chains'
+reach, a "no" labelled forced-overload), the shared-vertex witness
 (one-centers only, tried before any disk intersection is built),
 interior-free exit, empty or pinched intersections, forced points (one
 that neither chain reaches is forced to both sides).  Then the
@@ -34,6 +36,10 @@ class PairChains:
     chain1: Tuple[Point2, ...]   # v_{j+1} .. v_i, served by c1
     chain2: Tuple[Point2, ...]   # v_{i+1} .. v_j, served by c2
     free: Tuple[Point2, ...]     # points not pinned to either chain
+    # L_ij = max(larger chain one-center radius, max over free q of
+    # min_t one_center(C_t + q) radius): two disks of a smaller radius
+    # cannot hold both chains and every free point
+    bound: float
 
 
 def pair_chains(h: GeodesicHull, i: int, j: int) -> PairChains:
@@ -63,7 +69,11 @@ def pair_chains(h: GeodesicHull, i: int, j: int) -> PairChains:
         for b in h.boundary_points:
             if not on_portion(b, p1) and not on_portion(b, p2):
                 free.append(b)
-    pc = PairChains(i, j, c1, c2, tuple(free))
+    region = h.region
+    bound = max(one_center(region, c).radius for c in (c1, c2))
+    for q in free:
+        bound = max(bound, min(one_center(region, c + (q,)).radius for c in (c1, c2)))
+    pc = PairChains(i, j, c1, c2, tuple(free), bound)
     cache[(i, j)] = pc
     return pc
 
@@ -193,6 +203,16 @@ def chain_infeasible(h: GeodesicHull, pc: PairChains, r: float) -> bool:
     return oc1.radius > r + eps or oc2.radius > r + eps
 
 
+def below_bound(h: GeodesicHull, pc: PairChains, r: float) -> bool:
+    """The cascade's bound exit, checked just below "chain-infeasible":
+    L_ij (`PairChains.bound`) exceeds r by more than 2 tol.check +
+    tol.near.  Every "yes" exit is a coverage at r + tol.check and every
+    `one_center` radius is within tol.near of the optimum, so no exit
+    could answer "yes" there."""
+    tols = h.ambient.tol
+    return pc.bound > r + 2 * tols.check + tols.near
+
+
 def decide(h: GeodesicHull, i: int, j: int, r: float) -> DecisionResult:
     """Is there an (i, j)-restricted placement of two radius-r disks?"""
     res = _decide(h, i, j, r)
@@ -216,6 +236,10 @@ def _decide(h: GeodesicHull, i: int, j: int, r: float) -> DecisionResult:
     # every shared-vertex set holds a whole chain, so this test goes first
     if chain_infeasible(h, pc, r):
         return DecisionResult(False, "chain-infeasible")
+    # a free point that neither chain reaches: the forced-overload exit
+    # below would say "no" too, after building both disk intersections
+    if below_bound(h, pc, r):
+        return DecisionResult(False, "forced-overload")
 
     sv = shared_vertex_decide(h, i, j, r)
     if sv is not None:

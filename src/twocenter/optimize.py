@@ -7,18 +7,21 @@ two point circles can meet on the boundary, then search that set with
 the decision procedure.  Both searches are `_leftmost_feasible`, which
 gallops up from the first candidate that `decision.chain_infeasible`
 passes: r*_ij is never below either chain's one-center radius, and the
-optimum usually sits at or just above that floor.  The same floor skips
+optimum usually sits at or just above that floor.  The same floor, and
+the split's one-center lower bound L_ij (`decision.below_bound`), skip
 the probe round of `narrow_interval` wherever it could not move the
-gap's upper end.
+gap's upper end.  Each site's anchor chart is read once per piece
+between its own shortest-path-map cuts of a ring segment
+(`_segment_charts`), and the boundary radii of two sites look both up.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
-from .decision import (DecisionResult, PairChains, chain_infeasible,
-                       chain_side, decide, pair_chains)
+from .decision import (DecisionResult, PairChains, below_bound,
+                       chain_infeasible, chain_side, decide, pair_chains)
 from .disks import one_center
 from .errors import InfeasibleInterval
 from .geom import Point2, dist, quadratic_roots
@@ -58,31 +61,56 @@ def _segment_cuts(ring: Region, s: Point2) -> List[Set[float]]:
     return out
 
 
+# per ring segment, the sorted parameters 0, a site's cuts on it and 1,
+# with the anchor chart (last bend, its distance) of each piece between
+# two neighbouring ones; empty for a segment of zero length
+SegmentCharts = List[Tuple[List[float], List[Tuple[Point2, float]]]]
+
+
+def _segment_charts(ring: Region, s: Point2) -> SegmentCharts:
+    """s's anchor chart on each piece between its own `_segment_cuts`,
+    read once at the piece's midpoint."""
+    sm = ring.site_map(s)
+    out: SegmentCharts = []
+    for (u, v), cs in zip(ring.ring_index.segs, _segment_cuts(ring, s)):
+        ex, ey = v.x - u.x, v.y - u.y
+        if ex * ex + ey * ey == 0.0:
+            out.append(([], []))
+            continue
+        ts = sorted({0.0, 1.0} | cs)
+        out.append((ts, [sm.anchor(Point2(u.x + ex * tm, u.y + ey * tm))
+                         for tm in ((t0 + t1) / 2 for t0, t1 in zip(ts, ts[1:]))]))
+    return out
+
+
 def _boundary_pair_radii(ring: Region, a: Point2, b: Point2,
-                         cuts_a: Optional[List[Set[float]]] = None,
-                         cuts_b: Optional[List[Set[float]]] = None) -> List[float]:
+                         charts_a: Optional[SegmentCharts] = None,
+                         charts_b: Optional[SegmentCharts] = None) -> List[float]:
     """Radii at which the circles of a and b meet on a segment of the ring.
 
-    Both sites' `_segment_cuts` (computed here unless given) cut each
+    Both sites' `_segment_charts` (computed here unless given) cut each
     segment into pieces on which both distances are anchor charts
-    |x - w| + d, read at the piece's midpoint.  Ordered so that
+    |x - w| + d; each sub-piece between the cuts of either site looks up
+    both charts by bisection at its midpoint.  Ordered so that
     c = d_b - d_a >= 0, the crossing squares to c |x - w_b| = L(x), L
     linear (the bisector L = 0 when c = 0), and once more to a quadratic;
     its roots in the piece with L >= 0 are the crossings.
     """
-    cuts_a = _segment_cuts(ring, a) if cuts_a is None else cuts_a
-    cuts_b = _segment_cuts(ring, b) if cuts_b is None else cuts_b
+    charts_a = _segment_charts(ring, a) if charts_a is None else charts_a
+    charts_b = _segment_charts(ring, b) if charts_b is None else charts_b
     out = []
-    for (u, v), ca, cb in zip(ring.ring_index.segs, cuts_a, cuts_b):
+    for (u, v), (ts_a, ch_a), (ts_b, ch_b) in zip(ring.ring_index.segs, charts_a, charts_b):
+        if not ts_a:
+            continue
         ex, ey = v.x - u.x, v.y - u.y
         ee = ex * ex + ey * ey
-        if ee == 0.0:
-            continue
-        ts = sorted({0.0, 1.0} | ca | cb)
+        ts = sorted(set(ts_a) | set(ts_b))
         for t0, t1 in zip(ts, ts[1:]):
             tm = (t0 + t1) / 2
-            mid = Point2(u.x + ex * tm, u.y + ey * tm)
-            (wa, da), (wb, db) = sorted((ring.site_map(s).anchor(mid) for s in (a, b)),
+            # bisecting the inner cuts only keeps a midpoint that rounds
+            # onto 1.0 in the last piece
+            (wa, da), (wb, db) = sorted((ch_a[bisect_right(ts_a, tm, 1, len(ch_a)) - 1],
+                                         ch_b[bisect_right(ts_b, tm, 1, len(ch_b)) - 1]),
                                         key=lambda wd: wd[1])
             # with x = u + t e: L(x) / 2 = h1 t + h0
             cc = (db - da) * (db - da)
@@ -98,6 +126,16 @@ def _boundary_pair_radii(ring: Region, a: Point2, b: Point2,
             out += [dist(Point2(u.x + ex * t, u.y + ey * t), wa) + da
                     for t in set(roots) if t0 <= t <= t1]
     return out
+
+
+def _boundary_pairs(pc: PairChains) -> List[Tuple[Point2, Point2]]:
+    """The site pairs whose boundary radii `interval_candidates` reads:
+    two points of one chain, a chain point and a free point, or two free
+    points."""
+    free = pc.free
+    pairs = [(x, y) for chain in (pc.chain1, pc.chain2)
+             for a, x in enumerate(chain) for y in chain[a + 1:] + free]
+    return pairs + [(x, y) for a, x in enumerate(free) for y in free[a + 1:]]
 
 
 def interval_candidates(h: GeodesicHull, i: int, j: int) -> List[float]:
@@ -121,17 +159,14 @@ def interval_candidates(h: GeodesicHull, i: int, j: int) -> List[float]:
                 vals.append(0.5 * region.site_map(q).distance(e))
             vals.append(one_center(region, ext + [q]).radius)
     pts = pc.chain1 + pc.chain2 + free
-    cuts: Dict[Point2, List[Set[float]]] = {p: _segment_cuts(ring, p) for p in pts}
+    charts = {p: _segment_charts(ring, p) for p in pts}
     # radii at which an arc endpoint crosses a hull corner, read from the
-    # maps `_segment_cuts` queried
+    # maps `_segment_charts` queried
     for x in pts:
         sx = ring.site_map(x)
         vals.extend(sx.distance(w) for w in ring.corners)
-    pairs = [(x, y) for chain in (pc.chain1, pc.chain2)
-             for a, x in enumerate(chain) for y in chain[a + 1:] + free]
-    pairs += [(x, y) for a, x in enumerate(free) for y in free[a + 1:]]
-    for x, y in pairs:
-        vals.extend(_boundary_pair_radii(ring, x, y, cuts[x], cuts[y]))
+    for x, y in _boundary_pairs(pc):
+        vals.extend(_boundary_pair_radii(ring, x, y, charts[x], charts[y]))
     return vals
 
 
@@ -188,7 +223,10 @@ def narrow_interval(h: GeodesicHull, i: int, j: int,
     two ends and the probes; the result is not checked again.  That
     search starts at `_chain_start`, so when the largest probe fails
     `chain_infeasible`, it would skip every probe and keep the gap's
-    upper end: the probe round is skipped and the gap returned as is."""
+    upper end: the probe round is skipped and the gap returned as is.
+    The same holds when the other two probes are `below_bound` (below
+    L_ij, where `decide` answers "no" at once) and `decide` rejects the
+    largest: the search would answer "no" at every probe."""
     if not decide(h, i, j, iv.hi).feasible:
         raise InfeasibleInterval(f"pair ({i},{j}) infeasible at {iv.hi}")
     pc = pair_chains(h, i, j)
@@ -206,6 +244,8 @@ def narrow_interval(h: GeodesicHull, i: int, j: int,
     probes = [out.lo + (out.hi - out.lo) * f for f in (1e-3, 0.5, 1 - 1e-9)]
     if chain_infeasible(h, pc, probes[-1]):
         return out    # a search from `_chain_start` would skip every probe
+    if below_bound(h, pc, probes[-2]) and not decide(h, i, j, probes[-1]).feasible:
+        return out    # that search would answer "no" at every probe
     sig = _event_signature(h, pc, probes[0])
     if all(_event_signature(h, pc, r) == sig for r in probes[1:]):
         return out

@@ -274,7 +274,7 @@ EXACT_CELLS = [(fam, n, m, s)
     ("random", 20, 10, 7), ("random", 48, 6, 8), ("random", 12, 6, 12),
     ("random", 48, 6, 6), ("comb", 24, 12, 2), ("comb", 48, 6, 6),
     ("random", 16, 16, 1), ("random", 17, 8, 115), ("random", 17, 9, 115),
-    ("random", 10, 4, 2), ("random", 22, 5, 110)]
+    ("random", 10, 4, 2), ("random", 22, 5, 110), ("random", 17, 10, 109)]
 # a seeded slice of scripts/fuzz_exact.py
 FUZZ_SLICE = [(fam, n, m, s) for fam in FAMS for n in (8, 13) for m in (5, 8)
               for s in (100, 101)]
@@ -290,7 +290,7 @@ EXACT_XFAIL = {
     # each of these solves records a false "no" of `no-arc-anomaly:n`
     ("random", 17, 8, 115): _WRONG, ("random", 17, 9, 115): _WRONG,
     ("random", 10, 4, 2): _WRONG, ("random", 22, 5, 110): _WRONG,
-    ("random", 13, 5, 100): _WRONG,
+    ("random", 13, 5, 100): _WRONG, ("random", 17, 10, 109): _WRONG,
 }
 
 

@@ -316,3 +316,56 @@ def test_chain_side_tags_an_arcless_side():
     assert got == ("noarcs", None)
     assert dec.chain_side(h, pc, pc.chain1, r) is got
     assert dec.decide(h, 1, 5, r).branch == "no-arc-anomaly"
+
+
+# scripts/corpus_outputs.py's 12x6, 16x8 and 48x6 cells
+CORPUS_CELLS = [(fam, n, m, s) for n, m in ((12, 6), (16, 8), (48, 6))
+                for fam in ("convex", "star", "comb", "random") for s in range(6)]
+
+
+def _asked_splits(cell, monkeypatch):
+    """{(hull, i, j): radii} of every `decide` call of cell's solve; a
+    solve that raises keeps the calls made before."""
+    inst = generate(*cell)
+    asked = {}
+    plain = dec._decide
+
+    def recording(h, i, j, r):
+        asked.setdefault((h, i, j), []).append(r)
+        return plain(h, i, j, r)
+
+    with monkeypatch.context() as m, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        m.setattr(dec, "_decide", recording)
+        try:
+            two_center(SimplePolygon(inst.polygon), inst.points)
+        except BoundaryAssemblyError:
+            pass
+    return asked
+
+
+def test_bound_exit_answers_only_where_the_cascade_says_no(monkeypatch):
+    # wherever L_ij answers "no" early, the cascade past it answers "no"
+    # or raises, at the radii the solve asked and on a grid below the
+    # hull radius; on random/17x10/s109 one intersection past it raises
+    fired = raised = 0
+    for cell in CORPUS_CELLS + [("random", 17, 10, 109)]:
+        for (h, i, j), radii in _asked_splits(cell, monkeypatch).items():
+            pc = dec.pair_chains(h, i, j)
+            top = h.hull_center().radius
+            for r in sorted(set(radii)) + [top * f / 40 for f in range(1, 40)]:
+                if (r >= top - h.ambient.tol.radius or dec.chain_infeasible(h, pc, r)
+                        or not dec.below_bound(h, pc, r)):
+                    continue
+                fired += 1
+                assert dec._decide(h, i, j, r) == dec.DecisionResult(False, "forced-overload")
+                with monkeypatch.context() as m:
+                    m.setattr(dec, "below_bound", lambda *args: False)
+                    try:
+                        res = dec._decide(h, i, j, r)
+                    except (BoundaryAssemblyError, CertificateError):
+                        raised += 1
+                        continue
+                assert not res.feasible, (cell, i, j, r, res.branch)
+    assert fired > 2 * raised, f"{raised} of {fired} bound exits raised past it"
+    print(f"bound exit: {fired} fired, {raised} raised past it")

@@ -7,10 +7,12 @@ import twocenter.decision as dec
 import twocenter.optimize as opt
 from twocenter.driver import assistant_interval, candidate_pairs, two_center
 from twocenter.errors import BoundaryAssemblyError, CertificateError, InfeasibleInterval
-from twocenter.geom import Point2, dist, unique_points
+from twocenter.geom import Point2, dist, quadratic_roots, unique_points
 from twocenter.hull import geodesic_hull
 from twocenter.instances import FAMILIES, generate
 from twocenter.polygon import SimplePolygon, triangulate
+
+from test_decision import CORPUS_CELLS
 
 SQRT2 = math.sqrt(2.0)
 
@@ -341,10 +343,12 @@ def _narrow_interval_probing(h, i, j, iv):
 def _first_pair_round(h, narrow, monkeypatch):
     """`optimize_pair` on the first candidate pair of the fresh hull h,
     with `narrow` as its `narrow_interval`.  Returns its result or the class of the error it
-    raised; the first search's gap, None when that search raised; whether
-    the largest probe of the round in that gap fails `chain_infeasible`;
-    the radii `_event_signature` was called at; and whether one of those
-    calls raised."""
+    raised; the first search's gap, None when that search raised; what
+    fixes the outcome of the round in that gap, or None: "skipped" when
+    its largest probe fails `chain_infeasible`, "settled by the bound"
+    when its middle probe is `below_bound` and `decide` rejects its
+    largest; the radii `_event_signature` was called at; and whether one
+    of those calls raised."""
     p = candidate_pairs(h)[0]
     iv = assistant_interval(h)
     gaps, signed, raised = [], [], []
@@ -378,30 +382,101 @@ def _first_pair_round(h, narrow, monkeypatch):
         return got, None, None, signed, bool(raised)
     lo, hi = gaps[0]
     pc = dec.pair_chains(h, p.i, p.j)
-    dead = bool(pc.free) and dec.chain_infeasible(h, pc, lo + (hi - lo) * (1 - 1e-9))
-    return got, gaps[0], dead, signed, bool(raised)
+    mid, top = (lo + (hi - lo) * f for f in (0.5, 1 - 1e-9))
+    fixed = None
+    if pc.free and dec.chain_infeasible(h, pc, top):
+        fixed = "skipped"
+    elif (pc.free and dec.below_bound(h, pc, mid)
+          and not dec.decide(h, p.i, p.j, top).feasible):
+        fixed = "settled by the bound"
+    return got, gaps[0], fixed, signed, bool(raised)
 
 
 def test_probe_round_skipped_only_where_its_outcome_is_fixed(scaled_hull, monkeypatch):
-    # a round whose largest probe fails chain_infeasible cannot move the
-    # gap's upper end, which is all optimize_pair reads of the gap
+    # a round whose largest probe fails chain_infeasible, or whose other
+    # probes are below L_ij while decide rejects the largest, cannot move
+    # the gap's upper end, which is all optimize_pair reads of the gap
     paths = set()
     for cell in SOLVE_CELLS:
-        want, gap, dead, ref_signed, ref_raised = _first_pair_round(
+        want, gap, fixed, ref_signed, ref_raised = _first_pair_round(
             scaled_hull(cell)[1], _narrow_interval_probing, monkeypatch)
-        got, got_gap, got_dead, signed, _ = _first_pair_round(
+        got, got_gap, got_fixed, signed, _ = _first_pair_round(
             scaled_hull(cell)[1], opt.narrow_interval, monkeypatch)
-        assert (got_gap, got_dead) == (gap, dead), cell
-        if dead:
-            paths.add("skipped")
+        assert (got_gap, got_fixed) == (gap, fixed), cell
+        if fixed:
+            paths.add(fixed)
             assert signed == [], cell
         elif ref_signed:
             paths.add("live")
             assert signed == ref_signed, cell
-        if dead and ref_raised:
-            # only a dead probe's intersection raised, and it is not built now
+        if fixed and ref_raised:
+            # only a fixed round's intersection raised, and it is not built now
             assert cell == ("comb", 16, 8, 1)
             assert got[0] == gap[1]
         else:
             assert got == want, cell
-    assert paths == {"skipped", "live"}
+    assert paths == {"skipped", "settled by the bound", "live"}
+
+
+def _midpoint_pair_radii(ring, a, b):
+    """`opt._boundary_pair_radii` reading both sites' maps at the midpoint
+    of every sub-piece between the cuts of either, instead of looking up
+    charts read once per site."""
+    out = []
+    for (u, v), ca, cb in zip(ring.ring_index.segs, opt._segment_cuts(ring, a),
+                              opt._segment_cuts(ring, b)):
+        ex, ey = v.x - u.x, v.y - u.y
+        ee = ex * ex + ey * ey
+        if ee == 0.0:
+            continue
+        ts = sorted({0.0, 1.0} | ca | cb)
+        for t0, t1 in zip(ts, ts[1:]):
+            tm = (t0 + t1) / 2
+            mid = Point2(u.x + ex * tm, u.y + ey * tm)
+            (wa, da), (wb, db) = sorted((ring.site_map(s).anchor(mid) for s in (a, b)),
+                                        key=lambda wd: wd[1])
+            cc = (db - da) * (db - da)
+            dx, dy = wb.x - wa.x, wb.y - wa.y
+            bx, by = u.x - wb.x, u.y - wb.y
+            h1 = ex * dx + ey * dy
+            h0 = (dx * (u.x - wa.x + bx) + dy * (u.y - wa.y + by) - cc) / 2
+            roots = (quadratic_roots(0.0, h1 / 2, h0) if cc == 0.0 else
+                     [t for t in quadratic_roots(cc * ee - h1 * h1,
+                                                 cc * (bx * ex + by * ey) - h1 * h0,
+                                                 cc * (bx * bx + by * by) - h0 * h0)
+                      if h1 * t + h0 >= 0.0])
+            out += [dist(Point2(u.x + ex * t, u.y + ey * t), wa) + da
+                    for t in set(roots) if t0 <= t <= t1]
+    return out
+
+
+def test_chart_lookup_matches_midpoint_reading(monkeypatch):
+    # every pair interval_candidates visits in the corpus solves gets the
+    # same radii, bit for bit, from charts read once per site
+    visited = []
+    plain = opt.interval_candidates
+
+    def recording(h, i, j):
+        visited.append((h, i, j))
+        return plain(h, i, j)
+
+    monkeypatch.setattr(opt, "interval_candidates", recording)
+    for cell in CORPUS_CELLS:
+        inst = generate(*cell)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                two_center(SimplePolygon(inst.polygon), inst.points)
+            except BoundaryAssemblyError:
+                pass
+    pairs = 0
+    for h, i, j in visited:
+        pc = dec.pair_chains(h, i, j)
+        ring = h.hull_region
+        charts = {p: opt._segment_charts(ring, p) for p in pc.chain1 + pc.chain2 + pc.free}
+        for x, y in opt._boundary_pairs(pc):
+            pairs += 1
+            assert (opt._boundary_pair_radii(ring, x, y, charts[x], charts[y])
+                    == _midpoint_pair_radii(ring, x, y)), (h, x, y)
+    assert pairs > 0
+    print(f"chart lookup: {pairs} pairs over {len(visited)} splits, all equal")
