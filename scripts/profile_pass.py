@@ -25,13 +25,23 @@ against the corners it was offered, and the probe rounds of
 (it reached a split with free points and returned without one, its
 largest probe failing `chain_infeasible`) or settled by the bound
 (returned without one otherwise: its other probes are below L_ij and
-`decide` rejects the largest).  The second pass runs under cProfile;
+`decide` rejects the largest).  It counts the `one_center` solves (calls
+that grew the region's one-center cache) by the function that called
+`one_center` (`chain_radius`, `pair_chains`, `shared_vertex_decide`,
+`interval_candidates`, `pair_coincidence_radius`, `hull_center`, ...),
+and the skips of the gates that spare one: the chain splits whose
+balance `driver.split_order` never solved, the shared-vertex tries
+skipped on `PairChains.far`, the `pair_coincidence_radius` calls
+answered from a chain-plus-one-point one-center, and the `one_center`
+coverage tests that `disks._within` answered from the Euclidean
+distance.  The second pass runs under cProfile;
 the script prints its top N functions by the chosen sort key, then the
 counts of the first pass.  An operation that raises is counted by error class and skipped,
 as the benchmark counts it.
 """
 import argparse
 import cProfile
+import math
 import os
 import pstats
 import random
@@ -45,7 +55,10 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import workloads  # noqa: E402
-from twocenter import decision, disks, geom, optimize, region  # noqa: E402
+from twocenter import decision, disks, driver, geom, optimize, region  # noqa: E402
+
+# the functions whose `_within` calls are `one_center`'s coverage tests
+ONE_CENTER_FRAMES = ("one_center", "mtf1", "mtf2")
 
 
 class Repeats:
@@ -91,8 +104,9 @@ def counting_pass(ops, anchor: Repeats, inter: Repeats, basis: Tuple[Repeats, Re
     the `decide` calls, those of them that grew their hull's side cache
     and those the bound exit answered without a `chain_side` call, the
     `_charts` calls with their corner circles and the ring corners
-    offered, and the probe rounds run, skipped and settled by the bound
-    with the `_event_signature` calls."""
+    offered, the probe rounds run, skipped and settled by the bound
+    with the `_event_signature` calls, the `one_center` solves by caller
+    ("solve.<function>") and the gates' skips."""
     plain_anchor = region.SiteMap._anchor
     plain_inter = disks.disks_intersection
     plain_init = region.SiteMap.__init__
@@ -106,6 +120,11 @@ def counting_pass(ops, anchor: Repeats, inter: Repeats, basis: Tuple[Repeats, Re
     plain_narrow = optimize.narrow_interval
     plain_signature = optimize._event_signature
     plain_disk2, plain_solve3 = disks._disk2, disks._solve3
+    plain_one_center = disks.one_center
+    plain_order, plain_balance = driver.split_order, driver._balance
+    plain_shared = decision.shared_vertex_decide
+    plain_coincidence = optimize.pair_coincidence_radius
+    plain_within = disks._within
     plain_pair, plain_triple = disks._path_midpoint_disk, disks._triple_disk
     disk2, solve3 = basis
 
@@ -188,6 +207,52 @@ def counting_pass(ops, anchor: Repeats, inter: Repeats, basis: Tuple[Repeats, Re
                   else "probe.settled"] += 1
         return out
 
+    def counted_one_center(space, pts):
+        cache = disks._as_region(space)._onecenter_cache
+        before = len(cache)
+        out = plain_one_center(space, pts)
+        if len(cache) > before:
+            frame = sys._getframe(1)
+            while frame.f_code.co_name.startswith("<"):    # a comprehension's
+                frame = frame.f_back
+            calls["solve." + frame.f_code.co_name] += 1
+        return out
+
+    def counted_order(h):
+        calls["splits"] += h.k * (h.k - 1) // 2
+        for split in plain_order(h):
+            calls["splits.yielded"] += 1
+            yield split
+
+    def counted_balance(h, i, j):
+        calls["splits.balanced"] += 1
+        return plain_balance(h, i, j)
+
+    def counted_shared(h, i, j, r):
+        pc = decision.pair_chains(h, i, j)
+        tols = h.ambient.tol
+        vxs = len(geom.unique_points([h.extreme(i), h.extreme(i + 1),
+                                      h.extreme(j), h.extreme(j + 1)]))
+        calls["shared.tries"] += 2 * vxs
+        calls["shared.skipped"] += vxs * sum(far > r + tols.radius + tols.near
+                                             for far in pc.far)
+        return plain_shared(h, i, j, r)
+
+    def counted_coincidence(h, i, j, t, q1, q2, iv):
+        pc = decision.pair_chains(h, i, j)
+        chain = pc.chain1 if t == 1 else pc.chain2
+        calls["coincidence"] += 1
+        calls["coincidence.gated"] += any(
+            plain_one_center(h.region, list(chain) + [q]).radius > iv.hi + h.ambient.tol.near
+            for q in (q1, q2))
+        return plain_coincidence(h, i, j, t, q1, q2, iv)
+
+    def counted_within(reg, q, x, r, tol):
+        if sys._getframe(1).f_code.co_name in ONE_CENTER_FRAMES:
+            calls["covers"] += 1
+            calls["covers.euclidean"] += math.hypot(x[0] - q.x, x[1] - q.y) > r + tol
+        return plain_within(reg, q, x, r, tol)
+
     def counted_signature(h, pc, r):
         calls["signature"] += 1
         return plain_signature(h, pc, r)
@@ -197,6 +262,8 @@ def counting_pass(ops, anchor: Repeats, inter: Repeats, basis: Tuple[Repeats, Re
     spd_holders = [m for m in mods if getattr(m, "seg_point_distance", None) is plain_spd]
     decide_holders = [m for m in mods if getattr(m, "decide", None) is plain_decide]
     side_holders = [m for m in mods if getattr(m, "chain_side", None) is plain_side]
+    one_center_holders = [m for m in mods
+                          if getattr(m, "one_center", None) is plain_one_center]
     region.SiteMap._anchor = counted_anchor
     region.SiteMap.__init__ = counted_init
     region.SiteMap._expand = counted_expand
@@ -207,6 +274,12 @@ def counting_pass(ops, anchor: Repeats, inter: Repeats, basis: Tuple[Repeats, Re
     optimize._event_signature = counted_signature
     disks._disk2, disks._solve3 = counted_disk2, counted_solve3
     disks._path_midpoint_disk, disks._triple_disk = counted_pair, counted_triple
+    driver.split_order, driver._balance = counted_order, counted_balance
+    decision.shared_vertex_decide = counted_shared
+    optimize.pair_coincidence_radius = counted_coincidence
+    disks._within = counted_within
+    for m in one_center_holders:
+        m.one_center = counted_one_center
     for m in holders:
         m.disks_intersection = counted_inter
     for m in spd_holders:
@@ -228,6 +301,12 @@ def counting_pass(ops, anchor: Repeats, inter: Repeats, basis: Tuple[Repeats, Re
         optimize._event_signature = plain_signature
         disks._disk2, disks._solve3 = plain_disk2, plain_solve3
         disks._path_midpoint_disk, disks._triple_disk = plain_pair, plain_triple
+        driver.split_order, driver._balance = plain_order, plain_balance
+        decision.shared_vertex_decide = plain_shared
+        optimize.pair_coincidence_radius = plain_coincidence
+        disks._within = plain_within
+        for m in one_center_holders:
+            m.one_center = plain_one_center
         for m in holders:
             m.disks_intersection = plain_inter
         for m in spd_holders:
@@ -298,6 +377,17 @@ def main() -> int:
     print(f"probe rounds: {calls['probe.run']} run ({calls['signature']} "
           f"_event_signature calls), {calls['probe.skipped']} skipped, "
           f"{calls['probe.settled']} settled by the bound")
+    solves = sorted(((n, key[len("solve."):]) for key, n in calls.items()
+                     if key.startswith("solve.")), reverse=True)
+    print(f"one_center: {sum(n for n, _f in solves)} solves; by caller "
+          + ", ".join(f"{f} {n}" for n, f in solves))
+    print(f"gates: {calls['splits'] - calls['splits.balanced']} of {calls['splits']} "
+          f"chain splits never balanced ({calls['splits.yielded']} yielded); "
+          f"{calls['shared.skipped']} of {calls['shared.tries']} shared-vertex tries "
+          f"skipped; {calls['coincidence.gated']} of {calls['coincidence']} "
+          f"pair_coincidence_radius calls gated; {calls['covers.euclidean']} of "
+          f"{calls['covers']} one_center coverage tests answered by the Euclidean "
+          f"distance")
     return 0
 
 

@@ -6,7 +6,9 @@ contains v_{i+1}..v_j.  The cascade runs top to bottom, certain exits
 first: whole-hull disk, chain one-centers, the split's one-center lower
 bound L_ij (`below_bound`: some free point is out of both chains'
 reach, a "no" labelled forced-overload), the shared-vertex witness
-(one-centers only, tried before any disk intersection is built),
+(one-centers only, tried before any disk intersection is built; a
+chain whose one-center with some free point, `PairChains.far`, is
+already past r is not tried with them all),
 interior-free exit, empty or pinched intersections, forced points (one
 that neither chain reaches is forced to both sides).  Then the
 "one-side-quiet" witness is tried from either side.  When it finds
@@ -40,6 +42,10 @@ class PairChains:
     # min_t one_center(C_t + q) radius): two disks of a smaller radius
     # cannot hold both chains and every free point
     bound: float
+    # per chain t, the largest one_center(C_t + q) radius over free q
+    # (0.0 with none): no disk of a smaller radius holds C_t and every
+    # free point
+    far: Tuple[float, float]
 
 
 def pair_chains(h: GeodesicHull, i: int, j: int) -> PairChains:
@@ -70,10 +76,11 @@ def pair_chains(h: GeodesicHull, i: int, j: int) -> PairChains:
             if not on_portion(b, p1) and not on_portion(b, p2):
                 free.append(b)
     region = h.region
-    bound = max(one_center(region, c).radius for c in (c1, c2))
-    for q in free:
-        bound = max(bound, min(one_center(region, c + (q,)).radius for c in (c1, c2)))
-    pc = PairChains(i, j, c1, c2, tuple(free), bound)
+    reach = [[one_center(region, c + (q,)).radius for q in free] for c in (c1, c2)]
+    bound = max([one_center(region, c).radius for c in (c1, c2)]
+                + [min(a, b) for a, b in zip(*reach)])
+    far = (max(reach[0], default=0.0), max(reach[1], default=0.0))
+    pc = PairChains(i, j, c1, c2, tuple(free), bound, far)
     cache[(i, j)] = pc
     return pc
 
@@ -102,14 +109,22 @@ def shared_vertex_decide(h: GeodesicHull, i: int, j: int, r: float):
     vertices while one of them takes every free point, or None.  It
     answers from one-centers alone, before any disk intersection is
     built, so a split it settles costs no `chain_side` call.
+
+    The tries that give chain t every free point are skipped, unsolved,
+    when `PairChains.far` of that chain exceeds r + tol.radius + tol.near:
+    their one-center holds that one-center's set, so its radius, less
+    tol.near of rounding, is no smaller, and the try's radius test would
+    fail.
     """
     pc = pair_chains(h, i, j)
     region = h.region
     tols = h.ambient.tol
     free = list(pc.free)
+    cap = r + tols.radius + tols.near
+    tries = [s for s, far in zip(((free, []), ([], free)), pc.far) if far <= cap]
     for vx in unique_points([h.extreme(i), h.extreme(i + 1),
                              h.extreme(j), h.extreme(j + 1)]):
-        for s1, s2 in ((free, []), ([], free)):
+        for s1, s2 in tries:
             d1 = one_center(region, list(pc.chain1) + [vx] + s1)
             if d1.radius > r + tols.radius:
                 continue

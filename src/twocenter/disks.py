@@ -595,28 +595,26 @@ def one_center(space, pts: Sequence[Point2]) -> OneCenterResult:
         return hit
     uniq: List[Point2] = sorted(Point2(x, y) for x, y in key)
 
+    # d covers p: `_within` tries the Euclidean distance first
     tol = region.tp.tol.near
-
-    def covers(d: OneCenterResult, p: Point2) -> bool:
-        return region.site_map(p).distance(d.center) <= d.radius + tol
 
     def mtf2(P, q1, q2):
         d = _disk2(region, q1, q2)
         for p in P:
-            if not covers(d, p):
+            if not _within(region, p, d.center, d.radius, tol):
                 d = _solve3(region, q1, q2, p)
         return d
 
     def mtf1(P, q):
         d = OneCenterResult(q, 0.0)
         for i, p in enumerate(P):
-            if not covers(d, p):
+            if not _within(region, p, d.center, d.radius, tol):
                 d = mtf2(P[:i], q, p)
         return d
 
     d = OneCenterResult(uniq[0], 0.0)
     for i, p in enumerate(uniq):
-        if not covers(d, p):
+        if not _within(region, p, d.center, d.radius, tol):
             d = mtf1(uniq[:i], p)
 
     rad = max(region.site_map(p).distance(d.center) for p in uniq)

@@ -5,17 +5,21 @@ hull's one-center, optimize every chain split of the hull's extremes
 below that bound and below the best radius so far, in increasing order
 of the split's larger chain radius, and keep the best witness.  The
 search stops at the first split whose larger chain radius exceeds the
-best radius so far.  A flat hull (one or two extremes, or a ring of
+best radius so far.  Splits come from `split_order`, which solves a
+split's chain one-centers only once a lower bound (half the larger
+chain's geodesic diameter) says it may be next, so the splits past the
+stop cost no one-center.  A flat hull (one or two extremes, or a ring of
 zero area, as for one or two distinct points) puts Q on one geodesic;
 its best prefix split is scored by one-centers instead.  Every answer
 is certified before it is returned.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import decision
 from .decision import pair_chains
@@ -51,22 +55,66 @@ def _balance(h: GeodesicHull, i: int, j: int) -> float:
                h.chain_radius((j + 1) % k, i % k))
 
 
+def _chain_bounds(h: GeodesicHull) -> List[List[float]]:
+    """lb[a][b]: a lower bound on `h.chain_radius(a, b)`, half the largest
+    geodesic distance between two of the extremes v_a..v_b, less tol.near.
+
+    Any center lies at least half of d(u, w) from u or from w, so the
+    one-center radius is no smaller; the slack covers its rounding.  Read
+    from the extremes' maps, which the hull built already.
+    """
+    k = h.k
+    region, near = h.region, h.ambient.tol.near
+    d = [[region.site_map(u).distance(w) for w in h.extremes] for u in h.extremes]
+    # diam[a][s]: largest distance within the chain of s + 1 extremes from v_a
+    diam = [[0.0] * k for _ in range(k)]
+    for s in range(1, k):
+        for a in range(k):
+            b = (a + s) % k
+            diam[a][s] = max(diam[a][s - 1], diam[(a + 1) % k][s - 1], d[a][b])
+    return [[diam[a][(b - a) % k] / 2 - near for b in range(k)] for a in range(k)]
+
+
+def split_order(h: GeodesicHull) -> Iterator[Tuple[float, int, int]]:
+    """Every chain split (i, j) with i < j as (balance, i, j), in exactly
+    the order of `sorted((_balance(h, i, j), i, j) ...)`.
+
+    A heap holds each split under the lower bound of its larger chain
+    (`_chain_bounds`) until that bound is the least key left; only then
+    is the split's balance solved and pushed back.  A balance is never
+    below its bound, so every split still keyed by a bound comes after
+    the one yielded, and a caller that stops early solves no one-center
+    of a later split.
+    """
+    k = h.k
+    if k < 2:
+        raise DegenerateHull(f"{k} extreme(s)")
+    lb = _chain_bounds(h)
+    # (key, 0 = bound / 1 = exact balance, i, j)
+    heap = [(max(lb[(i + 1) % k][j], lb[(j + 1) % k][i]), 0, i, j)
+            for i in range(k) for j in range(i + 1, k)]
+    heapq.heapify(heap)
+    while heap:
+        key, exact, i, j = heapq.heappop(heap)
+        if exact:
+            yield key, i, j
+        else:
+            heapq.heappush(heap, (_balance(h, i, j), 1, i, j))
+
+
 def candidate_pairs(h: GeodesicHull) -> List[CandidatePair]:
     """Every chain split (i, j) with i < j, in increasing balance, ties by
-    index.
+    index: the whole of `split_order`.
 
     The paper keeps only the O(k) splits next to each extreme's balance
     minimizers, which bounds its running time, not its answer.  Searched
     in this order, the first split whose chain one-centers exceed the best
     radius so far ends the search without a decision: `decide` would
     answer "no" from those one-centers there and at every later split.
+    The solve reads `split_order` lazily instead, so it solves the chain
+    one-centers of the splits it reaches only.
     """
-    k = h.k
-    if k < 2:
-        raise DegenerateHull(f"{k} extreme(s)")
-    splits = sorted((_balance(h, i, j), i, j)
-                    for i in range(k) for j in range(i + 1, k))
-    return [CandidatePair(i, j) for _b, i, j in splits]
+    return [CandidatePair(i, j) for _b, i, j in split_order(h)]
 
 
 def assistant_interval(h: GeodesicHull) -> RadiusInterval:
@@ -146,16 +194,16 @@ def _solve_on(tp: TriangulatedPolygon, pts: List[Point2]) -> TwoCenterSolution:
             iv = assistant_interval(h)
             eps = tp.tol.radius
             best: Optional[Tuple[float, Point2, Point2, CandidatePair]] = None
-            for p in candidate_pairs(h):
+            for bal, i, j in split_order(h):
                 hi = iv.hi if best is None else min(iv.hi, best[0])
-                if hi < iv.hi - eps and _balance(h, p.i, p.j) > hi + eps:
+                if hi < iv.hi - eps and bal > hi + eps:
                     break    # decide's chain-infeasible exit, here and after
-                got = optimize_pair(h, p.i, p.j, RadiusInterval(iv.lo, hi))
+                got = optimize_pair(h, i, j, RadiusInterval(iv.lo, hi))
                 if got is None:
                     continue
                 r, c1, c2 = got
                 if best is None or r < best[0] - 1e-15:
-                    best = (r, c1, c2, p)
+                    best = (r, c1, c2, CandidatePair(i, j))
             if best is None:
                 raise CertificateError("no candidate pair optimized")
             r, c1, c2, p = best

@@ -14,7 +14,7 @@ from typing import Dict, List, Sequence, Tuple
 from .disks import OneCenterResult, one_center
 from .errors import HullConvergenceError, PointOutsidePolygon
 from .geom import Point2, orientation, unique_points
-from .polygon import TriangulatedPolygon, point_in_polygon
+from .polygon import TriangulatedPolygon
 from .region import Region, SiteMap
 
 
@@ -139,7 +139,7 @@ def geodesic_hull(tp: TriangulatedPolygon, Q: Sequence[Point2]) -> GeodesicHull:
     region = Region.of(tp)
     pts = [Point2(float(q[0]), float(q[1])) for q in Q]
     for p in pts:
-        if point_in_polygon(tp.polygon, p) == "outside":
+        if region.classify(p) == "outside":
             raise PointOutsidePolygon(f"{p} outside the polygon")
     pts = unique_points(pts)
     if not pts:

@@ -256,12 +256,19 @@ def pair_coincidence_radius(h: GeodesicHull, i: int, j: int, t: int, q1: Point2,
                             q2: Point2, iv: RadiusInterval) -> Optional[float]:
     """Smallest radius whose side-t disk intersection can host both q1's
     and q2's circles through one point; None unless both points determine
-    it, a chain extreme pins it to the arcs, and it lies in iv."""
+    it, a chain extreme pins it to the arcs, and it lies in iv.
+
+    None comes without solving chain + q1 + q2 when chain + q1 or chain +
+    q2, which `pair_chains` solved for L_ij, exceeds iv.hi + tol.near: the
+    larger set's radius, less tol.near of rounding, is no smaller."""
     if q1 == q2:
         raise ValueError("q1 == q2")
     pc = pair_chains(h, i, j)
     chain = pc.chain1 if t == 1 else pc.chain2
     region = h.region
+    cap = iv.hi + region.tp.tol.near
+    if any(one_center(region, list(chain) + [q]).radius > cap for q in (q1, q2)):
+        return None
     oc = one_center(region, list(chain) + [q1, q2])
     tol = region.tp.tol.check
 

@@ -5,13 +5,15 @@ import warnings
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
+from test_acceptance import FUZZ_SLICE
 
-from twocenter import decision, driver, region
+from twocenter import decision, disks, driver, optimize, region
 from twocenter.cli import make_record, verify_record
 from twocenter.decision import decide
 from twocenter.driver import assistant_interval, candidate_pairs, two_center
 from twocenter.errors import BoundaryAssemblyError, PointOutsidePolygon
-from twocenter.geom import Point2
+from twocenter.geom import Point2, unique_points
 from twocenter.instances import FAMILIES, generate
 from twocenter.optimize import RadiusInterval, optimize_pair
 from twocenter.polygon import SimplePolygon, triangulate
@@ -322,3 +324,163 @@ def test_pair_loop_stops_where_every_later_split_is_chain_infeasible(scaled_hull
         dropped += stats.pop("chain-infeasible:n", 0)
         assert sol.branch_stats == dict(stats), cell
     assert dropped > 0
+
+
+# the cells of scripts/corpus_outputs.py
+CORPUS_CELLS = [(f, n, m, s) for n, m, seeds in ((12, 6, 6), (16, 8, 6), (48, 6, 6),
+                                                  (20, 10, 3), (24, 12, 2))
+                for f in FAMILIES for s in range(seeds)]
+
+
+def _assert_split_order_sorted(h):
+    want = sorted((driver._balance(h, i, j), i, j)
+                  for i in range(h.k) for j in range(i + 1, h.k))
+    assert list(driver.split_order(h)) == want
+    assert [(p.i, p.j) for p in candidate_pairs(h)] == [(i, j) for _b, i, j in want]
+    # each lazy prefix ends where the sorted list passes the same threshold
+    for cut in {b for b, _i, _j in want}:
+        got = []
+        for split in driver.split_order(h):
+            if split[0] > cut:
+                break
+            got.append(split)
+        assert got == [w for w in want if w[0] <= cut]
+
+
+def test_split_order_matches_sorted_balances_on_corpus_hulls(scaled_hull):
+    for cell in CORPUS_CELLS:
+        _k, h = scaled_hull(cell)
+        if h.k >= 2:
+            _assert_split_order_sorted(h)
+
+
+@given(st.sampled_from(sorted(FAMILIES)), st.integers(6, 24), st.integers(3, 10),
+       st.integers(0, 10_000))
+def test_split_order_matches_sorted_balances(scaled_hull, fam, n, m, seed):
+    _k, h = scaled_hull((fam, n, m, seed))
+    if h.k >= 2:
+        _assert_split_order_sorted(h)
+
+
+def test_split_order_keeps_every_solve(monkeypatch):
+    # solving with every balance sorted up front moves no output
+    cells = [c for c in CORPUS_CELLS if c[1:3] in ((12, 6), (16, 8))]
+
+    def outcome(cell):
+        inst = generate(*cell)
+        try:
+            sol = two_center(SimplePolygon(inst.polygon), inst.points)
+        except BoundaryAssemblyError as exc:
+            return type(exc).__name__
+        return (sol.radius, sol.c1, sol.c2, sol.pair, sol.branch_stats)
+
+    lazy = [outcome(c) for c in cells]
+    sorted_order = driver.split_order
+    monkeypatch.setattr(driver, "split_order", lambda h: iter(list(sorted_order(h))))
+    assert [outcome(c) for c in cells] == lazy
+
+
+def test_split_order_solves_no_balance_past_the_stop(scaled_hull, monkeypatch):
+    _k, h = scaled_hull(("convex", 16, 8, 0))
+    solved = []
+    plain = driver._balance
+    monkeypatch.setattr(driver, "_balance",
+                        lambda h, i, j: solved.append((i, j)) or plain(h, i, j))
+    first = next(driver.split_order(h))
+    assert first[1:] in solved and len(solved) < h.k * (h.k - 1) // 2
+
+
+def _shared_vertex_ungated(h, i, j, r):
+    """`decision.shared_vertex_decide` with every try solved."""
+    pc = decision.pair_chains(h, i, j)
+    tols = h.ambient.tol
+    free = list(pc.free)
+    for vx in unique_points([h.extreme(i), h.extreme(i + 1),
+                             h.extreme(j), h.extreme(j + 1)]):
+        for s1, s2 in ((free, []), ([], free)):
+            d1 = disks.one_center(h.region, list(pc.chain1) + [vx] + s1)
+            if d1.radius > r + tols.radius:
+                continue
+            d2 = disks.one_center(h.region, list(pc.chain2) + [vx] + s2)
+            if d2.radius > r + tols.radius:
+                continue
+            if decision._coverage_ok(h.region, pc, r, d1.center, d2.center, tols.check):
+                return d1.center, d2.center
+    return None
+
+
+def _coincidence_ungated(h, i, j, t, q1, q2, iv):
+    """`optimize.pair_coincidence_radius` with chain + q1 + q2 always solved."""
+    pc = decision.pair_chains(h, i, j)
+    chain = pc.chain1 if t == 1 else pc.chain2
+    region = h.region
+    oc = disks.one_center(region, list(chain) + [q1, q2])
+    tol = region.tp.tol.check
+
+    def pinned(pts):
+        return abs(max(region.site_map(e).distance(oc.center) for e in pts)
+                   - oc.radius) <= tol
+
+    if pinned([q1]) and pinned([q2]) and pinned(chain):
+        return oc.radius if iv.contains(oc.radius) else None
+    return None
+
+
+def test_one_center_gates_skip_only_failing_solves(monkeypatch):
+    """Each gate answers as its ungated form, and every one-center it
+    skips is solved here anyway, with a radius above the value the
+    skipped test compares it with; every coverage test that `disks._within`
+    answers from the Euclidean distance is answered the same by the map
+    distance."""
+    fired = Counter()
+    plain_shared = decision.shared_vertex_decide
+    plain_coincidence = optimize.pair_coincidence_radius
+    plain_within = disks._within
+
+    def shared(h, i, j, r):
+        got = plain_shared(h, i, j, r)
+        assert got == _shared_vertex_ungated(h, i, j, r)
+        pc = decision.pair_chains(h, i, j)
+        tols = h.ambient.tol
+        vxs = unique_points([h.extreme(i), h.extreme(i + 1),
+                             h.extreme(j), h.extreme(j + 1)])
+        for chain, far in zip((pc.chain1, pc.chain2), pc.far):
+            if far > r + tols.radius + tols.near:
+                fired["shared-vertex"] += 1
+                for vx in vxs:
+                    oc = disks.one_center(h.region, list(chain) + [vx] + list(pc.free))
+                    assert oc.radius > r + tols.radius
+        return got
+
+    def coincidence(h, i, j, t, q1, q2, iv):
+        got = plain_coincidence(h, i, j, t, q1, q2, iv)
+        assert got == _coincidence_ungated(h, i, j, t, q1, q2, iv)
+        fired["coincidence-value"] += got is not None
+        pc = decision.pair_chains(h, i, j)
+        chain = list(pc.chain1 if t == 1 else pc.chain2)
+        if any(disks.one_center(h.region, chain + [q]).radius > iv.hi + h.ambient.tol.near
+               for q in (q1, q2)):
+            fired["coincidence"] += 1
+            assert disks.one_center(h.region, chain + [q1, q2]).radius > iv.hi
+        return got
+
+    def within(reg, q, x, r, tol):
+        got = plain_within(reg, q, x, r, tol)
+        assert got == (reg.site_map(q).distance(x) <= r + tol)
+        fired["euclidean"] += math.hypot(x[0] - q.x, x[1] - q.y) > r + tol
+        return got
+
+    monkeypatch.setattr(decision, "shared_vertex_decide", shared)
+    monkeypatch.setattr(optimize, "pair_coincidence_radius", coincidence)
+    monkeypatch.setattr(disks, "_within", within)
+    # the last two hold splits whose coincidence radius is not None
+    cells = ([c for c in CORPUS_CELLS if c[1:3] in ((12, 6), (16, 8), (48, 6))]
+             + FUZZ_SLICE + [("convex", 12, 6, 8), ("random", 8, 8, 110)])
+    for cell in cells:
+        inst = generate(*cell)
+        try:
+            two_center(SimplePolygon(inst.polygon), inst.points)
+        except BoundaryAssemblyError:
+            pass
+    assert min(fired[g] for g in ("shared-vertex", "coincidence", "coincidence-value",
+                                  "euclidean")) > 0
