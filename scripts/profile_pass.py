@@ -8,11 +8,16 @@ distance-128), which is imported and not changed; S seeds the order in
 which each pass visits the corpus, as in `perfbench/run.py --seed S`.
 
 A first pass runs unprofiled, to warm up, and counts the calls of
-`SiteMap._anchor`, `disks_intersection`, `disks._disk2` and
-`disks._solve3` against their distinct arguments: (map, point),
-(region, sites, radius) and (region, ordered points), distinct within one
-operation, and how many of the `_disk2` and `_solve3` calls solved their
-basis rather than reading it from the region's cache.  It also counts the
+`disks_intersection`, `disks._disk2` and `disks._solve3` against their
+distinct arguments: (region, sites, radius) and (region, ordered
+points), distinct within one operation, and how many of the `_disk2` and
+`_solve3` calls solved their basis rather than reading it from the
+region's cache.  It counts the `SiteMap` reads (`distance`, `anchor`,
+`path`) and the distinct walks they made (`SiteMap._walk`, one per map
+and point not read before), the walks grouped by the function that
+called the read, and the calls of `geom.orientation`,
+`Region._ray_enters` (one per extension ray `Region.tree` tests) and
+`disks.compute_events`.  It also counts the
 `SiteMap` builds and the triangles their walks expanded
 (`SiteMap._expand`), against the triangles of all the maps built, which shows how much of each map its queries needed, the
 `seg_point_distance` calls, the `RingIndex` queries by kind (classify,
@@ -60,6 +65,9 @@ from twocenter import decision, disks, driver, geom, optimize, region  # noqa: E
 # the functions whose `_within` calls are `one_center`'s coverage tests
 ONE_CENTER_FRAMES = ("one_center", "mtf1", "mtf2")
 
+# the `SiteMap` methods that read a point's anchor, walking on a miss
+READ_METHODS = ("distance", "anchor", "path")
+
 
 class Repeats:
     """Calls and distinct arguments of one function, summed over operations."""
@@ -96,10 +104,21 @@ class Expansion:
                 f"{self.triangles} triangles expanded ({100 * share:.1f} %)")
 
 
-def counting_pass(ops, anchor: Repeats, inter: Repeats, basis: Tuple[Repeats, Repeats],
+def reader(frame, skip) -> str:
+    """Name of the function that made the `SiteMap` read whose walk runs
+    in `frame`: the first caller whose code is not in `skip` (the map's
+    read methods and their counting wrappers) nor a comprehension."""
+    while frame.f_code in skip or frame.f_code.co_name.startswith("<"):
+        frame = frame.f_back
+    return frame.f_code.co_name
+
+
+def counting_pass(ops, inter: Repeats, basis: Tuple[Repeats, Repeats],
                   maps: Expansion, calls: Counter) -> Counter:
     """Run ops with the counted functions wrapped; returns `run`'s error
-    count.  `calls` counts the `_disk2` and `_solve3` calls that solved
+    count.  `calls` counts the `SiteMap` reads ("read.<method>") and walks
+    ("walk.<caller>"), the `orientation`, `_ray_enters` and
+    `compute_events` calls, the `_disk2` and `_solve3` calls that solved
     their basis, `seg_point_distance`, the `RingIndex` queries,
     the `decide` calls, those of them that grew their hull's side cache
     and those the bound exit answered without a `chain_side` call, the
@@ -107,7 +126,11 @@ def counting_pass(ops, anchor: Repeats, inter: Repeats, basis: Tuple[Repeats, Re
     offered, the probe rounds run, skipped and settled by the bound
     with the `_event_signature` calls, the `one_center` solves by caller
     ("solve.<function>") and the gates' skips."""
-    plain_anchor = region.SiteMap._anchor
+    plain_reads = {name: getattr(region.SiteMap, name) for name in READ_METHODS}
+    plain_walk = region.SiteMap._walk
+    plain_orientation = geom.orientation
+    plain_enters = region.Region._ray_enters
+    plain_events = disks.compute_events
     plain_inter = disks.disks_intersection
     plain_init = region.SiteMap.__init__
     plain_expand = region.SiteMap._expand
@@ -128,9 +151,32 @@ def counting_pass(ops, anchor: Repeats, inter: Repeats, basis: Tuple[Repeats, Re
     plain_pair, plain_triple = disks._path_midpoint_disk, disks._triple_disk
     disk2, solve3 = basis
 
-    def counted_anchor(self, x):
-        anchor.note((id(self), x[0], x[1]))
-        return plain_anchor(self, x)
+    def counted_read(name):
+        plain = plain_reads[name]
+
+        def read(self, x):
+            calls["read." + name] += 1
+            return plain(self, x)
+        return read
+
+    skip = {f.__code__ for f in plain_reads.values()}
+    skip |= {region.SiteMap._anchor.__code__, counted_read(READ_METHODS[0]).__code__}
+
+    def counted_walk(self, x):
+        calls["walk." + reader(sys._getframe(1), skip)] += 1
+        return plain_walk(self, x)
+
+    def counted_orientation(a, b, c):
+        calls["orientation"] += 1
+        return plain_orientation(a, b, c)
+
+    def counted_enters(self, origin, direction):
+        calls["ray_enters"] += 1
+        return plain_enters(self, origin, direction)
+
+    def counted_events(reg, boundary, interior):
+        calls["compute_events"] += 1
+        return plain_events(reg, boundary, interior)
 
     def counted_init(self, tp, source):
         maps.builds += 1
@@ -260,11 +306,17 @@ def counting_pass(ops, anchor: Repeats, inter: Repeats, basis: Tuple[Repeats, Re
     mods = [m for name, m in list(sys.modules.items()) if name.startswith("twocenter.")]
     holders = [m for m in mods if getattr(m, "disks_intersection", None) is plain_inter]
     spd_holders = [m for m in mods if getattr(m, "seg_point_distance", None) is plain_spd]
+    orientation_holders = [m for m in mods
+                           if getattr(m, "orientation", None) is plain_orientation]
+    events_holders = [m for m in mods if getattr(m, "compute_events", None) is plain_events]
     decide_holders = [m for m in mods if getattr(m, "decide", None) is plain_decide]
     side_holders = [m for m in mods if getattr(m, "chain_side", None) is plain_side]
     one_center_holders = [m for m in mods
                           if getattr(m, "one_center", None) is plain_one_center]
-    region.SiteMap._anchor = counted_anchor
+    for name in READ_METHODS:
+        setattr(region.SiteMap, name, counted_read(name))
+    region.SiteMap._walk = counted_walk
+    region.Region._ray_enters = counted_enters
     region.SiteMap.__init__ = counted_init
     region.SiteMap._expand = counted_expand
     geom.RingIndex.classify = counted_classify
@@ -284,14 +336,21 @@ def counting_pass(ops, anchor: Repeats, inter: Repeats, basis: Tuple[Repeats, Re
         m.disks_intersection = counted_inter
     for m in spd_holders:
         m.seg_point_distance = counted_spd
+    for m in orientation_holders:
+        m.orientation = counted_orientation
+    for m in events_holders:
+        m.compute_events = counted_events
     for m in decide_holders:
         m.decide = counted_decide
     for m in side_holders:
         m.chain_side = counted_side
     try:
-        return run(ops, fresh=(anchor, inter) + basis)
+        return run(ops, fresh=(inter,) + basis)
     finally:
-        region.SiteMap._anchor = plain_anchor
+        for name, plain in plain_reads.items():
+            setattr(region.SiteMap, name, plain)
+        region.SiteMap._walk = plain_walk
+        region.Region._ray_enters = plain_enters
         region.SiteMap.__init__ = plain_init
         region.SiteMap._expand = plain_expand
         geom.RingIndex.classify = plain_classify
@@ -311,6 +370,10 @@ def counting_pass(ops, anchor: Repeats, inter: Repeats, basis: Tuple[Repeats, Re
             m.disks_intersection = plain_inter
         for m in spd_holders:
             m.seg_point_distance = plain_spd
+        for m in orientation_holders:
+            m.orientation = plain_orientation
+        for m in events_holders:
+            m.compute_events = plain_events
         for m in decide_holders:
             m.decide = plain_decide
         for m in side_holders:
@@ -346,11 +409,11 @@ def main() -> int:
     warnings.simplefilter("ignore")
     rng = random.Random(args.seed)
 
-    anchor, inter = Repeats("SiteMap._anchor"), Repeats("disks_intersection")
+    inter = Repeats("disks_intersection")
     basis = Repeats("_disk2"), Repeats("_solve3")
     maps = Expansion()
     calls = Counter()
-    warm_errors = counting_pass(wl.ops(rng), anchor, inter, basis, maps, calls)
+    warm_errors = counting_pass(wl.ops(rng), inter, basis, maps, calls)
 
     ops = wl.ops(rng)
     prof = cProfile.Profile()
@@ -361,7 +424,15 @@ def main() -> int:
     print(f"# {wl.name}, seed {args.seed}: {len(ops)} operations per pass; raised "
           f"in the profiled pass {dict(errors)}, in the warm one {dict(warm_errors)}")
     pstats.Stats(prof, stream=sys.stdout).sort_stats(args.sort).print_stats(args.top)
-    print(anchor.line())
+    reads = {name: calls["read." + name] for name in READ_METHODS}
+    walks = sorted(((n, key[len("walk."):]) for key, n in calls.items()
+                    if key.startswith("walk.")), reverse=True)
+    print(f"SiteMap: {sum(reads.values())} reads ("
+          + ", ".join(f"{name} {n}" for name, n in reads.items())
+          + f"), {sum(n for n, _f in walks)} distinct walks; walks by reader "
+          + ", ".join(f"{f} {n}" for n, f in walks))
+    print(f"orientation: {calls['orientation']} calls; Region._ray_enters: "
+          f"{calls['ray_enters']} calls; compute_events: {calls['compute_events']} calls")
     print(inter.line())
     for rep, solved in zip(basis, ("disk2.solved", "solve3.solved")):
         print(f"{rep.line()}, {calls[solved]} solved")

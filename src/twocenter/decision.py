@@ -23,7 +23,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .disks import compute_events, disks_intersection, one_center
+from .disks import ArcBoundary, compute_events, disks_intersection, one_center
 from .errors import CertificateError, InvalidPair
 from .geom import Point2, dist, seg_point_distance, unique_points
 from .hull import GeodesicHull
@@ -138,17 +138,40 @@ def shared_vertex_decide(h: GeodesicHull, i: int, j: int, r: float):
 
 # -- sides of the chain intersections ---------------------------------
 
-@dataclass
 class SideData:
-    events: List[Tuple[Point2, str]]
-    sides: Dict[Key, str]
+    """The free points' events and sides on one chain's arcs, as
+    `disks.compute_events` returns them.  Both are computed together on
+    the first read of either: only `one_side_witness` reads `sides` and
+    only `optimize._event_signature` reads `events`, and a `decide` that
+    exits before its witness reads neither.  An error is raised again on
+    every read."""
+
+    def __init__(self, region: Region, boundary: ArcBoundary,
+                 free: Tuple[Point2, ...]):
+        self._args: Optional[tuple] = (region, boundary, free)
+        self._got: Optional[tuple] = None
+
+    def _read(self) -> Tuple[List[Tuple[Point2, str]], Dict[Key, str]]:
+        if self._got is None:
+            self._got = compute_events(*self._args)
+            self._args = None
+        return self._got
+
+    @property
+    def events(self) -> List[Tuple[Point2, str]]:
+        return self._read()[0]
+
+    @property
+    def sides(self) -> Dict[Key, str]:
+        return self._read()[1]
 
 
 def chain_side(h: GeodesicHull, pc: PairChains, chain: Tuple[Point2, ...],
                r: float) -> Tuple[str, object]:
     """One chain's disk intersection on the hull ring at radius r, as the
     cascade reads it: ("empty", None), ("point", the pinch point),
-    ("noarcs", None), or ("arcs", its SideData over pc.free).
+    ("noarcs", None), or ("arcs", its SideData over pc.free, whose
+    events are computed on their first read).
 
     Computed once per hull, chain and radius, so that a probe of
     `optimize._event_signature` and a `decide` at the same radius share
@@ -166,7 +189,7 @@ def chain_side(h: GeodesicHull, pc: PairChains, chain: Tuple[Point2, ...],
         elif not b.arcs():
             hit = ("noarcs", None)
         else:
-            hit = ("arcs", SideData(*compute_events(h.region, b, pc.free)))
+            hit = ("arcs", SideData(h.region, b, pc.free))
         cache[key] = hit
     return hit
 

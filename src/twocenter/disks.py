@@ -269,11 +269,15 @@ def _clip(region: Region, elements: List[Element], q: Point2, r: float,
         angs = _cut_chart_circle(region, w, R, elements, charts, ext_segs)
         for arc in _circle_subarcs(w, R, angs, q):
             mid = arc.point(0.5)
+            # the straight-line distance bounds an earlier site's geodesic
+            # one from below, so it goes before any map walk
+            if any(math.hypot(mid.x - p.x, mid.y - p.y) > r + tol for p in prev):
+                continue
             if region.classify(mid, eps=tol) == "outside":
                 continue
             if abs(sq.distance(mid) - r) > tol:
                 continue
-            if any(not _within(region, p, mid, r, tol) for p in prev):
+            if any(region.site_map(p).distance(mid) > r + tol for p in prev):
                 continue
             new_arcs.append(arc)
 

@@ -227,7 +227,7 @@ def two_center(poly: SimplePolygon, points: Sequence) -> TwoCenterSolution:
     if poly.diameter > 0:
         scale = 2.0 ** round(math.log2(64.0 / poly.diameter))
     if scale != 1.0:
-        poly = SimplePolygon([(v.x * scale, v.y * scale) for v in poly.vertices])
+        poly = poly.scaled(scale)
         spts = [Point2(q.x * scale, q.y * scale) for q in pts]
     else:
         spts = pts

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, NamedTuple, Sequence
+from typing import List, NamedTuple, Sequence, Tuple
 
 # Coincidence / boundary tolerance, absolute.  Instances are scaled to a
 # bounding-box diameter of roughly 64 before the solver runs.
@@ -64,8 +64,9 @@ def orientation(a, b, c) -> int:
     """Sign of the turn a->b->c: +1 left, -1 right, 0 straight.
 
     A result of 0 means the exact determinant is within tol = EPS * scale of
-    zero, where scale is the largest coordinate magnitude involved.  Three
-    paths decide, cheapest first:
+    zero, where scale is the largest coordinate magnitude involved, taken
+    by one `max` over the signed coordinates.  Three paths decide,
+    cheapest first:
 
     - a float determinant beyond both tol and its rounding-error bound err
       (Shewchuk's ccwerrboundA) has the exact sign, so it is returned;
@@ -74,19 +75,22 @@ def orientation(a, b, c) -> int:
       the bound itself);
     - the sliver in between is recomputed exactly with Fraction.
     """
-    t1 = (b[0] - a[0]) * (c[1] - a[1])
-    t2 = (b[1] - a[1]) * (c[0] - a[0])
+    ax, ay = a[0], a[1]
+    bx, by = b[0], b[1]
+    cx, cy = c[0], c[1]
+    t1 = (bx - ax) * (cy - ay)
+    t2 = (by - ay) * (cx - ax)
     det = t1 - t2
-    scale = max(abs(a[0]), abs(a[1]), abs(b[0]), abs(b[1]),
-                abs(c[0]), abs(c[1]), 1e-30)
-    tol = EPS * scale
+    tol = EPS * max(ax, -ax, ay, -ay, bx, -bx, by, -by, cx, -cx, cy, -cy, 1e-30)
     err = 3.331e-16 * (abs(t1) + abs(t2))
-    if abs(det) > max(tol, err):
-        return 1 if det > 0.0 else -1
+    if det > tol and det > err:
+        return 1
+    if -det > tol and -det > err:
+        return -1
     if abs(det) + err <= 0.5 * tol:
         return 0
-    de = (Fraction(b[0]) - Fraction(a[0])) * (Fraction(c[1]) - Fraction(a[1])) \
-        - (Fraction(b[1]) - Fraction(a[1])) * (Fraction(c[0]) - Fraction(a[0]))
+    de = (Fraction(bx) - Fraction(ax)) * (Fraction(cy) - Fraction(ay)) \
+        - (Fraction(by) - Fraction(ay)) * (Fraction(cx) - Fraction(ax))
     if abs(de) <= tol:
         return 0
     return 1 if de > 0 else -1
@@ -271,11 +275,12 @@ class RingIndex:
         self.grid = grid = BoxGrid(box, self.boxes)
         self.rows: List[List[int]] = [[] for _ in range(grid.k)]
         for s, (_x0, y0, _x1, y1) in enumerate(self.boxes):
-            for r in range(grid.cell(y0, 1), grid.cell(y1, 1) + 1):
+            r0, r1 = grid.span(y0, y1, 1)
+            for r in range(r0, r1 + 1):
                 self.rows[r].append(s)
         self._slack = 1e-15 * max(1.0, *(abs(c) for c in box))
 
-    def _meeting(self, p, eps: float):
+    def _meeting(self, p, eps: float) -> List[int]:
         """Segments, in index order and each once, whose boxes meet the
         box of half-width w = (eps + 1e-15 M)(1 + 1e-12) around p, M the
         largest coordinate magnitude of the ring: a superset of those with
@@ -298,37 +303,45 @@ class RingIndex:
         qx0, qy0, qx1, qy1 = x - w, y - w, x + w, y + w
         grid, boxes = self.grid, self.boxes
         k = grid.k
-        c0, c1 = grid.cell(qx0, 0), grid.cell(qx1, 0)
-        r0, r1 = grid.cell(qy0, 1), grid.cell(qy1, 1)
+        c0, c1 = grid.span(qx0, qx1, 0)
+        r0, r1 = grid.span(qy0, qy1, 1)
         if c0 == c1 and r0 == r1:
             cands = grid.cells[r0 * k + c0]
         else:
             cands = sorted({s for r in range(r0, r1 + 1) for c in range(c0, c1 + 1)
                             for s in grid.cells[r * k + c]})
+        out = []
         for s in cands:
             bx0, by0, bx1, by1 = boxes[s]
             if qx0 <= bx1 and bx0 <= qx1 and qy0 <= by1 and by0 <= qy1:
-                yield s
+                out.append(s)
+        return out
 
     def near(self, p, eps: float) -> List[int]:
         """Indices, ascending, of the segments within eps of p."""
         segs = self.segs
-        return [s for s in self._meeting(p, eps)
-                if seg_point_distance(p, *segs[s]) <= eps]
+        out = []
+        for s in self._meeting(p, eps):
+            a, b = segs[s]
+            if seg_point_distance(p, a, b) <= eps:
+                out.append(s)
+        return out
 
     def classify(self, p, eps: float = EPS) -> str:
         """`ring_contains(p, ring, eps)`: the boundary test reads the
         segments near p, the crossing parity those of p's grid row."""
         segs = self.segs
         for s in self._meeting(p, eps):
-            if seg_point_distance(p, *segs[s]) <= eps:
+            a, b = segs[s]
+            if seg_point_distance(p, a, b) <= eps:
                 return "boundary"
         x, y = p[0], p[1]
         inside = False
         for s in self.rows[self.grid.cell(y, 1)]:
             a, b = segs[s]
-            if (a[1] > y) != (b[1] > y):
-                xi = a[0] + (y - a[1]) * (b[0] - a[0]) / (b[1] - a[1])
+            ay, by = a[1], b[1]
+            if (ay > y) != (by > y):
+                xi = a[0] + (y - ay) * (b[0] - a[0]) / (by - ay)
                 if x < xi:
                     inside = not inside
         return "inside" if inside else "outside"
@@ -350,8 +363,10 @@ class BoxGrid:
                       k / (y1 - y0) if y1 > y0 else 0.0)
         self.cells: List[List[int]] = [[] for _ in range(k * k)]
         for t, (bx0, by0, bx1, by1) in enumerate(boxes):
-            for cy in range(self.cell(by0, 1), self.cell(by1, 1) + 1):
-                for cx in range(self.cell(bx0, 0), self.cell(bx1, 0) + 1):
+            cx0, cx1 = self.span(bx0, bx1, 0)
+            cy0, cy1 = self.span(by0, by1, 1)
+            for cy in range(cy0, cy1 + 1):
+                for cx in range(cx0, cx1 + 1):
                     self.cells[cy * k + cx].append(t)
 
     def cell(self, v: float, axis: int) -> int:
@@ -359,11 +374,16 @@ class BoxGrid:
         (NaN goes to 0); monotone in v, so a box's cells cover its points'
         cells."""
         f = (v - self.origin[axis]) * self.scale[axis]
-        if not f >= 1.0:
-            return 0
-        if f >= self.k:
-            return self.k - 1
-        return int(f)
+        if f >= 1.0:
+            return int(f) if f < self.k else self.k - 1
+        return 0
+
+    def span(self, lo: float, hi: float, axis: int) -> Tuple[int, int]:
+        """`(cell(lo, axis), cell(hi, axis))` in one call."""
+        o, s, k = self.origin[axis], self.scale[axis], self.k
+        f, g = (lo - o) * s, (hi - o) * s
+        return ((int(f) if f < k else k - 1) if f >= 1.0 else 0,
+                (int(g) if g < k else k - 1) if g >= 1.0 else 0)
 
     def at(self, p) -> List[int]:
         """The items of the cell that holds point p."""

@@ -80,6 +80,18 @@ class SimplePolygon:
                 if k not in ((i - 1) % n, (i + 1) % n):
                     raise InvalidPolygon(f"vertex {i} coincides with vertex {k}")
 
+    def scaled(self, k: float) -> "SimplePolygon":
+        """This polygon with every coordinate times k, a power of two.
+        Such a scaling is exact (short of overflow or underflow), so the
+        copy keeps the merged, counterclockwise and checked vertices of
+        this one, and the constructor's checks are not run again."""
+        copy = object.__new__(SimplePolygon)
+        copy.vertices = tuple(Point2(v.x * k, v.y * k) for v in self.vertices)
+        copy.n = self.n
+        copy.bbox = bbox(copy.vertices)
+        copy.diameter = bbox_diameter(copy.vertices)
+        return copy
+
     def edges(self):
         V = self.vertices
         return [(V[i], V[(i + 1) % self.n]) for i in range(self.n)]
@@ -216,28 +228,20 @@ class TriangulatedPolygon:
     # Point location: the grid cell first, the full scan as fallback;
     # results are cached.
     def locate(self, p) -> int:
-        key = (p[0], p[1])
+        px, py = p[0], p[1]
+        key = (px, py)
         hit = self._locate_cache.get(key)
         if hit is not None:
             return hit
-        V = self.vertices
         x0, y0, x1, y1 = self.polygon.bbox
-        if x0 <= p[0] <= x1 and y0 <= p[1] <= y1:
-            cands = self._grid.at(p)
+        if x0 <= px <= x1 and y0 <= py <= y1:
+            best = self._first_holding(self._grid.at(p), px, py, 1e-12)
         else:
-            cands = range(len(self.triangles))
-        best = -1
-        for t in cands:
-            i, j, k = self.triangles[t]
-            if _tri_contains(V[i], V[j], V[k], p, 1e-12):
-                best = t
-                break
+            best = self._first_holding(range(len(self.triangles)), px, py, 1e-12)
         if best < 0:
-            for t, (i, j, k) in enumerate(self.triangles):
-                if _tri_contains(V[i], V[j], V[k], p, 1e-7):
-                    best = t
-                    break
+            best = self._first_holding(range(len(self.triangles)), px, py, 1e-7)
         if best < 0:
+            V = self.vertices
             best = min(
                 range(len(self.triangles)),
                 key=lambda t: min(
@@ -246,6 +250,24 @@ class TriangulatedPolygon:
             )
         self._locate_cache[key] = best
         return best
+
+    def _first_holding(self, cands, px: float, py: float, eps: float) -> int:
+        """The first triangle of cands whose `_tri_contains` test with
+        slack eps accepts (px, py), or -1.  The test is inlined, with the
+        point's slack computed once."""
+        V, T = self.vertices, self.triangles
+        low = -(eps * max(1.0, abs(px), abs(py)))
+        for t in cands:
+            i, j, k = T[t]
+            a, b, c = V[i], V[j], V[k]
+            ax, ay = a[0], a[1]
+            bx, by = b[0], b[1]
+            cx, cy = c[0], c[1]
+            if (bx - ax) * (py - ay) - (by - ay) * (px - ax) >= low \
+                    and (cx - bx) * (py - by) - (cy - by) * (px - bx) >= low \
+                    and (ax - cx) * (py - cy) - (ay - cy) * (px - cx) >= low:
+                return t
+        return -1
 
     def __repr__(self):
         return f"TriangulatedPolygon({self.polygon.n} vertices, {len(self.triangles)} triangles)"

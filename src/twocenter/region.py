@@ -48,41 +48,28 @@ def _corridor(tp: TriangulatedPolygon, ts: int, tt: int) -> List[int]:
     return rise + [ts] + fall[::-1]
 
 
-def _past_left(apex, left, p) -> bool:
-    if _same(apex, left):
-        return False
-    o = orientation(apex, left, p)
-    if o > 0:
-        return True
-    # collinear but beyond the left point: the path grazes it exactly
-    return o == 0 and dist(apex, p) > dist(apex, left)
-
-
-def _past_right(apex, right, p) -> bool:
-    if _same(apex, right):
-        return False
-    o = orientation(apex, right, p)
-    if o < 0:
-        return True
-    return o == 0 and dist(apex, p) > dist(apex, right)
-
-
 def _wrap(P, chain, ai: int, x) -> int:
     """Position in `chain` of the funnel vertex that the path to x leaves
     from: walk outward from the apex while x lies past the next vertex,
     where a point collinear with a funnel side and beyond its end is past
-    it."""
+    it, and a side of zero length is never passed."""
     i, w = ai, P[chain[ai]]
     while i > 0:
         nxt = P[chain[i - 1]]
-        if not _past_left(w, nxt, x):
+        if w[0] == nxt[0] and w[1] == nxt[1]:
+            break
+        o = orientation(w, nxt, x)
+        if o < 0 or o == 0 and not dist(w, x) > dist(w, nxt):
             break
         i, w = i - 1, nxt
     if i == ai:
         last = len(chain) - 1
         while i < last:
             nxt = P[chain[i + 1]]
-            if not _past_right(w, nxt, x):
+            if w[0] == nxt[0] and w[1] == nxt[1]:
+                break
+            o = orientation(w, nxt, x)
+            if o > 0 or o == 0 and not dist(w, x) > dist(w, nxt):
                 break
             i, w = i + 1, nxt
     return i
@@ -191,13 +178,17 @@ class SiteMap:
 
     def _walk(self, x) -> int:
         t = self.tp.locate(x)
-        if self.funnels[t] is None:
+        funnel = self.funnels[t]
+        if funnel is None:
             self._reach(t)
-        chain, ai = self.funnels[t]
+            funnel = self.funnels[t]
+        chain, ai = funnel
+        P = self.points
         if not chain:
-            return len(self.points) - 1
-        w = chain[_wrap(self.points, chain, ai, x)]
-        if self.parent[w] >= 0 and _same(self.points[w], x):
+            return len(P) - 1
+        w = chain[_wrap(P, chain, ai, x)]
+        pw = P[w]
+        if pw[0] == x[0] and pw[1] == x[1] and self.parent[w] >= 0:
             w = self.parent[w]
         return w
 
@@ -208,8 +199,14 @@ class SiteMap:
         return self.points[w], self.dist[w]
 
     def distance(self, x) -> float:
-        w = self._anchor(x)
-        return self.dist[w] + dist(self.points[w], x)
+        """Length of the path to x: its anchor's distance plus the last
+        straight step, with `_anchor` inlined."""
+        x0, x1 = x[0], x[1]
+        w = self._anchors.get((x0, x1))
+        if w is None:
+            w = self._anchors[(x0, x1)] = self._walk(x)
+        pw = self.points[w]
+        return self.dist[w] + math.hypot(pw[0] - x0, pw[1] - x1)
 
     def path(self, x) -> List[Point2]:
         x = Point2(x[0], x[1])
@@ -229,7 +226,7 @@ class Region:
     Caches, each filled on first use and never evicted:
 
     - `_tree_cache`: `tree(s)`, the ring-extension hits of s's paths to
-      the corners, by the source's (x, y).
+      the corners that are polygon vertices, by the source's (x, y).
     - `_onecenter_cache`: `disks.one_center` by the frozenset of the
       points' (x, y).
     - `_basis_cache`: the one-center of a basis of two or three points,
@@ -310,28 +307,36 @@ class Region:
     def site_map(self, s) -> SiteMap:
         """The shortest-path map of s, built once per polygon."""
         maps = self.tp._site_maps
-        hit = maps.get(_key(s))
+        key = (s[0], s[1])
+        hit = maps.get(key)
         if hit is None:
-            hit = maps[_key(s)] = SiteMap(self.tp, s)
+            hit = maps[key] = SiteMap(self.tp, s)
         return hit
 
     # -- extensions past the ring corners -----------------------------
 
     def tree(self, s) -> Dict[Key, Point2]:
-        """For each corner v whose path from s, extended straight past v,
-        runs into the region, v's (x, y) -> the point where that extension
-        first meets the ring.  Distances and last bends are read from
-        `site_map(s)`; the name is the span `perfbench/tracing.py` times."""
+        """For each corner v that is a polygon vertex and whose path from
+        s, extended straight past v, runs into the region, v's (x, y) ->
+        the point where that extension first meets the ring.  A shortest
+        path bends only at polygon vertices, so no other corner (a point
+        of Q on a hull ring) starts an extension.  Distances and last
+        bends are read from `site_map(s)`; the name is the span
+        `perfbench/tracing.py` times."""
         ks = _key(s)
         hit = self._tree_cache.get(ks)
         if hit is not None:
             return hit
         sm = self.site_map(s)
+        vertices = self.tp.index
         ext: Dict[Key, Point2] = {}
         for v in self.corners:
+            kv = _key(v)
+            if kv not in vertices:
+                continue
             h = self._extend(sm.anchor(v)[0], v)
             if h is not None:
-                ext[_key(v)] = h
+                ext[kv] = h
         self._tree_cache[ks] = ext
         return ext
 
@@ -378,9 +383,11 @@ class Region:
         """Corners plus extension hit points, each with its distance from s.
 
         These are the ring's contributions to the vertex set of the
-        shortest path map of s: every corner, and for every corner the
-        path bends around, the point where the bent path's straight
-        continuation meets the ring again.
+        shortest path map of s: every corner, and for every corner that
+        is a polygon vertex the path bends around, the point where the
+        bent path's straight continuation meets the ring again (`tree`).
+        On a hull ring, a corner that is a point of Q and no polygon
+        vertex is returned alone, without an extension point.
         """
         ext, sm = self.tree(s), self.site_map(s)
         out: List[Tuple[Point2, float]] = []

@@ -369,3 +369,54 @@ def test_bound_exit_answers_only_where_the_cascade_says_no(monkeypatch):
                 assert not res.feasible, (cell, i, j, r, res.branch)
     assert fired > 2 * raised, f"{raised} of {fired} bound exits raised past it"
     print(f"bound exit: {fired} fired, {raised} raised past it")
+
+
+# -- lazy free-point events against eager ones -----------------------------
+
+@pytest.mark.parametrize("cell", CORPUS_CELLS, ids=lambda c: "{}/{}x{}/s{}".format(*c))
+def test_lazy_side_matches_eager_events(cell, monkeypatch):
+    # every "arcs" side a solve builds, read after the solve, against
+    # compute_events run at once on a fresh intersection of its chain
+    sides = []
+    plain = dec.chain_side
+
+    def recording(h, pc, chain, r):
+        got = plain(h, pc, chain, r)
+        sides.append((h, pc, chain, r, got))
+        return got
+
+    inst = generate(*cell)
+    with monkeypatch.context() as m, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        m.setattr(dec, "chain_side", recording)
+        m.setattr(opt, "chain_side", recording)
+        try:
+            two_center(SimplePolygon(inst.polygon), inst.points)
+        except BoundaryAssemblyError:
+            assert cell == ("random", 16, 8, 1)
+    for h, pc, chain, r, (tag, side) in sides:
+        if tag != "arcs":
+            continue
+        b = disks.disks_intersection(h.hull_region, chain, r)
+        events, by_point = disks.compute_events(h.region, b, pc.free)
+        assert side.events == events and side.sides == by_point
+
+
+def test_lazy_side_computes_events_only_on_a_read(monkeypatch):
+    sq6 = SimplePolygon([Point2(0, 0), Point2(6, 0), Point2(6, 6), Point2(0, 6)])
+    h = geodesic_hull(triangulate(sq6), [Point2(1, 2), Point2(1, 4), Point2(5, 2),
+                                         Point2(5, 4), Point2(2.5, 3)])
+    pc = dec.pair_chains(h, 1, 3)
+    calls = []
+    plain = dec.compute_events
+
+    def counting(*args):
+        calls.append(args)
+        return plain(*args)
+
+    monkeypatch.setattr(dec, "compute_events", counting)
+    tag, side = dec.chain_side(h, pc, pc.chain1, 1.6)
+    assert tag == "arcs" and not calls
+    b = disks.disks_intersection(h.hull_region, pc.chain1, 1.6)
+    assert (side.events, side.sides) == plain(h.region, b, pc.free)
+    assert side.events and len(calls) == 1

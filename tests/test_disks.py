@@ -286,13 +286,14 @@ def _charts_all_corners(region, q, r):
     q = Point2(q[0], q[1])
     charts = [(q, r)]
     ext_segs = []
-    ext, sq = region.tree(q), region.site_map(q)
+    sq = region.site_map(q)
     for w in region.corners:
         R = r - sq.distance(w)
         if R <= 1e-12 or dist(w, q) <= 1e-12:
             continue
         charts.append((w, R))
-        hit = ext.get((w.x, w.y))
+        # the extension ray at every corner, polygon vertex or not
+        hit = region._extend(sq.anchor(w)[0], w)
         if hit is not None:
             ext_segs.append((w, hit))
     return charts, ext_segs

@@ -38,6 +38,87 @@ def _orientation_ref(a, b, c, eps: float = EPS) -> int:
     return 1 if de > 0 else -1
 
 
+# orientation before its float filter was written out over local
+# coordinates, kept verbatim: the rewrite must give its answers bit for bit
+def _orientation_parent(a, b, c) -> int:
+    t1 = (b[0] - a[0]) * (c[1] - a[1])
+    t2 = (b[1] - a[1]) * (c[0] - a[0])
+    det = t1 - t2
+    scale = max(abs(a[0]), abs(a[1]), abs(b[0]), abs(b[1]),
+                abs(c[0]), abs(c[1]), 1e-30)
+    tol = EPS * scale
+    err = 3.331e-16 * (abs(t1) + abs(t2))
+    if abs(det) > max(tol, err):
+        return 1 if det > 0.0 else -1
+    if abs(det) + err <= 0.5 * tol:
+        return 0
+    de = (Fraction(b[0]) - Fraction(a[0])) * (Fraction(c[1]) - Fraction(a[1])) \
+        - (Fraction(b[1]) - Fraction(a[1])) * (Fraction(c[0]) - Fraction(a[0]))
+    if abs(de) <= tol:
+        return 0
+    return 1 if de > 0 else -1
+
+
+def _reaches_fraction(a, b, c) -> bool:
+    """The parent's float filter leaves the triple to its Fraction path."""
+    t1 = (b[0] - a[0]) * (c[1] - a[1])
+    t2 = (b[1] - a[1]) * (c[0] - a[0])
+    det = t1 - t2
+    tol = EPS * max(abs(a[0]), abs(a[1]), abs(b[0]), abs(b[1]),
+                    abs(c[0]), abs(c[1]), 1e-30)
+    err = 3.331e-16 * (abs(t1) + abs(t2))
+    return not abs(det) > max(tol, err) and not abs(det) + err <= 0.5 * tol
+
+
+def _assert_orientation_matches_parent(a, b, c):
+    for u, v, w in ((a, b, c), (b, c, a), (c, a, b), (a, c, b), (c, b, a), (b, a, c)):
+        assert orientation(u, v, w) == _orientation_parent(u, v, w), (u, v, w)
+        assert orientation(tuple(u), tuple(v), tuple(w)) == _orientation_parent(u, v, w)
+
+
+wide = st.floats(-1e12, 1e12, allow_nan=False, allow_infinity=False)
+
+
+@given(st.one_of(coords, wide), st.one_of(coords, wide), st.one_of(coords, wide),
+       st.one_of(coords, wide), st.one_of(coords, wide), st.one_of(coords, wide))
+def test_orientation_matches_parent_on_random_triples(ax, ay, bx, by, cx, cy):
+    _assert_orientation_matches_parent(Point2(ax, ay), Point2(bx, by), Point2(cx, cy))
+
+
+@given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6),
+       st.integers(-10**3, 10**3), st.integers(-10**3, 10**3),
+       st.integers(-5, 5), st.integers(-5, 5), st.sampled_from([2.0 ** -20, 1.0, 2.0 ** 20]),
+       coords, coords, coords)
+def test_orientation_matches_parent_on_collinear_triples(x, y, dx, dy, s, t, mag,
+                                                        ax, ay, f):
+    # exactly collinear: integer points on one line, scaled by a power of
+    # two; and rounded points along a float line
+    a = Point2(x * mag, y * mag)
+    b = Point2((x + s * dx) * mag, (y + s * dy) * mag)
+    c = Point2((x + t * dx) * mag, (y + t * dy) * mag)
+    _assert_orientation_matches_parent(a, b, c)
+    p, q = Point2(ax, ay), Point2(ay, f)
+    g = (f + 50.0) / 100.0
+    _assert_orientation_matches_parent(p, q, Point2(p.x + g * (q.x - p.x), p.y + g * (q.y - p.y)))
+
+
+@given(coords, coords, coords, coords, st.floats(-0.5, 1.5), st.floats(0.55, 0.95),
+       st.sampled_from([1.0, -1.0]), st.sampled_from([1e-3, 1.0, 1e3]))
+def test_orientation_matches_parent_in_the_fraction_sliver(ax, ay, bx, by, s, f, sign, mag):
+    # c at a signed height that puts the determinant between half the
+    # tolerance and the tolerance, where the float filter cannot decide
+    ax, ay, bx, by = ax * mag, ay * mag, bx * mag, by * mag
+    a, b = Point2(ax, ay), Point2(bx, by)
+    L = dist(a, b)
+    assume(L > 1e-6 * mag)
+    nx, ny = -(by - ay) / L, (bx - ax) / L
+    scale = max(abs(ax), abs(ay), abs(bx), abs(by), 1e-30)
+    h = sign * f * EPS * scale / L
+    c = Point2(ax + s * (bx - ax) + h * nx, ay + s * (by - ay) + h * ny)
+    assume(_reaches_fraction(a, b, c))
+    _assert_orientation_matches_parent(a, b, c)
+
+
 def test_orientation_signs():
     assert orientation(Point2(0, 0), Point2(1, 0), Point2(0, 1)) == 1
     assert orientation(Point2(0, 0), Point2(1, 0), Point2(2, 0)) == 0

@@ -2,9 +2,10 @@ import json
 import math
 import os
 import random
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from twocenter.errors import InvalidPolygon
 from twocenter import polygon
@@ -468,3 +469,138 @@ def test_triangulate_tests_a_quarter_of_the_containments(monkeypatch):
     monkeypatch.setitem(globals(), "_tri_contains", counting("reference"))
     assert got == _reference_triangles(poly)
     assert 0 < 4 * calls["new"] <= calls["reference"], calls
+
+
+# -- point location and the grid against their earlier code ---------------
+
+def _parent_cell(grid, v, axis):
+    """`BoxGrid.cell` before its rewrite, kept verbatim."""
+    f = (v - grid.origin[axis]) * grid.scale[axis]
+    if not f >= 1.0:
+        return 0
+    if f >= grid.k:
+        return grid.k - 1
+    return int(f)
+
+
+def _parent_locate(tp, p):
+    """`TriangulatedPolygon.locate` before the containment test was
+    inlined, kept verbatim but for its cache."""
+    V = tp.vertices
+    grid = tp._grid
+    x0, y0, x1, y1 = tp.polygon.bbox
+    if x0 <= p[0] <= x1 and y0 <= p[1] <= y1:
+        cands = grid.cells[_parent_cell(grid, p[1], 1) * grid.k + _parent_cell(grid, p[0], 0)]
+    else:
+        cands = range(len(tp.triangles))
+    best = -1
+    for t in cands:
+        i, j, k = tp.triangles[t]
+        if _tri_contains(V[i], V[j], V[k], p, 1e-12):
+            best = t
+            break
+    if best < 0:
+        for t, (i, j, k) in enumerate(tp.triangles):
+            if _tri_contains(V[i], V[j], V[k], p, 1e-7):
+                best = t
+                break
+    if best < 0:
+        best = min(
+            range(len(tp.triangles)),
+            key=lambda t: min(
+                seg_point_distance(p, V[tp.triangles[t][a]], V[tp.triangles[t][(a + 1) % 3]])
+                for a in range(3)),
+        )
+    return best
+
+
+def _parent_cells(box, boxes):
+    """The cell lists `BoxGrid` built before its rewrite."""
+    x0, y0, x1, y1 = box
+    k = max(1, math.isqrt(len(boxes)))
+    grid = SimpleNamespace(origin=(x0, y0), k=k, scale=(k / (x1 - x0) if x1 > x0 else 0.0,
+                                                        k / (y1 - y0) if y1 > y0 else 0.0))
+    cells = [[] for _ in range(k * k)]
+    for t, (bx0, by0, bx1, by1) in enumerate(boxes):
+        for cy in range(_parent_cell(grid, by0, 1), _parent_cell(grid, by1, 1) + 1):
+            for cx in range(_parent_cell(grid, bx0, 0), _parent_cell(grid, bx1, 0) + 1):
+                cells[cy * k + cx].append(t)
+    return cells
+
+
+# scripts/corpus_outputs.py's cells
+CORPUS_CELLS = [(fam, n, m, s) for n, m, seeds in ((12, 6, range(6)), (16, 8, range(6)),
+                                                   (48, 6, range(6)), (20, 10, range(3)),
+                                                   (24, 12, range(2)))
+                for fam in FAMILIES for s in seeds]
+
+
+def _scaled_corpus_tp(cell):
+    """The triangulation and points of a corpus instance, scaled as
+    `two_center` scales them."""
+    inst = generate(*cell)
+    poly = SimplePolygon(inst.polygon)
+    k = 2.0 ** round(math.log2(64.0 / poly.diameter))
+    return (triangulate(SimplePolygon([(v.x * k, v.y * k) for v in poly.vertices])),
+            [Point2(q[0] * k, q[1] * k) for q in inst.points])
+
+
+@pytest.mark.parametrize("cell", CORPUS_CELLS, ids=lambda c: "{}/{}x{}/s{}".format(*c))
+def test_locate_matches_parent(cell):
+    tp, pts = _scaled_corpus_tp(cell)
+    V = tp.vertices
+    mids = [Point2(0.5 * (a.x + b.x), 0.5 * (a.y + b.y)) for a, b in zip(V, V[1:] + V[:1])]
+    x0, y0, x1, y1 = tp.polygon.bbox
+    # two points off the polygon's box take the full scans
+    off = [Point2(x0 - 1.0, y0 - 1.0), Point2(x1 + 0.5, 0.5 * (y0 + y1))]
+    for p in pts + list(V) + mids + off:
+        assert tp.locate(p) == _parent_locate(tp, p), p
+    assert tp._grid.cells == _parent_cells(tp.polygon.bbox, tp._reach_boxes())
+    grid = tp._grid
+    for v in (x0, y0, x1, y1, x0 - 1.0, x1 + 1.0, math.nan, -math.inf, math.inf,
+              0.5 * (x0 + x1), 0.5 * (y0 + y1)) + tuple(p.x for p in pts) + tuple(p.y for p in pts):
+        for axis in (0, 1):
+            assert grid.cell(v, axis) == _parent_cell(grid, v, axis)
+            assert grid.span(v, v, axis) == (_parent_cell(grid, v, axis),) * 2
+
+
+# -- the scaled copy `two_center` solves on --------------------------------
+
+def _assert_scaled_copy_matches(poly, k):
+    got = poly.scaled(k)
+    want = SimplePolygon([(v.x * k, v.y * k) for v in poly.vertices])
+    assert got.vertices == want.vertices
+    assert all(type(v) is Point2 for v in got.vertices)
+    assert (got.n, got.bbox, got.diameter) == (want.n, want.bbox, want.diameter)
+
+
+def _two_center_scale(poly):
+    return 2.0 ** round(math.log2(64.0 / poly.diameter))
+
+
+SWEEP_CELLS = [(fam, n, m, s) for n, m, seeds in (
+    (12, 6, range(6, 16)), (16, 8, range(6, 16)), (20, 10, range(3, 8)), (16, 16, range(3)),
+    (24, 12, range(2, 4)), (48, 6, range(6, 12)), (128, 6, range(2)), (16, 24, (0,)),
+    (16, 32, (0, 2)), (256, 6, (0,)), (32, 24, (0,)), (20, 32, (1,)))
+    for fam in FAMILIES for s in seeds]
+
+
+def test_scaled_copy_matches_a_checked_polygon_on_the_corpus_and_sweep():
+    # scripts/corpus_outputs.py's and scripts/sweep_outputs.py's instances
+    for cell in CORPUS_CELLS + SWEEP_CELLS:
+        poly = SimplePolygon(generate(*cell).polygon)
+        _assert_scaled_copy_matches(poly, _two_center_scale(poly))
+
+
+@given(st.sampled_from(FAMILIES), st.integers(4, 40), st.integers(0, 10**6),
+       st.integers(-12, 30), st.floats(0.5, 2.0), st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+def test_scaled_copy_matches_a_checked_polygon(family, n, seed, e, u, dx, dy):
+    # generated rings moved and resized by factors from 2^-13 to 2^31; a
+    # ring that the absolute tolerances reject at its new size is skipped
+    base = generate(family, n, 1, seed).polygon
+    f = u * 2.0 ** e
+    try:
+        poly = SimplePolygon([((x + dx) * f, (y + dy) * f) for x, y in base])
+    except InvalidPolygon:
+        assume(False)
+    _assert_scaled_copy_matches(poly, _two_center_scale(poly))

@@ -6,7 +6,9 @@ from typing import List
 import pytest
 from hypothesis import given, strategies as st
 
-from twocenter.errors import InvalidPolygon, PointOutsidePolygon
+from twocenter import region as region_mod
+from twocenter.driver import two_center
+from twocenter.errors import BoundaryAssemblyError, InvalidPolygon, PointOutsidePolygon
 from twocenter.geom import (Point2, RingIndex, Tolerances, bbox, bbox_diameter, dist,
                             orientation, polyline_length, ring_contains, seg_point_distance)
 from twocenter.hull import geodesic_hull
@@ -14,8 +16,8 @@ from twocenter.instances import generate
 from twocenter.oracle import oracle_distance
 from twocenter.polygon import (SimplePolygon, TriangulatedPolygon, point_in_polygon,
                                triangulate)
-from twocenter.region import (Region, SiteMap, _corridor, _past_left, _past_right, _same,
-                              geodesic_distance, shortest_path, spm_vertices)
+from twocenter.region import (Region, SiteMap, _corridor, _same, geodesic_distance,
+                              shortest_path, spm_vertices)
 
 SQRT2 = math.sqrt(2.0)
 L6_ARMS = [Point2(3, 1), Point2(3, 1.5), Point2(1, 3), Point2(1.5, 3)]
@@ -197,11 +199,14 @@ def _charts_ray(region, q, w):
 
 
 def _assert_ext_matches(region, sites):
+    # a corner that is no polygon vertex (a point of Q on a hull ring)
+    # starts no extension: no shortest path bends there
     for q in sites:
         q = Point2(q[0], q[1])
         ext = region.tree(q)
         for w in region.corners:
-            assert ext.get((w.x, w.y)) == _charts_ray(region, q, w), (q, w)
+            want = _charts_ray(region, q, w) if (w.x, w.y) in region.tp.index else None
+            assert ext.get((w.x, w.y)) == want, (q, w)
 
 
 def test_tree_ext_matches_ray_cast_l6(l6_tp, arms_hull):
@@ -212,6 +217,7 @@ def test_tree_ext_matches_ray_cast_l6(l6_tp, arms_hull):
 def test_tree_ext_matches_ray_cast_48x6():
     inst = generate("random", 48, 6, 0)
     h = geodesic_hull(triangulate(SimplePolygon(inst.polygon)), inst.points)
+    assert any((w.x, w.y) not in h.hull_region.tp.index for w in h.hull_region.corners)
     _assert_ext_matches(h.hull_region, inst.points)
 
 
@@ -364,6 +370,25 @@ def _portals(tp: TriangulatedPolygon, ts: int, tt: int):
         if ts < 0 or tt < 0:
             raise ValueError("triangles in different pieces of the dual graph")
     return rise + fall[::-1]
+
+
+def _past_left(apex, left, p) -> bool:
+    if _same(apex, left):
+        return False
+    o = orientation(apex, left, p)
+    if o > 0:
+        return True
+    # collinear but beyond the left point: the path grazes it exactly
+    return o == 0 and dist(apex, p) > dist(apex, left)
+
+
+def _past_right(apex, right, p) -> bool:
+    if _same(apex, right):
+        return False
+    o = orientation(apex, right, p)
+    if o < 0:
+        return True
+    return o == 0 and dist(apex, p) > dist(apex, right)
 
 
 def _narrows_right(apex, right, p) -> bool:
@@ -676,3 +701,75 @@ def test_ring_index_on_zero_width_spurs():
     assert index.classify(Point2(1.3 * 9.7, 5.0 * 9.7)) == "boundary"
     assert index.classify(Point2(1.3 * 9.7 + 1e-3, 5.0 * 9.7)) == "outside"
     assert index.near(Point2(1.3 * 9.7, 5.0 * 9.7), 1e-9) == [2, 3]
+
+
+# -- funnel walks against the code before `_wrap` inlined its steps --------
+
+def _parent_wrap(P, chain, ai: int, x) -> int:
+    """`region._wrap` before its funnel steps were inlined, verbatim."""
+    i, w = ai, P[chain[ai]]
+    while i > 0:
+        nxt = P[chain[i - 1]]
+        if not _past_left(w, nxt, x):
+            break
+        i, w = i - 1, nxt
+    if i == ai:
+        last = len(chain) - 1
+        while i < last:
+            nxt = P[chain[i + 1]]
+            if not _past_right(w, nxt, x):
+                break
+            i, w = i + 1, nxt
+    return i
+
+
+def _parent_walk(sm: SiteMap, x) -> int:
+    """`SiteMap._walk` before its rewrite, verbatim, on a map whose walk
+    to x has already set x's funnel."""
+    t = sm.tp.locate(x)
+    chain, ai = sm.funnels[t]
+    if not chain:
+        return len(sm.points) - 1
+    w = chain[_parent_wrap(sm.points, chain, ai, x)]
+    if sm.parent[w] >= 0 and _same(sm.points[w], x):
+        w = sm.parent[w]
+    return w
+
+
+# scripts/corpus_outputs.py's 12x6, 16x8 and 48x6 cells
+WALK_CELLS = [(fam, n, m, s) for n, m in ((12, 6), (16, 8), (48, 6))
+              for fam in ("convex", "star", "comb", "random") for s in range(6)]
+
+
+@pytest.mark.parametrize("cell", WALK_CELLS, ids=lambda c: "{}/{}x{}/s{}".format(*c))
+def test_walks_match_parent(cell, monkeypatch):
+    # every funnel wrap (in a walk or a triangle's expansion) and every
+    # anchor of the cell's solve, against the earlier code
+    wraps, walks = [], []
+    plain_wrap, plain_walk = region_mod._wrap, SiteMap._walk
+
+    def checked_wrap(P, chain, ai, x):
+        got = plain_wrap(P, chain, ai, x)
+        assert got == _parent_wrap(P, chain, ai, x), (chain, ai, x)
+        wraps.append(got)
+        return got
+
+    def checked_walk(self, x):
+        got = plain_walk(self, x)
+        assert got == _parent_walk(self, x), x
+        walks.append((self, x, got))
+        return got
+
+    monkeypatch.setattr(region_mod, "_wrap", checked_wrap)
+    monkeypatch.setattr(SiteMap, "_walk", checked_walk)
+    inst = generate(*cell)
+    try:
+        two_center(SimplePolygon(inst.polygon), inst.points)
+    except BoundaryAssemblyError:
+        assert cell == ("random", 16, 8, 1)
+    assert walks and wraps
+    # the parent's anchor and distance: the walked index's point and
+    # length, plus the last straight step
+    for sm, x, w in walks:
+        assert sm.anchor(x) == (sm.points[w], sm.dist[w])
+        assert sm.distance(x) == sm.dist[w] + dist(sm.points[w], x)
