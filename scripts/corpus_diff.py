@@ -14,10 +14,13 @@ the oracle directly.  Exits 1 when a radius moves by more than 1e-12
 relative, or when a pair, a branch_stats entry or an error class changes
 (an instance that solves on one side and raises on the other, or that is
 missing on one side, counts as an error-class change).
-Centers may move without failing the check.
+Centers may move without failing the check.  When the reader of its
+output closes the pipe early (`| head`), it stops printing quietly and
+exits with the same code.
 """
 
 import json
+import os
 import sys
 from collections import Counter
 
@@ -84,6 +87,18 @@ def main() -> int:
         sys.exit("usage: corpus_diff.py OLD.json NEW.json")
     old, new = _load(sys.argv[1]), _load(sys.argv[2])
     moved, (worst, worst_key) = diff(old, new)
+    bad = (worst > REL_TOL or moved["pair"] or moved["branch_stats"]
+           or moved["error"])
+    try:
+        report(old, new, moved, worst, worst_key)
+    except BrokenPipeError:
+        # the reader has gone; point stdout at devnull so that the flush
+        # at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return 1 if bad else 0
+
+
+def report(old: dict, new: dict, moved: dict, worst: float, worst_key) -> None:
     print(f"instances: {len(old)} old, {len(new)} new")
     for f in FIELDS:
         print(f"{f} moved: {len(moved[f])}")
@@ -96,9 +111,7 @@ def main() -> int:
             change = (f" {_outcome(old.get(key))} -> {_outcome(new.get(key))}"
                       if f == "error" else "")
             print(f"  {f}: {key}{change}")
-    bad = (worst > REL_TOL or moved["pair"] or moved["branch_stats"]
-           or moved["error"])
-    return 1 if bad else 0
+    sys.stdout.flush()
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ largest probe failing `chain_infeasible`) or settled by the bound
 `decide` rejects the largest).  It counts the `one_center` solves (calls
 that grew the region's one-center cache) by the function that called
 `one_center` (`chain_radius`, `pair_chains`, `shared_vertex_decide`,
-`interval_candidates`, `pair_coincidence_radius`, `hull_center`, ...),
+`pair_coincidence_radius`, `hull_center`, ...),
 and the skips of the gates that spare one: the chain splits whose
 balance `driver.split_order` never solved, the shared-vertex tries
 skipped on `PairChains.far`, the `pair_coincidence_radius` calls
@@ -248,7 +248,8 @@ def counting_pass(ops, inter: Repeats, basis: Tuple[Repeats, Repeats],
             calls["probe.run"] += calls["signature"] > before
         pc = decision.pair_chains(h, i, j)
         if calls["signature"] == before and pc.free:
-            top = out.lo + (out.hi - out.lo) * (1 - 1e-9)    # the largest probe
+            gap = out[0]    # the gap, returned with the decision at its upper end
+            top = gap.lo + (gap.hi - gap.lo) * (1 - 1e-9)    # the largest probe
             calls["probe.skipped" if decision.chain_infeasible(h, pc, top)
                   else "probe.settled"] += 1
         return out

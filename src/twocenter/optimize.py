@@ -3,16 +3,17 @@
 For one chain split (i, j) the optimal radius r*_ij is pinned down in
 three moves: narrow an interval to the radii between two neighbouring
 structure-change candidates, collect the finitely many radii at which
-two point circles can meet on the boundary, then search that set with
-the decision procedure.  Both searches are `_leftmost_feasible`, which
-gallops up from the first candidate that `decision.chain_infeasible`
-passes: r*_ij is never below either chain's one-center radius, and the
-optimum usually sits at or just above that floor.  The same floor, and
-the split's one-center lower bound L_ij (`decision.below_bound`), skip
-the probe round of `narrow_interval` wherever it could not move the
-gap's upper end.  Each site's anchor chart is read once per piece
-between its own shortest-path-map cuts of a ring segment
-(`_segment_charts`), and the boundary radii of two sites look both up.
+two point circles can meet on the boundary, then search those below the
+gap's upper end, which is decided once, with the decision procedure.
+Every search is `_leftmost_feasible`, which gallops up from the first
+value that `decision.chain_infeasible` passes: r*_ij is never below
+either chain's one-center radius, and the optimum usually sits at or
+just above that floor.  The same floor, and the split's one-center
+lower bound L_ij (`decision.below_bound`), skip the probe round of
+`narrow_interval` wherever it could not move the gap's upper end.  Each
+site's anchor chart is read once per piece between its own
+shortest-path-map cuts of a ring segment (`_segment_charts`), and the
+boundary radii of two sites look both up.
 """
 from __future__ import annotations
 
@@ -83,21 +84,16 @@ def _segment_charts(ring: Region, s: Point2) -> SegmentCharts:
     return out
 
 
-def _boundary_pair_radii(ring: Region, a: Point2, b: Point2,
-                         charts_a: Optional[SegmentCharts] = None,
-                         charts_b: Optional[SegmentCharts] = None) -> List[float]:
-    """Radii at which the circles of a and b meet on a segment of the ring.
-
-    Both sites' `_segment_charts` (computed here unless given) cut each
-    segment into pieces on which both distances are anchor charts
-    |x - w| + d; each sub-piece between the cuts of either site looks up
-    both charts by bisection at its midpoint.  Ordered so that
-    c = d_b - d_a >= 0, the crossing squares to c |x - w_b| = L(x), L
-    linear (the bisector L = 0 when c = 0), and once more to a quadratic;
-    its roots in the piece with L >= 0 are the crossings.
-    """
-    charts_a = _segment_charts(ring, a) if charts_a is None else charts_a
-    charts_b = _segment_charts(ring, b) if charts_b is None else charts_b
+def _boundary_pair_radii(ring: Region, charts_a: SegmentCharts,
+                         charts_b: SegmentCharts) -> List[float]:
+    """Radii at which the circles of sites a and b meet on a segment of
+    the ring.  Their `_segment_charts` cut each segment into pieces on
+    which both distances are anchor charts |x - w| + d; each sub-piece
+    between the cuts of either site looks up both charts by bisection at
+    its midpoint.  Ordered so that c = d_b - d_a >= 0 (a first on a tie),
+    the crossing squares to c |x - w_b| = L(x), L linear (the bisector
+    L = 0 when c = 0), and once more to a quadratic; its roots in the
+    piece with L >= 0 are the crossings."""
     out = []
     for (u, v), (ts_a, ch_a), (ts_b, ch_b) in zip(ring.ring_index.segs, charts_a, charts_b):
         if not ts_a:
@@ -109,9 +105,10 @@ def _boundary_pair_radii(ring: Region, a: Point2, b: Point2,
             tm = (t0 + t1) / 2
             # bisecting the inner cuts only keeps a midpoint that rounds
             # onto 1.0 in the last piece
-            (wa, da), (wb, db) = sorted((ch_a[bisect_right(ts_a, tm, 1, len(ch_a)) - 1],
-                                         ch_b[bisect_right(ts_b, tm, 1, len(ch_b)) - 1]),
-                                        key=lambda wd: wd[1])
+            wa, da = ch_a[bisect_right(ts_a, tm, 1, len(ch_a)) - 1]
+            wb, db = ch_b[bisect_right(ts_b, tm, 1, len(ch_b)) - 1]
+            if db < da:
+                wa, da, wb, db = wb, db, wa, da
             # with x = u + t e: L(x) / 2 = h1 t + h0
             cc = (db - da) * (db - da)
             dx, dy = wb.x - wa.x, wb.y - wa.y
@@ -143,20 +140,17 @@ def interval_candidates(h: GeodesicHull, i: int, j: int) -> List[float]:
 
     Each chain is taken with the free points; what depends only on the
     free points (their corner distances and the boundary radii of two
-    free points) is the same for both chains and computed once."""
+    free points) is the same for both chains and computed once.  Each
+    one-center read here is `pair_chains`'s; a chain's own radius stands
+    for those of its extremes' subsets, no larger and never decided."""
     pc = pair_chains(h, i, j)
     region, ring, free = h.region, h.hull_region, pc.free
     vals: List[float] = []
     for chain in (pc.chain1, pc.chain2):
         ext = list(chain)
-        for a in range(len(ext)):
-            for b in range(a + 1, len(ext)):
-                vals.append(one_center(region, [ext[a], ext[b]]).radius)
-                for c in range(b + 1, len(ext)):
-                    vals.append(one_center(region, [ext[a], ext[b], ext[c]]).radius)
+        vals.append(one_center(region, ext).radius)
         for q in free:
-            for e in ext:
-                vals.append(0.5 * region.site_map(q).distance(e))
+            vals += [0.5 * region.site_map(q).distance(e) for e in ext]
             vals.append(one_center(region, ext + [q]).radius)
     pts = pc.chain1 + pc.chain2 + free
     charts = {p: _segment_charts(ring, p) for p in pts}
@@ -166,7 +160,7 @@ def interval_candidates(h: GeodesicHull, i: int, j: int) -> List[float]:
         sx = ring.site_map(x)
         vals.extend(sx.distance(w) for w in ring.corners)
     for x, y in _boundary_pairs(pc):
-        vals.extend(_boundary_pair_radii(ring, x, y, charts[x], charts[y]))
+        vals.extend(_boundary_pair_radii(ring, charts[x], charts[y]))
     return vals
 
 
@@ -181,21 +175,18 @@ def _event_signature(h: GeodesicHull, pc: PairChains, r: float):
     return tuple(sig)
 
 
-def _chain_start(h: GeodesicHull, pc: PairChains, values: Sequence[float]) -> int:
-    """Index of the first of the ascending values that `chain_infeasible`
-    passes; `decide` answers "no" at every value below it."""
-    return bisect_left(values, True, key=lambda r: not chain_infeasible(h, pc, r))
-
-
-def _leftmost_feasible(h: GeodesicHull, i: int, j: int, values: Sequence[float],
-                       start: int) -> Tuple[int, Optional[DecisionResult]]:
-    """Galloping search of the ascending values, from index start on, for
-    the first one `decide` accepts, taken as monotone in r: its index and
-    decision, or (len(values), None) when it accepts none.  It decides at
-    start, start + 1, start + 3, start + 7, ... until one is accepted,
-    then binary searches the last bracket; values below start are never
-    decided."""
-    a = probe = start
+def _leftmost_feasible(h: GeodesicHull, i: int, j: int, values: Sequence[float]
+                       ) -> Tuple[int, Optional[DecisionResult]]:
+    """Galloping search of the ascending values for the first one `decide`
+    accepts, taken as monotone in r: its index and decision, or
+    (len(values), None) when it accepts none.  It starts at the first
+    value that `chain_infeasible` passes, since `decide` answers "no" at
+    every value below it, and decides at start, start + 1, start + 3,
+    start + 7, ... until one is accepted, then binary searches the last
+    bracket; values below start are never decided."""
+    pc = pair_chains(h, i, j)
+    a = probe = start = bisect_left(values, True,
+                                    key=lambda r: not chain_infeasible(h, pc, r))
     b, step = len(values), 1
     best: Optional[DecisionResult] = None
     while probe < b:
@@ -215,41 +206,50 @@ def _leftmost_feasible(h: GeodesicHull, i: int, j: int, values: Sequence[float],
     return a, best
 
 
-def narrow_interval(h: GeodesicHull, i: int, j: int,
-                    iv: RadiusInterval) -> RadiusInterval:
+def narrow_interval(h: GeodesicHull, i: int, j: int, iv: RadiusInterval
+                    ) -> Tuple[RadiusInterval, DecisionResult]:
     """Shrink iv around r*_ij to the gap between two neighbouring
-    structure-change candidates.  When the event signatures at three
-    probes inside that gap differ, the gap is searched once more over its
-    two ends and the probes; the result is not checked again.  That
-    search starts at `_chain_start`, so when the largest probe fails
-    `chain_infeasible`, it would skip every probe and keep the gap's
-    upper end: the probe round is skipped and the gap returned as is.
-    The same holds when the other two probes are `below_bound` (below
-    L_ij, where `decide` answers "no" at once) and `decide` rejects the
-    largest: the search would answer "no" at every probe."""
-    if not decide(h, i, j, iv.hi).feasible:
+    structure-change candidates; return it with the decision at its
+    upper end (the opening one at iv.hi, or the one that accepted it).
+    When the event signatures at three probes inside that gap differ,
+    the probes are searched once more; the result is not checked again.
+    That search starts at the chain floor, so when the largest probe
+    fails `chain_infeasible` it would skip every probe: the probe round
+    is skipped and the gap returned as is.  The same holds when the
+    other two probes are `below_bound` (below L_ij, where `decide`
+    answers "no" at once) and `decide` rejects the largest; when it
+    accepts it, the search closes below it."""
+    top = decide(h, i, j, iv.hi)
+    if not top.feasible:
         raise InfeasibleInterval(f"pair ({i},{j}) infeasible at {iv.hi}")
     pc = pair_chains(h, i, j)
     eps = h.ambient.tol.radius
 
-    def search(cands: Sequence[float]) -> RadiusInterval:
-        inside = sorted(v for v in set(cands) if iv.lo + eps < v < iv.hi - eps)
-        k, _res = _leftmost_feasible(h, i, j, inside, _chain_start(h, pc, inside))
-        return RadiusInterval(inside[k - 1] if k else iv.lo,
-                              inside[k] if k < len(inside) else iv.hi)
+    def search(cands: Sequence[float], lo: float, hi: float, at_hi: DecisionResult):
+        inside = sorted(v for v in set(cands)
+                        if lo < v < hi and iv.lo + eps < v < iv.hi - eps)
+        k, res = _leftmost_feasible(h, i, j, inside)
+        if k < len(inside):
+            hi, at_hi = inside[k], res
+        return RadiusInterval(inside[k - 1] if k else lo, hi), at_hi
 
-    out = search(interval_candidates(h, i, j))
+    out, top = search(interval_candidates(h, i, j), iv.lo, iv.hi, top)
     if not pc.free:
-        return out
+        return out, top
     probes = [out.lo + (out.hi - out.lo) * f for f in (1e-3, 0.5, 1 - 1e-9)]
     if chain_infeasible(h, pc, probes[-1]):
-        return out    # a search from `_chain_start` would skip every probe
-    if below_bound(h, pc, probes[-2]) and not decide(h, i, j, probes[-1]).feasible:
-        return out    # that search would answer "no" at every probe
+        return out, top    # a search from the chain floor would skip every probe
+    hi, at_hi = out.hi, top
+    if below_bound(h, pc, probes[-2]):
+        res = decide(h, i, j, probes[-1])
+        if not res.feasible:
+            return out, top    # that search would answer "no" at every probe
+        if probes[-1] < iv.hi - eps:    # else that search would not decide it
+            hi, at_hi = probes[-1], res
     sig = _event_signature(h, pc, probes[0])
     if all(_event_signature(h, pc, r) == sig for r in probes[1:]):
-        return out
-    return search([out.lo] + probes + [out.hi])
+        return out, top
+    return search(probes, out.lo, hi, at_hi)
 
 
 def pair_coincidence_radius(h: GeodesicHull, i: int, j: int, t: int, q1: Point2,
@@ -304,17 +304,15 @@ def critical_radius_set(h: GeodesicHull, i: int, j: int,
 
 def optimize_pair(h: GeodesicHull, i: int, j: int, iv: RadiusInterval
                   ) -> Optional[Tuple[float, Point2, Point2]]:
-    """r*_ij with witness centers, or None when iv.hi is infeasible."""
+    """r*_ij with witness centers, or None when iv.hi is infeasible.  Only
+    the `critical_radius_set` values below the narrowed gap's upper end
+    are searched; when none is accepted, r*_ij is that end."""
     try:
-        nv = narrow_interval(h, i, j, iv)
+        nv, best = narrow_interval(h, i, j, iv)
     except InfeasibleInterval:
         return None
-    values = critical_radius_set(h, i, j, nv)
-    k, best = _leftmost_feasible(h, i, j, values,
-                                 _chain_start(h, pair_chains(h, i, j), values))
-    if best is None:    # dedup merged nv.hi, which narrow_interval decided feasible
-        best, best_r = decide(h, i, j, nv.hi), nv.hi
-    else:
-        best_r = values[k]
+    values = [v for v in critical_radius_set(h, i, j, nv) if v < nv.hi]
+    k, res = _leftmost_feasible(h, i, j, values)
+    r, best = (values[k], res) if res is not None else (nv.hi, best)
     assert best.centers is not None
-    return best_r, best.centers[0], best.centers[1]
+    return r, best.centers[0], best.centers[1]

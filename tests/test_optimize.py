@@ -1,11 +1,15 @@
 import math
 import warnings
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
 import twocenter.decision as dec
+import twocenter.driver as drv
 import twocenter.optimize as opt
 from twocenter.driver import assistant_interval, candidate_pairs, two_center
+from twocenter.disks import one_center
 from twocenter.errors import BoundaryAssemblyError, CertificateError, InfeasibleInterval
 from twocenter.geom import Point2, dist, quadratic_roots, unique_points
 from twocenter.hull import geodesic_hull
@@ -69,13 +73,15 @@ def test_leftmost_feasible(n, monkeypatch):
         return dec.DecisionResult(r >= cut, "stub", (Point2(r, 0), Point2(r, 0)))
 
     monkeypatch.setattr(opt, "decide", decide)
+    monkeypatch.setattr(opt, "pair_chains", lambda h, i, j: None)
     # all infeasible, a mixed run at every cut, all feasible, each from
-    # several starts at or below the cut
+    # several chain floors at or below the cut
     for cut in [n + 0.5] + [k - 0.5 for k in range(1, n)] + [-1.0]:
         want = next((k for k, v in enumerate(values) if v >= cut), n)
         for start in sorted({0, want // 2, max(want - 1, 0), want}):
             calls.clear()
-            k, res = opt._leftmost_feasible(None, 0, 1, values, start)
+            monkeypatch.setattr(opt, "chain_infeasible", lambda h, pc, r: r < start)
+            k, res = opt._leftmost_feasible(None, 0, 1, values)
             assert k == want
             if k == n:
                 assert res is None
@@ -95,9 +101,10 @@ def test_interval_candidates_hit_optimum(qsym_hull):
 
 def test_narrow_interval_brackets_optimum(qsym_hull):
     i, j = _axis_pair(qsym_hull)
-    nv = opt.narrow_interval(qsym_hull, i, j, opt.RadiusInterval(1e-9, 2.0))
+    nv, top = opt.narrow_interval(qsym_hull, i, j, opt.RadiusInterval(1e-9, 2.0))
     assert nv.lo < 1.0 <= nv.hi + 1e-12
     assert nv.hi <= 1.0 + 1e-9
+    assert top == dec.decide(qsym_hull, i, j, nv.hi) and top.feasible
     with pytest.raises(InfeasibleInterval):
         opt.narrow_interval(qsym_hull, i, j, opt.RadiusInterval(1e-9, 0.9))
 
@@ -105,18 +112,25 @@ def test_narrow_interval_brackets_optimum(qsym_hull):
 def test_narrow_interval_probes_once(monkeypatch):
     # star/12x6/s1 has a pair whose probes disagree: one probe round that
     # stops at the first signature that differs, then a search that
-    # decides only the gap's ends and the probes
+    # decides only the gap's ends and the probes; the round decides a
+    # probe, and none twice (its bound settle rule decides the largest
+    # before that search)
     inst = generate("star", 12, 6, 1)
-    calls, searches = [], []
+    calls, searches, asked = [], [], []
     event_signature = opt._event_signature
     leftmost_feasible = opt._leftmost_feasible
+    plain_decide = opt.decide
+
+    def asking(h, i, j, r):
+        asked.append(((i, j), r))
+        return plain_decide(h, i, j, r)
 
     def counting(h, pc, r):
         sig = event_signature(h, pc, r)
         calls.append((r, sig))
         return sig
 
-    def recording(h, i, j, values, start):
+    def recording(h, i, j, values):
         decided = []
         plain = opt.decide
 
@@ -126,12 +140,13 @@ def test_narrow_interval_probes_once(monkeypatch):
 
         opt.decide = spy
         try:
-            k, res = leftmost_feasible(h, i, j, values, start)
+            k, res = leftmost_feasible(h, i, j, values)
         finally:
             opt.decide = plain
         searches.append(((i, j), values, k, decided))
         return k, res
 
+    monkeypatch.setattr(opt, "decide", asking)
     monkeypatch.setattr(opt, "_event_signature", counting)
     monkeypatch.setattr(opt, "_leftmost_feasible", recording)
     with warnings.catch_warnings():
@@ -151,7 +166,9 @@ def test_narrow_interval_probes_once(monkeypatch):
     out_hi = first_values[k] if k < len(first_values) else None
     allowed = {out_lo, out_hi, *probes}
     assert set(searches[second][1]) <= allowed
-    assert searches[second][3] and set(searches[second][3]) <= allowed
+    assert set(searches[second][3]) <= allowed
+    at_probes = [r for p, r in asked if p == pair and r in probes]
+    assert at_probes and len(at_probes) == len(set(at_probes))
     assert out_lo is None or out_lo < lo and hi < out_hi
 
 
@@ -159,14 +176,22 @@ def test_narrow_interval_probes_once(monkeypatch):
 def test_search_starts_at_chain_floor(fam, monkeypatch):
     # over the solve-16x8 instances, each search that returns starts at
     # the first value that decide does not answer "chain-infeasible"
-    leftmost_feasible = opt._leftmost_feasible
-    seen = []
+    leftmost_feasible, plain_decide = opt._leftmost_feasible, opt.decide
+    decided, seen = [], []
 
-    def recording(h, i, j, values, start):
-        got = leftmost_feasible(h, i, j, values, start)
+    def spy(h, i, j, r):
+        decided.append(r)
+        return plain_decide(h, i, j, r)
+
+    def recording(h, i, j, values):
+        before = len(decided)
+        got = leftmost_feasible(h, i, j, values)
+        asked = decided[before:]
+        start = values.index(min(asked)) if asked else len(values)
         seen.append((h, i, j, list(values), start))
         return got
 
+    monkeypatch.setattr(opt, "decide", spy)
     monkeypatch.setattr(opt, "_leftmost_feasible", recording)
     for s in range(4):
         inst = generate(fam, 16, 8, s)
@@ -254,7 +279,9 @@ def test_critical_radius_set_collects_pairs():
 def test_boundary_pair_radii_square(qsym_hull):
     # the bisector x = 2 of (1,1) and (3,1) meets the hull square at (2,1)
     # and (2,3)
-    got = opt._boundary_pair_radii(qsym_hull.hull_region, Point2(1, 1), Point2(3, 1))
+    ring = qsym_hull.hull_region
+    got = opt._boundary_pair_radii(ring, opt._segment_charts(ring, Point2(1, 1)),
+                                   opt._segment_charts(ring, Point2(3, 1)))
     assert len(got) == 2
     for v, want in zip(sorted(got), (1.0, math.sqrt(5.0))):
         assert abs(v - want) <= 1e-12
@@ -301,11 +328,13 @@ def test_boundary_pair_radii_match_bisection(fam):
     def near(v, vals):
         return any(abs(v - w) <= 1e-12 * max(abs(v), abs(w)) for w in vals)
 
+    ring = h.hull_region
     for chain in (pc.chain1, pc.chain2):
         pts = list(chain) + list(pc.free)
         for a in range(len(pts)):
             for b in range(a + 1, len(pts)):
-                got = opt._boundary_pair_radii(h.hull_region, pts[a], pts[b])
+                got = opt._boundary_pair_radii(ring, opt._segment_charts(ring, pts[a]),
+                                               opt._segment_charts(ring, pts[b]))
                 ref = _bisected_pair_radii(h.hull_region, pts[a], pts[b])
                 assert all(near(v, ref) for v in got), (pts[a], pts[b])
                 assert all(near(v, got) for v in ref), (pts[a], pts[b])
@@ -317,27 +346,30 @@ SOLVE_CELLS = ([(f, 16, 8, s) for f in FAMILIES for s in range(4)]
 
 
 def _narrow_interval_probing(h, i, j, iv):
-    """`opt.narrow_interval` without the probe skip: the probe round runs
-    on every split with free points."""
-    if not opt.decide(h, i, j, iv.hi).feasible:
+    """`opt.narrow_interval` without the probe skip or the bound settle
+    rule: the probe round runs on every split with free points."""
+    top = opt.decide(h, i, j, iv.hi)
+    if not top.feasible:
         raise InfeasibleInterval(f"pair ({i},{j}) infeasible at {iv.hi}")
     pc = dec.pair_chains(h, i, j)
     eps = h.ambient.tol.radius
 
-    def search(cands):
-        inside = sorted(v for v in set(cands) if iv.lo + eps < v < iv.hi - eps)
-        k, _res = opt._leftmost_feasible(h, i, j, inside, opt._chain_start(h, pc, inside))
-        return opt.RadiusInterval(inside[k - 1] if k else iv.lo,
-                                  inside[k] if k < len(inside) else iv.hi)
+    def search(cands, lo, hi, at_hi):
+        inside = sorted(v for v in set(cands)
+                        if lo < v < hi and iv.lo + eps < v < iv.hi - eps)
+        k, res = opt._leftmost_feasible(h, i, j, inside)
+        if k < len(inside):
+            hi, at_hi = inside[k], res
+        return opt.RadiusInterval(inside[k - 1] if k else lo, hi), at_hi
 
-    out = search(opt.interval_candidates(h, i, j))
+    out, top = search(opt.interval_candidates(h, i, j), iv.lo, iv.hi, top)
     if not pc.free:
-        return out
+        return out, top
     probes = [out.lo + (out.hi - out.lo) * f for f in (1e-3, 0.5, 1 - 1e-9)]
     sig = opt._event_signature(h, pc, probes[0])
     if all(opt._event_signature(h, pc, r) == sig for r in probes[1:]):
-        return out
-    return search([out.lo] + probes + [out.hi])
+        return out, top
+    return search(probes, out.lo, out.hi, top)
 
 
 def _first_pair_round(h, narrow, monkeypatch):
@@ -354,8 +386,8 @@ def _first_pair_round(h, narrow, monkeypatch):
     gaps, signed, raised = [], [], []
     leftmost, signature = opt._leftmost_feasible, opt._event_signature
 
-    def first_search(hh, i, j, values, start):
-        got = leftmost(hh, i, j, values, start)
+    def first_search(hh, i, j, values):
+        got = leftmost(hh, i, j, values)
         if not gaps:
             n = got[0]
             gaps.append((values[n - 1] if n else iv.lo,
@@ -476,7 +508,61 @@ def test_chart_lookup_matches_midpoint_reading(monkeypatch):
         charts = {p: opt._segment_charts(ring, p) for p in pc.chain1 + pc.chain2 + pc.free}
         for x, y in opt._boundary_pairs(pc):
             pairs += 1
-            assert (opt._boundary_pair_radii(ring, x, y, charts[x], charts[y])
+            assert (opt._boundary_pair_radii(ring, charts[x], charts[y])
                     == _midpoint_pair_radii(ring, x, y)), (h, x, y)
     assert pairs > 0
     print(f"chart lookup: {pairs} pairs over {len(visited)} splits, all equal")
+
+
+def test_optimize_pair_decides_each_radius_once(monkeypatch):
+    # within one optimize_pair no (i, j, r) is decided twice: the gap's
+    # upper end comes back from narrow_interval with its decision, and a
+    # largest probe that the bound settle rule decided is not searched again
+    plain_pair, plain_decide = drv.optimize_pair, opt.decide
+    asked, repeats = [], []
+    pairs = 0
+
+    def deciding(h, i, j, r):
+        asked.append((i, j, r))
+        return plain_decide(h, i, j, r)
+
+    def optimizing(h, i, j, iv):
+        nonlocal pairs
+        asked.clear()
+        got = plain_pair(h, i, j, iv)
+        pairs += 1
+        repeats.extend(key for key, n in Counter(asked).items() if n > 1)
+        return got
+
+    monkeypatch.setattr(opt, "decide", deciding)
+    monkeypatch.setattr(drv, "optimize_pair", optimizing)
+    for cell in CORPUS_CELLS:
+        inst = generate(*cell)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                two_center(SimplePolygon(inst.polygon), inst.points)
+            except BoundaryAssemblyError:
+                pass
+        assert not repeats, (cell, repeats)
+    assert pairs > len(CORPUS_CELLS)
+
+
+def test_chain_subset_radii_within_chain_radius(scaled_hull):
+    # interval_candidates reads each chain's own one-center radius instead
+    # of those of the 2- and 3-subsets of its extremes: on every split of
+    # the corpus hulls each of those is at most the chain's, plus tol.near
+    # of rounding, so below where _leftmost_feasible starts deciding
+    subsets = 0
+    for cell in CORPUS_CELLS:
+        _k, h = scaled_hull(cell)
+        region, near = h.region, h.ambient.tol.near
+        for i in range(h.k):
+            for j in range(i + 1, h.k):
+                for chain in (h.chain_extremes(j + 1, i), h.chain_extremes(i + 1, j)):
+                    top = one_center(region, chain).radius + near
+                    for size in (2, 3):
+                        for sub in combinations(chain, size):
+                            subsets += 1
+                            assert one_center(region, sub).radius <= top, (cell, i, j, sub)
+    assert subsets > 0
