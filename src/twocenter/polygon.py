@@ -17,12 +17,15 @@ class SimplePolygon:
     """A simple polygon, stored counterclockwise.
 
     Construction merges consecutive duplicate vertices (within EPS), enforces
-    counterclockwise orientation and checks simplicity; a self-intersecting
-    input raises InvalidPolygon.
+    counterclockwise orientation and checks simplicity; a non-finite
+    coordinate or a self-intersecting input raises InvalidPolygon.
     """
 
     def __init__(self, vertices):
         pts = [Point2(float(p[0]), float(p[1])) for p in vertices]
+        for p in pts:
+            if not (math.isfinite(p.x) and math.isfinite(p.y)):
+                raise InvalidPolygon(f"non-finite coordinate {tuple(p)}")
         merged: List[Point2] = []
         for p in pts:
             if merged and dist(merged[-1], p) <= EPS:

@@ -39,6 +39,16 @@ def test_zero_area_rejected():
         SimplePolygon([Point2(0, 0), Point2(2, 0), Point2(4, 0)])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("ring", [[(0, 0), (1, 0), (None, 1)],
+                                  [(0, 0), (4, 0), (4, 4), (None, 4)],
+                                  [(0, 0), (4, 0), (4, None), (0, 4)]])
+def test_non_finite_vertex_rejected(ring, bad):
+    ring = [(bad if x is None else x, bad if y is None else y) for x, y in ring]
+    with pytest.raises(InvalidPolygon, match="non-finite coordinate"):
+        SimplePolygon(ring)
+
+
 # rings through one point twice: a zero-width spike out of the top edge,
 # and two triangles pinched together at (1, 1)
 SPIKE = [(0, 0), (4, 0), (4, 4), (2, 4), (2, 6), (2, 4), (0, 4)]
