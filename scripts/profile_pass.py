@@ -33,9 +33,11 @@ largest probe failing `chain_infeasible`) or settled by the bound
 `decide` rejects the largest).  It counts the `one_center` solves (calls
 that grew the region's one-center cache) by the function that called
 `one_center` (`chain_radius`, `pair_chains`, `shared_vertex_decide`,
-`hull_center`, ...), and the skips of the gates that spare one: the
-chain splits whose balance `driver.split_order` never solved, the
-shared-vertex tries skipped on `PairChains.far`, and the `one_center`
+`pair_coincidence_radius`, `hull_center`, ...),
+and the skips of the gates that spare one: the chain splits whose
+balance `driver.split_order` never solved, the shared-vertex tries
+skipped on `PairChains.far`, the `pair_coincidence_radius` calls
+answered from a chain-plus-one-point one-center, and the `one_center`
 coverage tests that `disks._within` answered from the Euclidean
 distance.  The second pass runs under cProfile;
 the script prints its top N functions by the chosen sort key, then the
@@ -144,6 +146,7 @@ def counting_pass(ops, inter: Repeats, basis: Tuple[Repeats, Repeats],
     plain_one_center = disks.one_center
     plain_order, plain_balance = driver.split_order, driver._balance
     plain_shared = decision.shared_vertex_decide
+    plain_coincidence = optimize.pair_coincidence_radius
     plain_within = disks._within
     plain_pair, plain_triple = disks._path_midpoint_disk, disks._triple_disk
     disk2, solve3 = basis
@@ -282,6 +285,15 @@ def counting_pass(ops, inter: Repeats, basis: Tuple[Repeats, Repeats],
                                              for far in pc.far)
         return plain_shared(h, i, j, r)
 
+    def counted_coincidence(h, i, j, t, q1, q2, iv):
+        pc = decision.pair_chains(h, i, j)
+        chain = pc.chain1 if t == 1 else pc.chain2
+        calls["coincidence"] += 1
+        calls["coincidence.gated"] += any(
+            plain_one_center(h.region, list(chain) + [q]).radius > iv.hi + h.ambient.tol.near
+            for q in (q1, q2))
+        return plain_coincidence(h, i, j, t, q1, q2, iv)
+
     def counted_within(reg, q, x, r, tol):
         if sys._getframe(1).f_code.co_name in ONE_CENTER_FRAMES:
             calls["covers"] += 1
@@ -317,6 +329,7 @@ def counting_pass(ops, inter: Repeats, basis: Tuple[Repeats, Repeats],
     disks._path_midpoint_disk, disks._triple_disk = counted_pair, counted_triple
     driver.split_order, driver._balance = counted_order, counted_balance
     decision.shared_vertex_decide = counted_shared
+    optimize.pair_coincidence_radius = counted_coincidence
     disks._within = counted_within
     for m in one_center_holders:
         m.one_center = counted_one_center
@@ -350,6 +363,7 @@ def counting_pass(ops, inter: Repeats, basis: Tuple[Repeats, Repeats],
         disks._path_midpoint_disk, disks._triple_disk = plain_pair, plain_triple
         driver.split_order, driver._balance = plain_order, plain_balance
         decision.shared_vertex_decide = plain_shared
+        optimize.pair_coincidence_radius = plain_coincidence
         disks._within = plain_within
         for m in one_center_holders:
             m.one_center = plain_one_center
@@ -442,7 +456,8 @@ def main() -> int:
     print(f"gates: {calls['splits'] - calls['splits.balanced']} of {calls['splits']} "
           f"chain splits never balanced ({calls['splits.yielded']} yielded); "
           f"{calls['shared.skipped']} of {calls['shared.tries']} shared-vertex tries "
-          f"skipped; {calls['covers.euclidean']} of "
+          f"skipped; {calls['coincidence.gated']} of {calls['coincidence']} "
+          f"pair_coincidence_radius calls gated; {calls['covers.euclidean']} of "
           f"{calls['covers']} one_center coverage tests answered by the Euclidean "
           f"distance")
     return 0

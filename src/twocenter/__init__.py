@@ -12,7 +12,8 @@ from .geom import Point2
 from .hull import GeodesicHull, geodesic_hull
 from .instances import (Instance, dump_instance, generate, load_instance,
                         parse_instance, save_instance)
-from .optimize import RadiusInterval, narrow_interval, optimize_pair
+from .optimize import (RadiusInterval, narrow_interval, optimize_pair,
+                       pair_coincidence_radius)
 from .oracle import (oracle_distance, oracle_one_center, oracle_path,
                      oracle_two_center)
 from .polygon import SimplePolygon, TriangulatedPolygon, point_in_polygon, triangulate
@@ -30,6 +31,7 @@ __all__ = [
     "disks_intersection", "geodesic_circle", "disk_contains",
     "DecisionResult", "PairChains", "pair_chains", "decide",
     "RadiusInterval", "narrow_interval", "optimize_pair",
+    "pair_coincidence_radius",
     "CandidatePair", "TwoCenterSolution", "candidate_pairs",
     "assistant_interval", "two_center",
     "Instance", "parse_instance", "load_instance", "dump_instance",

@@ -1,10 +1,10 @@
 """Per-pair radius optimization.
 
-For one chain split (i, j) the optimal radius r*_ij is the upper end of
-the gap between two neighbouring structure-change candidates that
-`narrow_interval` accepts.  The paper's two-point coincidence radii are
-not searched: on the corpus, sweep and fuzz instances each one below
-that end lay below the split's chain floor, where `decide` answers "no".
+For one chain split (i, j) the optimal radius r*_ij is pinned down in
+three moves: narrow an interval to the radii between two neighbouring
+structure-change candidates, collect the finitely many radii at which
+two point circles can meet on the boundary, then search those below the
+gap's upper end, which is decided once, with the decision procedure.
 Every search is `_leftmost_feasible`, which gallops up from the first
 value that `decision.chain_infeasible` passes: r*_ij is never below
 either chain's one-center radius, and the optimum usually sits at or
@@ -38,6 +38,9 @@ class RadiusInterval:
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ValueError(f"empty interval ({self.lo}, {self.hi}]")
+
+    def contains(self, r: float) -> bool:
+        return self.lo < r <= self.hi
 
 
 def _segment_cuts(ring: Region, s: Point2) -> List[Set[float]]:
@@ -249,22 +252,67 @@ def narrow_interval(h: GeodesicHull, i: int, j: int, iv: RadiusInterval
     return search(probes, out.lo, hi, at_hi)
 
 
+def pair_coincidence_radius(h: GeodesicHull, i: int, j: int, t: int, q1: Point2,
+                            q2: Point2, iv: RadiusInterval) -> Optional[float]:
+    """Smallest radius whose side-t disk intersection can host both q1's
+    and q2's circles through one point; None unless both points determine
+    it, a chain extreme pins it to the arcs, and it lies in iv.
+
+    None comes without solving chain + q1 + q2 when chain + q1 or chain +
+    q2, which `pair_chains` solved for L_ij, exceeds iv.hi + tol.near: the
+    larger set's radius, less tol.near of rounding, is no smaller."""
+    if q1 == q2:
+        raise ValueError("q1 == q2")
+    pc = pair_chains(h, i, j)
+    chain = pc.chain1 if t == 1 else pc.chain2
+    region = h.region
+    cap = iv.hi + region.tp.tol.near
+    if any(one_center(region, list(chain) + [q]).radius > cap for q in (q1, q2)):
+        return None
+    oc = one_center(region, list(chain) + [q1, q2])
+    tol = region.tp.tol.check
+
+    def pinned(pts) -> bool:
+        return abs(max(region.site_map(e).distance(oc.center) for e in pts)
+                   - oc.radius) <= tol
+
+    if pinned([q1]) and pinned([q2]) and (not chain or pinned(chain)):
+        return oc.radius if iv.contains(oc.radius) else None
+    return None
+
+
 def critical_radius_set(h: GeodesicHull, i: int, j: int,
                         iv: RadiusInterval) -> List[float]:
-    """[iv.hi].  The solve no longer calls this: kept only so that the
-    `optimize.critical_radius_set` span of perfbench/tracing.py still
-    resolves."""
-    return [iv.hi]
+    """iv.hi and every pair coincidence radius in iv, ascending, without
+    a value within tol.radius above the one before it."""
+    pc = pair_chains(h, i, j)
+    vals = [iv.hi]
+    free = list(pc.free)
+    for t in (1, 2):
+        for a in range(len(free)):
+            for b in range(a + 1, len(free)):
+                rho = pair_coincidence_radius(h, i, j, t, free[a], free[b], iv)
+                if rho is not None:
+                    vals.append(rho)
+    eps = h.ambient.tol.radius
+    out: List[float] = []
+    for v in sorted(vals):
+        if not out or v - out[-1] > eps:
+            out.append(v)
+    return out
 
 
 def optimize_pair(h: GeodesicHull, i: int, j: int, iv: RadiusInterval
                   ) -> Optional[Tuple[float, Point2, Point2]]:
-    """r*_ij with witness centers, or None when iv.hi is infeasible: the
-    upper end of the gap `narrow_interval` accepts, with the centers of
-    its decision there."""
+    """r*_ij with witness centers, or None when iv.hi is infeasible.  Only
+    the `critical_radius_set` values below the narrowed gap's upper end
+    are searched; when none is accepted, r*_ij is that end."""
     try:
         nv, best = narrow_interval(h, i, j, iv)
     except InfeasibleInterval:
         return None
+    values = [v for v in critical_radius_set(h, i, j, nv) if v < nv.hi]
+    k, res = _leftmost_feasible(h, i, j, values)
+    r, best = (values[k], res) if res is not None else (nv.hi, best)
     assert best.centers is not None
-    return nv.hi, best.centers[0], best.centers[1]
+    return r, best.centers[0], best.centers[1]

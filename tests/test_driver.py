@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 from test_acceptance import FUZZ_SLICE
 
-from twocenter import decision, disks, driver, region
+from twocenter import decision, disks, driver, optimize, region
 from twocenter.cli import make_record, verify_record
 from twocenter.decision import decide
 from twocenter.driver import assistant_interval, candidate_pairs, two_center
@@ -409,6 +409,23 @@ def _shared_vertex_ungated(h, i, j, r):
     return None
 
 
+def _coincidence_ungated(h, i, j, t, q1, q2, iv):
+    """`optimize.pair_coincidence_radius` with chain + q1 + q2 always solved."""
+    pc = decision.pair_chains(h, i, j)
+    chain = pc.chain1 if t == 1 else pc.chain2
+    region = h.region
+    oc = disks.one_center(region, list(chain) + [q1, q2])
+    tol = region.tp.tol.check
+
+    def pinned(pts):
+        return abs(max(region.site_map(e).distance(oc.center) for e in pts)
+                   - oc.radius) <= tol
+
+    if pinned([q1]) and pinned([q2]) and pinned(chain):
+        return oc.radius if iv.contains(oc.radius) else None
+    return None
+
+
 def test_one_center_gates_skip_only_failing_solves(monkeypatch):
     """Each gate answers as its ungated form, and every one-center it
     skips is solved here anyway, with a radius above the value the
@@ -417,6 +434,7 @@ def test_one_center_gates_skip_only_failing_solves(monkeypatch):
     distance."""
     fired = Counter()
     plain_shared = decision.shared_vertex_decide
+    plain_coincidence = optimize.pair_coincidence_radius
     plain_within = disks._within
 
     def shared(h, i, j, r):
@@ -434,6 +452,18 @@ def test_one_center_gates_skip_only_failing_solves(monkeypatch):
                     assert oc.radius > r + tols.radius
         return got
 
+    def coincidence(h, i, j, t, q1, q2, iv):
+        got = plain_coincidence(h, i, j, t, q1, q2, iv)
+        assert got == _coincidence_ungated(h, i, j, t, q1, q2, iv)
+        fired["coincidence-value"] += got is not None
+        pc = decision.pair_chains(h, i, j)
+        chain = list(pc.chain1 if t == 1 else pc.chain2)
+        if any(disks.one_center(h.region, chain + [q]).radius > iv.hi + h.ambient.tol.near
+               for q in (q1, q2)):
+            fired["coincidence"] += 1
+            assert disks.one_center(h.region, chain + [q1, q2]).radius > iv.hi
+        return got
+
     def within(reg, q, x, r, tol):
         got = plain_within(reg, q, x, r, tol)
         assert got == (reg.site_map(q).distance(x) <= r + tol)
@@ -441,13 +471,16 @@ def test_one_center_gates_skip_only_failing_solves(monkeypatch):
         return got
 
     monkeypatch.setattr(decision, "shared_vertex_decide", shared)
+    monkeypatch.setattr(optimize, "pair_coincidence_radius", coincidence)
     monkeypatch.setattr(disks, "_within", within)
+    # the last two hold splits whose coincidence radius is not None
     cells = ([c for c in CORPUS_CELLS if c[1:3] in ((12, 6), (16, 8), (48, 6))]
-             + FUZZ_SLICE)
+             + FUZZ_SLICE + [("convex", 12, 6, 8), ("random", 8, 8, 110)])
     for cell in cells:
         inst = generate(*cell)
         try:
             two_center(SimplePolygon(inst.polygon), inst.points)
         except BoundaryAssemblyError:
             pass
-    assert min(fired[g] for g in ("shared-vertex", "euclidean")) > 0
+    assert min(fired[g] for g in ("shared-vertex", "coincidence", "coincidence-value",
+                                  "euclidean")) > 0

@@ -1,4 +1,5 @@
 import math
+import types
 import warnings
 from collections import Counter
 from itertools import combinations
@@ -16,7 +17,7 @@ from twocenter.hull import geodesic_hull
 from twocenter.instances import FAMILIES, generate
 from twocenter.polygon import SimplePolygon, triangulate
 
-from test_acceptance import FUZZ_SLICE
+from test_acceptance import _exact_radius
 from test_decision import CORPUS_CELLS
 
 SQRT2 = math.sqrt(2.0)
@@ -41,11 +42,27 @@ def _square6_hull(extra=()):
 
 def test_interval_shape():
     iv = opt.RadiusInterval(1.0, 2.0)
-    assert (iv.lo, iv.hi) == (1.0, 2.0)
+    assert not iv.contains(1.0)
+    assert iv.contains(1.5)
+    assert iv.contains(2.0)
+    assert not iv.contains(2.0000001)
     with pytest.raises(ValueError):
         opt.RadiusInterval(2.0, 2.0)
     with pytest.raises(ValueError):
         opt.RadiusInterval(3.0, 2.0)
+
+
+def test_critical_set_dedup():
+    # an interval end within tol.radius above the pair radius merges into it
+    h = _square6_hull(extra=[(2 + SQRT2, 3), (3, 4)])
+    rho = opt.pair_coincidence_radius(h, 1, 3, 1, Point2(2 + SQRT2, 3), Point2(3, 4),
+                                      opt.RadiusInterval(1e-9, 3.0))
+    eps = h.ambient.tol.radius
+    hi = rho + eps / 2
+    assert hi > rho
+    vals = opt.critical_radius_set(h, 1, 3, opt.RadiusInterval(1e-9, hi))
+    assert rho in vals and hi not in vals
+    assert all(b - a > eps for a, b in zip(vals, vals[1:]))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8, 16])
@@ -232,88 +249,50 @@ def test_optimize_with_free_point():
     assert min(reg.distance(c1, q), reg.distance(c2, q)) <= r + 1e-9
 
 
-# `optimize_pair` as it was with its pair-coincidence search after
-# `narrow_interval`, and the two functions that search read; verbatim but
-# for `RadiusInterval.contains`, inlined
-def _coincidence_radius(h, i, j, t, q1, q2, iv):
-    if q1 == q2:
-        raise ValueError("q1 == q2")
-    pc = dec.pair_chains(h, i, j)
-    chain = pc.chain1 if t == 1 else pc.chain2
-    region = h.region
-    cap = iv.hi + region.tp.tol.near
-    if any(one_center(region, list(chain) + [q]).radius > cap for q in (q1, q2)):
-        return None
-    oc = one_center(region, list(chain) + [q1, q2])
-    tol = region.tp.tol.check
-
-    def pinned(pts) -> bool:
-        return abs(max(region.site_map(e).distance(oc.center) for e in pts)
-                   - oc.radius) <= tol
-
-    if pinned([q1]) and pinned([q2]) and (not chain or pinned(chain)):
-        return oc.radius if iv.lo < oc.radius <= iv.hi else None
-    return None
+def test_pair_coincidence_radius():
+    # q1, q2 concyclic with the left chain on the circle centered (2,3)
+    h = _square6_hull(extra=[(2 + SQRT2, 3), (3, 4)])
+    q1, q2 = Point2(2 + SQRT2, 3), Point2(3, 4)
+    iv = opt.RadiusInterval(1e-9, 3.0)
+    rho = opt.pair_coincidence_radius(h, 1, 3, 1, q1, q2, iv)
+    assert rho is not None and abs(rho - SQRT2) <= 1e-6
+    assert opt.pair_coincidence_radius(h, 1, 3, 1, q1, q2,
+                                       opt.RadiusInterval(1e-9, 1.2)) is None
+    with pytest.raises(ValueError):
+        opt.pair_coincidence_radius(h, 1, 3, 1, q1, q1, iv)
 
 
-def _coincidence_radius_set(h, i, j, iv):
-    pc = dec.pair_chains(h, i, j)
-    vals = [iv.hi]
-    free = list(pc.free)
-    for t in (1, 2):
-        for a in range(len(free)):
-            for b in range(a + 1, len(free)):
-                rho = _coincidence_radius(h, i, j, t, free[a], free[b], iv)
-                if rho is not None:
-                    vals.append(rho)
-    eps = h.ambient.tol.radius
-    out = []
-    for v in sorted(vals):
-        if not out or v - out[-1] > eps:
-            out.append(v)
-    return out
+def test_pair_coincidence_rejects_slack_point():
+    # (2.5,3) sits strictly inside the determining circle, so no
+    # coincidence radius is attributed to it
+    h = _square6_hull(extra=[(2.5, 3), (3, 4)])
+    rho = opt.pair_coincidence_radius(h, 1, 3, 1, Point2(2.5, 3), Point2(3, 4),
+                                      opt.RadiusInterval(1e-9, 3.0))
+    assert rho is None
 
 
-def _coincidence_optimize_pair(h, i, j, iv):
-    try:
-        nv, best = opt.narrow_interval(h, i, j, iv)
-    except InfeasibleInterval:
-        return None
-    values = [v for v in _coincidence_radius_set(h, i, j, nv) if v < nv.hi]
-    k, res = opt._leftmost_feasible(h, i, j, values)
-    r, best = (values[k], res) if res is not None else (nv.hi, best)
-    assert best.centers is not None
-    return r, best.centers[0], best.centers[1]
+def test_coincidence_radius_decides_split_optimum(monkeypatch):
+    # for the split that leaves (-10, 0) alone on its chain, the optimum is
+    # the circle through (-10, 0), (0, 0.8) and (0, -0.8): centre (-4.968, 0),
+    # radius 5.032, above both chain floors and L_ij.  Two free points fix
+    # it, so it is a pair coincidence radius and no interval candidate: the
+    # gap's upper end alone overshoots it
+    inst = types.SimpleNamespace(
+        polygon=[(-20, -10), (20, -10), (20, 10), (-20, 10)],
+        points=[(-10, 0), (10, 2), (12, 0), (10, -2), (0, 0.8), (0, -0.8)])
+    ref = _exact_radius(inst)
+    assert abs(ref - 5.032) <= 1e-12
+    r = two_center(SimplePolygon(inst.polygon), inst.points).radius
+    assert abs(r - ref) <= 1e-9 * ref, (r, ref)
+    monkeypatch.setattr(opt, "critical_radius_set", lambda h, i, j, iv: [iv.hi])
+    assert two_center(SimplePolygon(inst.polygon), inst.points).radius > ref + 1e-3
 
 
-def _solve_outcome(cell):
-    inst = generate(*cell)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            sol = two_center(SimplePolygon(inst.polygon), inst.points)
-        except BoundaryAssemblyError as exc:
-            return type(exc).__name__
-    return sol.radius, sol.c1, sol.c2, sol.pair, sol.branch_stats
-
-
-@pytest.mark.parametrize("cell", [c for c in CORPUS_CELLS if c[1:3] in ((16, 8), (48, 6))]
-                         + FUZZ_SLICE, ids=lambda c: "{}/{}x{}/s{}".format(*c))
-def test_gap_end_matches_coincidence_search(cell, monkeypatch):
-    # the pair-coincidence search that followed narrow_interval moved no
-    # radius, center, pair or branch count: r*_ij is the gap's upper end
-    got = _solve_outcome(cell)
-    monkeypatch.setattr(drv, "optimize_pair", _coincidence_optimize_pair)
-    assert _solve_outcome(cell) == got
-
-
-def test_concyclic_free_points_radius():
-    # (2 + sqrt2, 3) and (3, 4) lie on the circle of radius sqrt2 about
-    # (2, 3) through the left chain (1, 2), (1, 4): the radius the deleted
-    # coincidence search was written to find, now the upper end of a gap
-    sq6 = SimplePolygon([(0, 0), (6, 0), (6, 6), (0, 6)])
-    pts = [(1, 2), (1, 4), (5, 2), (5, 4), (2 + SQRT2, 3), (3, 4)]
-    assert abs(two_center(sq6, pts).radius - SQRT2) <= 1e-9
+def test_critical_radius_set_collects_pairs():
+    h = _square6_hull(extra=[(2 + SQRT2, 3), (3, 4)])
+    crit = opt.critical_radius_set(h, 1, 3, opt.RadiusInterval(1e-9, 3.0))
+    assert crit == sorted(crit) and crit[-1] == 3.0
+    assert any(abs(v - SQRT2) <= 1e-6 for v in crit)
 
 
 def test_boundary_pair_radii_square(qsym_hull):
