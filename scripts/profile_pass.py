@@ -17,10 +17,10 @@ region's cache.  It counts the `SiteMap` reads (`distance`, `anchor`,
 and point not read before), the walks grouped by the function that
 called the read, and the calls of `geom.orientation`,
 `Region._ray_enters` (one per extension ray `Region.tree` tests) and
-`disks.compute_events`.  It also counts the
-`SiteMap` builds and the triangles their walks expanded
-(`SiteMap._expand`), against the triangles of all the maps built, which shows how much of each map its queries needed, the
-`seg_point_distance` calls, the `RingIndex` queries by kind (classify,
+`disks.compute_events`.  It also counts the `SiteMap` builds and the
+triangles their walks expanded (`SiteMap._expand`), against the
+triangles of all the maps built, which shows how much of each map its
+queries needed, the `seg_point_distance` calls, the `RingIndex` queries by kind (classify,
 near), the `decide` calls with how many of them computed a fresh
 `chain_side` (one its hull's side cache did not hold yet) and how many
 the bound exit (`decision.below_bound`) answered before any `chain_side`
@@ -39,13 +39,15 @@ balance `driver.split_order` never solved, the shared-vertex tries
 skipped on `PairChains.far`, the `pair_coincidence_radius` calls
 answered from a chain-plus-one-point one-center, and the `one_center`
 coverage tests that `disks._within` answered from the Euclidean
-distance.  The second pass runs under cProfile;
+distance.  Each counted function is one row of `counting_pass`'s table,
+rebound for the first pass only.  The second pass runs under cProfile;
 the script prints its top N functions by the chosen sort key, then the
-counts of the first pass.  An operation that raises is counted by error class and skipped,
-as the benchmark counts it.
+counts of the first pass.  An operation that raises is counted by error
+class and skipped, as the benchmark counts it.
 """
 import argparse
 import cProfile
+import functools
 import math
 import os
 import pstats
@@ -53,20 +55,25 @@ import random
 import sys
 import warnings
 from collections import Counter
+from contextlib import contextmanager
 from typing import Tuple
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
+import tracing  # noqa: E402
 import workloads  # noqa: E402
-from twocenter import decision, disks, driver, geom, optimize, region  # noqa: E402
+from twocenter import decision, disks, geom, region  # noqa: E402
 
 # the functions whose `_within` calls are `one_center`'s coverage tests
 ONE_CENTER_FRAMES = ("one_center", "mtf1", "mtf2")
 
 # the `SiteMap` methods that read a point's anchor, walking on a miss
 READ_METHODS = ("distance", "anchor", "path")
+
+# their code and `_anchor`'s, which a walk's reader is looked for above
+READ_CODES = {vars(region.SiteMap)[name].__code__ for name in READ_METHODS + ("_anchor",)}
 
 
 class Repeats:
@@ -90,160 +97,106 @@ class Repeats:
                 f"{100 * share:.1f} % repeats")
 
 
-class Expansion:
-    """`SiteMap` builds, their triangles and the triangles expanded."""
-
-    def __init__(self):
-        self.builds = 0
-        self.triangles = 0
-        self.expanded = 0
-
-    def line(self) -> str:
-        share = self.expanded / self.triangles if self.triangles else 0.0
-        return (f"SiteMap: {self.builds} builds, {self.expanded} of "
-                f"{self.triangles} triangles expanded ({100 * share:.1f} %)")
-
-
-def reader(frame, skip) -> str:
-    """Name of the function that made the `SiteMap` read whose walk runs
-    in `frame`: the first caller whose code is not in `skip` (the map's
-    read methods and their counting wrappers) nor a comprehension."""
-    while frame.f_code in skip or frame.f_code.co_name.startswith("<"):
+def caller() -> str:
+    """Name of the function that made the counted call: the first frame
+    up the stack that is not this script's (the counters and the thin
+    functions that call them), nor a `SiteMap` read method or `_anchor`
+    (so that a walk is named by the function that made the read), nor a
+    comprehension."""
+    frame = sys._getframe(1)
+    while (frame.f_globals is globals() or frame.f_code in READ_CODES
+           or frame.f_code.co_name.startswith("<")):
         frame = frame.f_back
     return frame.f_code.co_name
 
 
+@contextmanager
+def rebound(rows):
+    """Rebind each row's target (spelled as in `tracing.TARGETS`) to a
+    thin function calling `counter(original, *args)`: a class attribute
+    on its class, a function in every module of the package that holds
+    it.  Every binding replaced is restored on exit, in reverse."""
+    def thin(counter, plain):
+        @functools.wraps(plain)
+        def call(*args, **kwargs):
+            return counter(plain, *args, **kwargs)
+        return call
+
+    mods = tracing.package_modules().values()
+    replaced = []
+    try:
+        for target, counter in rows:
+            owner, attr, plain = tracing._resolve(target)
+            holders = ([(owner, attr)] if isinstance(owner, type) else
+                       [(m, name) for m in mods for name, val in list(vars(m).items())
+                        if val is plain])
+            call = thin(counter, plain)
+            for holder, name in holders:
+                setattr(holder, name, call)
+                replaced.append((holder, name, plain))
+        yield
+    finally:
+        for holder, name, plain in reversed(replaced):
+            setattr(holder, name, plain)
+
+
 def counting_pass(ops, inter: Repeats, basis: Tuple[Repeats, Repeats],
-                  maps: Expansion, calls: Counter) -> Counter:
-    """Run ops with the counted functions wrapped; returns `run`'s error
+                  calls: Counter) -> Counter:
+    """Run ops with the counted functions rebound; returns `run`'s error
     count.  `calls` counts the `SiteMap` reads ("read.<method>") and walks
-    ("walk.<caller>"), the `orientation`, `_ray_enters` and
-    `compute_events` calls, the `_disk2` and `_solve3` calls that solved
-    their basis, `seg_point_distance`, the `RingIndex` queries,
-    the `decide` calls, those of them that grew their hull's side cache
-    and those the bound exit answered without a `chain_side` call, the
-    `_charts` calls with their corner circles and the ring corners
-    offered, the probe rounds run, skipped and settled by the bound
-    with the `_event_signature` calls, the `one_center` solves by caller
-    ("solve.<function>") and the gates' skips."""
-    plain_reads = {name: getattr(region.SiteMap, name) for name in READ_METHODS}
-    plain_walk = region.SiteMap._walk
-    plain_orientation = geom.orientation
-    plain_enters = region.Region._ray_enters
-    plain_events = disks.compute_events
-    plain_inter = disks.disks_intersection
-    plain_init = region.SiteMap.__init__
-    plain_expand = region.SiteMap._expand
-    plain_spd = geom.seg_point_distance
-    plain_classify = geom.RingIndex.classify
-    plain_near = geom.RingIndex.near
-    plain_decide = decision.decide
-    plain_side = decision.chain_side
-    plain_charts = disks._charts
-    plain_narrow = optimize.narrow_interval
-    plain_signature = optimize._event_signature
-    plain_disk2, plain_solve3 = disks._disk2, disks._solve3
-    plain_one_center = disks.one_center
-    plain_order, plain_balance = driver.split_order, driver._balance
-    plain_shared = decision.shared_vertex_decide
-    plain_coincidence = optimize.pair_coincidence_radius
-    plain_within = disks._within
-    plain_pair, plain_triple = disks._path_midpoint_disk, disks._triple_disk
+    ("walk.<reader>"), builds and expanded triangles, the `orientation`,
+    `_ray_enters` and `compute_events` calls, the `_disk2` and `_solve3`
+    calls that solved their basis, `seg_point_distance`, the `RingIndex`
+    queries, the `decide` calls, those of them that grew their hull's
+    side cache and those the bound exit answered without a `chain_side`
+    call, the `_charts` calls with their corner circles and the ring
+    corners offered, the probe rounds run, skipped and settled by the
+    bound with the `_event_signature` calls, the `one_center` solves by
+    caller ("solve.<function>") and the gates' skips."""
     disk2, solve3 = basis
 
-    def counted_read(name):
-        plain = plain_reads[name]
+    def count(key):
+        def counter(plain, *args, **kwargs):
+            calls[key] += 1
+            return plain(*args, **kwargs)
+        return counter
 
-        def read(self, x):
-            calls["read." + name] += 1
-            return plain(self, x)
-        return read
+    def noted(repeats: Repeats, key):
+        def counter(plain, *args, **kwargs):
+            repeats.note(key(*args, **kwargs))
+            return plain(*args, **kwargs)
+        return counter
 
-    skip = {f.__code__ for f in plain_reads.values()}
-    skip |= {region.SiteMap._anchor.__code__, counted_read(READ_METHODS[0]).__code__}
+    def walk(plain, self, x):
+        calls["walk." + caller()] += 1
+        return plain(self, x)
 
-    def counted_walk(self, x):
-        calls["walk." + reader(sys._getframe(1), skip)] += 1
-        return plain_walk(self, x)
+    def build(plain, self, tp, source):
+        calls["maps.builds"] += 1
+        calls["maps.triangles"] += len(tp.triangles)
+        plain(self, tp, source)
 
-    def counted_orientation(a, b, c):
-        calls["orientation"] += 1
-        return plain_orientation(a, b, c)
-
-    def counted_enters(self, origin, direction):
-        calls["ray_enters"] += 1
-        return plain_enters(self, origin, direction)
-
-    def counted_events(reg, boundary, interior):
-        calls["compute_events"] += 1
-        return plain_events(reg, boundary, interior)
-
-    def counted_init(self, tp, source):
-        maps.builds += 1
-        maps.triangles += len(tp.triangles)
-        plain_init(self, tp, source)
-
-    def counted_expand(self, t):
-        maps.expanded += 1
-        plain_expand(self, t)
-
-    def counted_inter(reg, sites, r):
-        inter.note((id(reg), tuple((s[0], s[1]) for s in sites), r))
-        return plain_inter(reg, sites, r)
-
-    def counted_disk2(reg, a, b):
-        disk2.note((id(reg), a[0], a[1], b[0], b[1]))
-        return plain_disk2(reg, a, b)
-
-    def counted_solve3(reg, a, b, c):
-        solve3.note((id(reg), a[0], a[1], b[0], b[1], c[0], c[1]))
-        return plain_solve3(reg, a, b, c)
-
-    def counted_pair(reg, a, b):
-        calls["disk2.solved"] += 1
-        return plain_pair(reg, a, b)
-
-    def counted_triple(reg, a, b, c):
-        calls["solve3.solved"] += 1
-        return plain_triple(reg, a, b, c)
-
-    def counted_spd(p, a, b):
-        calls["seg_point_distance"] += 1
-        return plain_spd(p, a, b)
-
-    def counted_classify(self, p, eps=geom.EPS):
-        calls["RingIndex.classify"] += 1
-        return plain_classify(self, p, eps)
-
-    def counted_near(self, p, eps):
-        calls["RingIndex.near"] += 1
-        return plain_near(self, p, eps)
-
-    def counted_decide(h, i, j, r):
+    def decide(plain, h, i, j, r):
         calls["decide"] += 1
         side_cache = h.hull_region._side_cache
         before, sides = len(side_cache), calls["chain_side"]
-        res = plain_decide(h, i, j, r)
+        res = plain(h, i, j, r)
         calls["decide.fresh_side"] += len(side_cache) > before
         calls["decide.bound"] += (res.branch == "forced-overload"
                                   and calls["chain_side"] == sides)
         return res
 
-    def counted_side(h, pc, chain, r):
-        calls["chain_side"] += 1
-        return plain_side(h, pc, chain, r)
-
-    def counted_charts(reg, q, r):
-        charts, ext_segs = plain_charts(reg, q, r)
+    def charts(plain, reg, q, r):
+        out, ext_segs = plain(reg, q, r)
         calls["charts"] += 1
-        calls["charts.circles"] += len(charts) - 1    # the site's own is not a corner's
+        calls["charts.circles"] += len(out) - 1    # the site's own is not a corner's
         calls["charts.corners"] += len(reg.corners)
-        return charts, ext_segs
+        return out, ext_segs
 
-    def counted_narrow(h, i, j, iv):
+    def narrow(plain, h, i, j, iv):
         before = calls["signature"]
         try:
-            out = plain_narrow(h, i, j, iv)
+            out = plain(h, i, j, iv)
         finally:
             calls["probe.run"] += calls["signature"] > before
         pc = decision.pair_chains(h, i, j)
@@ -254,28 +207,21 @@ def counting_pass(ops, inter: Repeats, basis: Tuple[Repeats, Repeats],
                   else "probe.settled"] += 1
         return out
 
-    def counted_one_center(space, pts):
+    def one_center(plain, space, pts):
         cache = disks._as_region(space)._onecenter_cache
         before = len(cache)
-        out = plain_one_center(space, pts)
+        out = plain(space, pts)
         if len(cache) > before:
-            frame = sys._getframe(1)
-            while frame.f_code.co_name.startswith("<"):    # a comprehension's
-                frame = frame.f_back
-            calls["solve." + frame.f_code.co_name] += 1
+            calls["solve." + caller()] += 1
         return out
 
-    def counted_order(h):
+    def order(plain, h):
         calls["splits"] += h.k * (h.k - 1) // 2
-        for split in plain_order(h):
+        for split in plain(h):
             calls["splits.yielded"] += 1
             yield split
 
-    def counted_balance(h, i, j):
-        calls["splits.balanced"] += 1
-        return plain_balance(h, i, j)
-
-    def counted_shared(h, i, j, r):
+    def shared(plain, h, i, j, r):
         pc = decision.pair_chains(h, i, j)
         tols = h.ambient.tol
         vxs = len(geom.unique_points([h.extreme(i), h.extreme(i + 1),
@@ -283,102 +229,57 @@ def counting_pass(ops, inter: Repeats, basis: Tuple[Repeats, Repeats],
         calls["shared.tries"] += 2 * vxs
         calls["shared.skipped"] += vxs * sum(far > r + tols.radius + tols.near
                                              for far in pc.far)
-        return plain_shared(h, i, j, r)
+        return plain(h, i, j, r)
 
-    def counted_coincidence(h, i, j, t, q1, q2, iv):
+    def coincidence(plain, h, i, j, t, q1, q2, iv):
         pc = decision.pair_chains(h, i, j)
         chain = pc.chain1 if t == 1 else pc.chain2
+        solve = disks.one_center.__wrapped__    # a gate's solve is not the caller's
         calls["coincidence"] += 1
         calls["coincidence.gated"] += any(
-            plain_one_center(h.region, list(chain) + [q]).radius > iv.hi + h.ambient.tol.near
+            solve(h.region, list(chain) + [q]).radius > iv.hi + h.ambient.tol.near
             for q in (q1, q2))
-        return plain_coincidence(h, i, j, t, q1, q2, iv)
+        return plain(h, i, j, t, q1, q2, iv)
 
-    def counted_within(reg, q, x, r, tol):
-        if sys._getframe(1).f_code.co_name in ONE_CENTER_FRAMES:
+    def within(plain, reg, q, x, r, tol):
+        if caller() in ONE_CENTER_FRAMES:
             calls["covers"] += 1
             calls["covers.euclidean"] += math.hypot(x[0] - q.x, x[1] - q.y) > r + tol
-        return plain_within(reg, q, x, r, tol)
+        return plain(reg, q, x, r, tol)
 
-    def counted_signature(h, pc, r):
-        calls["signature"] += 1
-        return plain_signature(h, pc, r)
-
-    mods = [m for name, m in list(sys.modules.items()) if name.startswith("twocenter.")]
-    holders = [m for m in mods if getattr(m, "disks_intersection", None) is plain_inter]
-    spd_holders = [m for m in mods if getattr(m, "seg_point_distance", None) is plain_spd]
-    orientation_holders = [m for m in mods
-                           if getattr(m, "orientation", None) is plain_orientation]
-    events_holders = [m for m in mods if getattr(m, "compute_events", None) is plain_events]
-    decide_holders = [m for m in mods if getattr(m, "decide", None) is plain_decide]
-    side_holders = [m for m in mods if getattr(m, "chain_side", None) is plain_side]
-    one_center_holders = [m for m in mods
-                          if getattr(m, "one_center", None) is plain_one_center]
-    for name in READ_METHODS:
-        setattr(region.SiteMap, name, counted_read(name))
-    region.SiteMap._walk = counted_walk
-    region.Region._ray_enters = counted_enters
-    region.SiteMap.__init__ = counted_init
-    region.SiteMap._expand = counted_expand
-    geom.RingIndex.classify = counted_classify
-    geom.RingIndex.near = counted_near
-    disks._charts = counted_charts
-    optimize.narrow_interval = counted_narrow
-    optimize._event_signature = counted_signature
-    disks._disk2, disks._solve3 = counted_disk2, counted_solve3
-    disks._path_midpoint_disk, disks._triple_disk = counted_pair, counted_triple
-    driver.split_order, driver._balance = counted_order, counted_balance
-    decision.shared_vertex_decide = counted_shared
-    optimize.pair_coincidence_radius = counted_coincidence
-    disks._within = counted_within
-    for m in one_center_holders:
-        m.one_center = counted_one_center
-    for m in holders:
-        m.disks_intersection = counted_inter
-    for m in spd_holders:
-        m.seg_point_distance = counted_spd
-    for m in orientation_holders:
-        m.orientation = counted_orientation
-    for m in events_holders:
-        m.compute_events = counted_events
-    for m in decide_holders:
-        m.decide = counted_decide
-    for m in side_holders:
-        m.chain_side = counted_side
-    try:
+    rows = [(f"region.SiteMap.{name}", count("read." + name)) for name in READ_METHODS]
+    rows += [
+        ("region.SiteMap._walk", walk),
+        ("region.SiteMap.__init__", build),
+        ("region.SiteMap._expand", count("maps.expanded")),
+        ("geom.orientation", count("orientation")),
+        ("region.Region._ray_enters", count("ray_enters")),
+        ("disks.compute_events", count("compute_events")),
+        ("disks.disks_intersection", noted(inter, lambda reg, sites, r: (
+            id(reg), tuple((s[0], s[1]) for s in sites), r))),
+        ("disks._disk2", noted(disk2, lambda reg, a, b: (
+            id(reg), a[0], a[1], b[0], b[1]))),
+        ("disks._solve3", noted(solve3, lambda reg, a, b, c: (
+            id(reg), a[0], a[1], b[0], b[1], c[0], c[1]))),
+        ("disks._path_midpoint_disk", count("disk2.solved")),
+        ("disks._triple_disk", count("solve3.solved")),
+        ("geom.seg_point_distance", count("seg_point_distance")),
+        ("geom.RingIndex.classify", count("RingIndex.classify")),
+        ("geom.RingIndex.near", count("RingIndex.near")),
+        ("decision.decide", decide),
+        ("decision.chain_side", count("chain_side")),
+        ("disks._charts", charts),
+        ("optimize.narrow_interval", narrow),
+        ("optimize._event_signature", count("signature")),
+        ("disks.one_center", one_center),
+        ("driver.split_order", order),
+        ("driver._balance", count("splits.balanced")),
+        ("decision.shared_vertex_decide", shared),
+        ("optimize.pair_coincidence_radius", coincidence),
+        ("disks._within", within),
+    ]
+    with rebound(rows):
         return run(ops, fresh=(inter,) + basis)
-    finally:
-        for name, plain in plain_reads.items():
-            setattr(region.SiteMap, name, plain)
-        region.SiteMap._walk = plain_walk
-        region.Region._ray_enters = plain_enters
-        region.SiteMap.__init__ = plain_init
-        region.SiteMap._expand = plain_expand
-        geom.RingIndex.classify = plain_classify
-        geom.RingIndex.near = plain_near
-        disks._charts = plain_charts
-        optimize.narrow_interval = plain_narrow
-        optimize._event_signature = plain_signature
-        disks._disk2, disks._solve3 = plain_disk2, plain_solve3
-        disks._path_midpoint_disk, disks._triple_disk = plain_pair, plain_triple
-        driver.split_order, driver._balance = plain_order, plain_balance
-        decision.shared_vertex_decide = plain_shared
-        optimize.pair_coincidence_radius = plain_coincidence
-        disks._within = plain_within
-        for m in one_center_holders:
-            m.one_center = plain_one_center
-        for m in holders:
-            m.disks_intersection = plain_inter
-        for m in spd_holders:
-            m.seg_point_distance = plain_spd
-        for m in orientation_holders:
-            m.orientation = plain_orientation
-        for m in events_holders:
-            m.compute_events = plain_events
-        for m in decide_holders:
-            m.decide = plain_decide
-        for m in side_holders:
-            m.chain_side = plain_side
 
 
 def run(ops, fresh=()) -> Counter:
@@ -412,9 +313,8 @@ def main() -> int:
 
     inter = Repeats("disks_intersection")
     basis = Repeats("_disk2"), Repeats("_solve3")
-    maps = Expansion()
     calls = Counter()
-    warm_errors = counting_pass(wl.ops(rng), inter, basis, maps, calls)
+    warm_errors = counting_pass(wl.ops(rng), inter, basis, calls)
 
     ops = wl.ops(rng)
     prof = cProfile.Profile()
@@ -437,7 +337,9 @@ def main() -> int:
     print(inter.line())
     for rep, solved in zip(basis, ("disk2.solved", "solve3.solved")):
         print(f"{rep.line()}, {calls[solved]} solved")
-    print(maps.line())
+    built, expanded = calls["maps.triangles"], calls["maps.expanded"]
+    print(f"SiteMap: {calls['maps.builds']} builds, {expanded} of {built} triangles "
+          f"expanded ({100 * (expanded / built if built else 0.0):.1f} %)")
     print(f"seg_point_distance: {calls['seg_point_distance']} calls")
     print(f"RingIndex: {calls['RingIndex.classify']} classify, "
           f"{calls['RingIndex.near']} near queries")

@@ -42,12 +42,12 @@ def make_record(sol: TwoCenterSolution, points: Sequence[Point2],
     }
 
 
-def verify_record(inst: Instance, rec: dict, epsilon: float = 1e-9) -> None:
+def verify_record(inst: Instance, rec: dict) -> None:
     """Replay the coverage certificate of a stored solution.
 
     Raises ValueError when the record does not cover the instance at its
-    claimed radius (with relative slack 1e-6 plus `epsilon` absolute per
-    unit of instance diameter).
+    claimed radius (with relative slack 1e-6 plus 1e-9 absolute per unit
+    of instance diameter).
     """
     radius = float(rec["radius"])
     centers = [Point2(c[0], c[1]) for c in rec["centers"]]
@@ -61,8 +61,7 @@ def verify_record(inst: Instance, rec: dict, epsilon: float = 1e-9) -> None:
     poly = SimplePolygon(inst.polygon)
     tp = triangulate(poly)
     region = Region.of(tp)
-    diam = tp.diameter
-    slack = radius * 1e-6 + max(epsilon, 1e-12) * max(diam, 1.0)
+    slack = radius * 1e-6 + 1e-9 * max(tp.diameter, 1.0)
     for q, a in zip(inst.points, assignment):
         d = region.distance(centers[a - 1], q)
         if d > radius + slack:
@@ -103,7 +102,7 @@ def cmd_solve(args) -> int:
     wall_ms = int(round((time.perf_counter() - t0) * 1000))
     rec = make_record(sol, inst.points, wall_ms)
     try:
-        verify_record(inst, rec, args.epsilon)
+        verify_record(inst, rec)
     except ValueError as e:
         print(f"error: certificate replay failed: {e}", file=sys.stderr)
         return 1
@@ -169,16 +168,20 @@ def cmd_render(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):    # exit 1, not argparse's 2
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="twocenter",
         description="Geodesic two-center solver for points in a simple polygon")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("solve", help="solve an instance file")
     sp.add_argument("input", help="instance JSON path")
-    sp.add_argument("--epsilon", type=float, default=1e-9,
-                    help="certificate tolerance (default 1e-9)")
     sp.add_argument("--oracle", action="store_true",
                     help="cross-check against the brute-force oracle "
                          "(at most 12 distinct points)")

@@ -28,8 +28,8 @@ from .errors import CertificateError, DegenerateHull, PointOutsidePolygon
 from .geom import Point2, ring_area2, unique_points
 from .hull import GeodesicHull, geodesic_hull
 from .optimize import RadiusInterval, optimize_pair
-from .polygon import SimplePolygon, TriangulatedPolygon, point_in_polygon, triangulate
-from .region import Key
+from .polygon import SimplePolygon, TriangulatedPolygon, triangulate
+from .region import Key, Region
 
 
 @dataclass(frozen=True)
@@ -220,18 +220,17 @@ def two_center(poly: SimplePolygon, points: Sequence) -> TwoCenterSolution:
     if not points:
         raise PointOutsidePolygon("no points given")
     pts = [Point2(float(p[0]), float(p[1])) for p in points]
-    for q in pts:
-        if point_in_polygon(poly, q) == "outside":
-            raise PointOutsidePolygon(f"{tuple(q)} outside the polygon")
     scale = 1.0
     if poly.diameter > 0:
         scale = 2.0 ** round(math.log2(64.0 / poly.diameter))
     if scale != 1.0:
         poly = poly.scaled(scale)
-        spts = [Point2(q.x * scale, q.y * scale) for q in pts]
-    else:
-        spts = pts
-    sol = _solve_on(triangulate(poly), spts)
+    spts = [Point2(q.x * scale, q.y * scale) for q in pts]
+    tp = triangulate(poly)
+    for q, sq in zip(pts, spts):    # at the solve's scale, with its tolerance
+        if Region.of(tp).classify(sq) == "outside":
+            raise PointOutsidePolygon(f"{tuple(q)} outside the polygon")
+    sol = _solve_on(tp, spts)
     inv = 1.0 / scale
     assign = {(q.x, q.y): sol.assignment[(q.x * scale, q.y * scale)] for q in pts}
     return TwoCenterSolution(

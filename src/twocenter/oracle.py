@@ -324,8 +324,8 @@ def _point_boundary_dist(ring, x, y) -> float:
                for i in range(len(ring)))
 
 
-def oracle_one_center(poly, sites, n_grid: int = 96, refine: int = 6,
-                      polish: bool = True) -> Tuple[Point2, float]:
+def oracle_one_center(poly, sites, n_grid: int = 96,
+                      refine: int = 6) -> Tuple[Point2, float]:
     """Smallest enclosing geodesic disk of sites, by exhaustive search.
 
     Returns (center, radius).  Grid search over candidate centers with
@@ -356,15 +356,13 @@ def oracle_one_center(poly, sites, n_grid: int = 96, refine: int = 6,
         if float(vals[k]) < bval:
             bx, by, bval = float(Xw[k]), float(Yw[k]), float(vals[k])
         half /= 3
-    if polish:
-        c, v = _polish(geo, fields, bx, by)
-        if v < bval:
-            return c, v
+    c, v = _polish(geo, fields, bx, by)
+    if v < bval:
+        return c, v
     return Point2(bx, by), bval
 
 
-def oracle_two_center(poly, sites, n_grid: int = 64, refine: int = 5,
-                      max_sites: int = 12):
+def oracle_two_center(poly, sites, n_grid: int = 64, refine: int = 5):
     """Best split of sites into two geodesic disks, by enumeration.
 
     Returns (radius, (center1, center2), (side1, side2)).  Coarse grid
@@ -372,8 +370,8 @@ def oracle_two_center(poly, sites, n_grid: int = 64, refine: int = 5,
     """
     sites = [Point2(s[0], s[1]) for s in sites]
     m = len(sites)
-    if m > max_sites:
-        raise TooLarge(f"{m} sites; enumeration capped at {max_sites}")
+    if m > 12:
+        raise TooLarge(f"{m} sites; enumeration capped at 12")
     if m == 0:
         raise ValueError("no sites")
     if m <= 2:

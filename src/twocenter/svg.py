@@ -35,13 +35,12 @@ def _path(pts: Sequence[Point2], closed: bool) -> str:
     return " ".join(parts)
 
 
-def disk_outline(tp: TriangulatedPolygon, c: Point2, r: float,
-                 samples: int = 512) -> List[List[Point2]]:
+def disk_outline(tp: TriangulatedPolygon, c: Point2, r: float) -> List[List[Point2]]:
     """Polylines tracing the geodesic circle of radius r around c.
 
     The circle may be clipped into several arc pieces by the polygon
-    boundary; the sample budget is split across pieces by arc length,
-    at least two points per piece.
+    boundary; a budget of 512 samples is split across pieces by arc
+    length, at least two points per piece.
     """
     arcs = geodesic_circle(tp, c, r)
     if not arcs:
@@ -50,7 +49,7 @@ def disk_outline(tp: TriangulatedPolygon, c: Point2, r: float,
     out = []
     for a in arcs:
         share = a.length() / total if total > 0 else 1.0 / len(arcs)
-        k = max(2, int(round(samples * share)))
+        k = max(2, int(round(512 * share)))
         out.append([a.point(i / (k - 1)) for i in range(k)])
     return out
 

@@ -163,5 +163,22 @@ def test_render_rejects_bad_solution(capsys, tmp_path):
 
 
 def test_unknown_subcommand():
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["prove"])
+    assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["gen", "--n", "x"], ["gen", "--bogus"]])
+def test_usage_errors_exit_1(capsys, argv):
+    """A usage error is an invalid parameter (1), not a point outside (2)."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert "--oracle" in capsys.readouterr().out

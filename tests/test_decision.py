@@ -315,7 +315,17 @@ def test_chain_side_tags_an_arcless_side():
     got = dec.chain_side(h, pc, pc.chain1, r)
     assert got == ("noarcs", None)
     assert dec.chain_side(h, pc, pc.chain1, r) is got
-    assert dec.decide(h, 1, 5, r).branch == "no-arc-anomaly"
+    # yet the split is feasible there: enumeration finds covering centers
+    tol = h.ambient.tol.check
+    hit = dec._split_enumerate(h.region, pc, r, tol)
+    assert hit is not None and dec._coverage_ok(h.region, pc, r, *hit, tol)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="no-arc-anomaly answers a false no")
+def test_decide_accepts_the_arcless_split():
+    _, h = _solver_hull("random", 16, 8, 3)
+    assert dec.decide(h, 1, 5, 11.16605558243657).feasible
 
 
 # scripts/corpus_outputs.py's 12x6, 16x8 and 48x6 cells

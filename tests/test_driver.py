@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import warnings
 from collections import Counter
 
@@ -81,6 +82,24 @@ def test_empty_and_outside_raise():
         two_center(SimplePolygon(SQ4), [Point2(2, 2), Point2(5, 5)])
     with pytest.raises(PointOutsidePolygon):
         two_center(SimplePolygon(L6), [Point2(3, 3)])
+
+
+@pytest.mark.parametrize("e", [-14, 0, 20])
+def test_outside_check_is_scale_free(e):
+    """Q is checked once, at the solve's scale: instances that differ by an
+    exact power-of-two scaling are accepted or refused alike, and a refusal
+    names the point as the caller passed it."""
+    L = 2.0 ** e
+    poly = SimplePolygon([Point2(0, 0), Point2(L, 0), Point2(L, L), Point2(0, L)])
+
+    def points(delta):
+        return [(L / 2, L / 2), (L / 4, L / 4), (L * (1 + delta), L / 2)]
+
+    sol = two_center(poly, points(2.0 ** -40))
+    assert sol.radius / L == 0.1767766952966369
+    far = points(2.0 ** -20)[2]
+    with pytest.raises(PointOutsidePolygon, match=re.escape(f"{far} outside")):
+        two_center(poly, points(2.0 ** -20))
 
 
 def test_scaling_invariance():
