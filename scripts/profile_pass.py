@@ -22,7 +22,7 @@ triangles their walks expanded (`SiteMap._expand`), against the
 triangles of all the maps built, which shows how much of each map its
 queries needed, the `seg_point_distance` calls, the `RingIndex` queries by kind (classify,
 near), the `decide` calls with how many of them computed a fresh
-`chain_side` (one its hull's side cache did not hold yet) and how many
+`chain_side` (one that grew its split's `PairChains.sides`) and how many
 the bound exit (`decision.below_bound`) answered before any `chain_side`
 call, and the chart circles `disks._charts` built around ring corners
 against the corners it was offered, and the probe rounds of
@@ -30,16 +30,17 @@ against the corners it was offered, and the probe rounds of
 (it reached a split with free points and returned without one, its
 largest probe failing `chain_infeasible`) or settled by the bound
 (returned without one otherwise: its other probes are below L_ij and
-`decide` rejects the largest).  It counts the `one_center` solves (calls
-that grew the region's one-center cache) by the function that called
-`one_center` (`chain_radius`, `pair_chains`, `shared_vertex_decide`,
-`pair_coincidence_radius`, `hull_center`, ...),
-and the skips of the gates that spare one: the chain splits whose
-balance `driver.split_order` never solved, the shared-vertex tries
-skipped on `PairChains.far`, the `pair_coincidence_radius` calls
-answered from a chain-plus-one-point one-center, and the `one_center`
-coverage tests that `disks._within` answered from the Euclidean
-distance.  Each counted function is one row of `counting_pass`'s table,
+`decide` rejects the largest).  It counts the `one_center` calls, and
+the solves among them (calls that grew the region's one-center cache),
+by the function that called `one_center` (`chain_radius`, `pair_chains`,
+`shared_vertex_decide`, `hull_center`, ...; a call through
+`decision.chain_center` is named by its caller), and the skips of the
+gates that spare one: the chain splits whose balance
+`driver.split_order` never solved, the shared-vertex tries skipped on
+`PairChains.far`, the `pair_coincidence_radius` calls answered from a
+chain-plus-one-point one-center (`PairChains.reach`), and the
+`one_center` coverage tests that `disks._within` answered from the
+Euclidean distance.  Each counted function is one row of `counting_pass`'s table,
 rebound for the first pass only.  The second pass runs under cProfile;
 the script prints its top N functions by the chosen sort key, then the
 counts of the first pass.  An operation that raises is counted by error
@@ -72,8 +73,11 @@ ONE_CENTER_FRAMES = ("one_center", "mtf1", "mtf2")
 # the `SiteMap` methods that read a point's anchor, walking on a miss
 READ_METHODS = ("distance", "anchor", "path")
 
-# their code and `_anchor`'s, which a walk's reader is looked for above
-READ_CODES = {vars(region.SiteMap)[name].__code__ for name in READ_METHODS + ("_anchor",)}
+# their code and `_anchor`'s, which a walk's reader is looked for above, and
+# that of the reader of a split's one-centers, which a call's caller is
+# looked for above
+SKIPPED_CODES = ({vars(region.SiteMap)[name].__code__ for name in READ_METHODS + ("_anchor",)}
+                 | {decision.chain_center.__code__})
 
 
 class Repeats:
@@ -101,10 +105,11 @@ def caller() -> str:
     """Name of the function that made the counted call: the first frame
     up the stack that is not this script's (the counters and the thin
     functions that call them), nor a `SiteMap` read method or `_anchor`
-    (so that a walk is named by the function that made the read), nor a
-    comprehension."""
+    (so that a walk is named by the function that made the read), nor
+    `decision.chain_center` (so that a `one_center` call is named by the
+    function that read the split), nor a comprehension."""
     frame = sys._getframe(1)
-    while (frame.f_globals is globals() or frame.f_code in READ_CODES
+    while (frame.f_globals is globals() or frame.f_code in SKIPPED_CODES
            or frame.f_code.co_name.startswith("<")):
         frame = frame.f_back
     return frame.f_code.co_name
@@ -147,12 +152,13 @@ def counting_pass(ops, inter: Repeats, basis: Tuple[Repeats, Repeats],
     ("walk.<reader>"), builds and expanded triangles, the `orientation`,
     `_ray_enters` and `compute_events` calls, the `_disk2` and `_solve3`
     calls that solved their basis, `seg_point_distance`, the `RingIndex`
-    queries, the `decide` calls, those of them that grew their hull's
-    side cache and those the bound exit answered without a `chain_side`
-    call, the `_charts` calls with their corner circles and the ring
-    corners offered, the probe rounds run, skipped and settled by the
-    bound with the `_event_signature` calls, the `one_center` solves by
-    caller ("solve.<function>") and the gates' skips."""
+    queries, the `decide` calls, those of them that grew their split's
+    `PairChains.sides` and those the bound exit answered without a
+    `chain_side` call, the `_charts` calls with their corner circles and
+    the ring corners offered, the probe rounds run, skipped and settled
+    by the bound with the `_event_signature` calls, the `one_center` calls
+    ("call.<function>") and solves ("solve.<function>") by caller and the
+    gates' skips."""
     disk2, solve3 = basis
 
     def count(key):
@@ -178,7 +184,7 @@ def counting_pass(ops, inter: Repeats, basis: Tuple[Repeats, Repeats],
 
     def decide(plain, h, i, j, r):
         calls["decide"] += 1
-        side_cache = h.hull_region._side_cache
+        side_cache = decision.pair_chains(h, i, j).sides
         before, sides = len(side_cache), calls["chain_side"]
         res = plain(h, i, j, r)
         calls["decide.fresh_side"] += len(side_cache) > before
@@ -187,11 +193,11 @@ def counting_pass(ops, inter: Repeats, basis: Tuple[Repeats, Repeats],
         return res
 
     def charts(plain, reg, q, r):
-        out, ext_segs = plain(reg, q, r)
+        out = plain(reg, q, r)
         calls["charts"] += 1
         calls["charts.circles"] += len(out) - 1    # the site's own is not a corner's
         calls["charts.corners"] += len(reg.corners)
-        return out, ext_segs
+        return out
 
     def narrow(plain, h, i, j, iv):
         before = calls["signature"]
@@ -209,10 +215,10 @@ def counting_pass(ops, inter: Repeats, basis: Tuple[Repeats, Repeats],
 
     def one_center(plain, space, pts):
         cache = disks._as_region(space)._onecenter_cache
-        before = len(cache)
+        before, name = len(cache), caller()
         out = plain(space, pts)
-        if len(cache) > before:
-            calls["solve." + caller()] += 1
+        calls["call." + name] += 1
+        calls["solve." + name] += len(cache) > before
         return out
 
     def order(plain, h):
@@ -233,12 +239,10 @@ def counting_pass(ops, inter: Repeats, basis: Tuple[Repeats, Repeats],
 
     def coincidence(plain, h, i, j, t, q1, q2, iv):
         pc = decision.pair_chains(h, i, j)
-        chain = pc.chain1 if t == 1 else pc.chain2
-        solve = disks.one_center.__wrapped__    # a gate's solve is not the caller's
+        cap = iv.hi + h.ambient.tol.near
         calls["coincidence"] += 1
         calls["coincidence.gated"] += any(
-            solve(h.region, list(chain) + [q]).radius > iv.hi + h.ambient.tol.near
-            for q in (q1, q2))
+            decision.chain_center(h.region, pc, t - 1, [q]).radius > cap for q in (q1, q2))
         return plain(h, i, j, t, q1, q2, iv)
 
     def within(plain, reg, q, x, r, tol):
@@ -351,10 +355,11 @@ def main() -> int:
     print(f"probe rounds: {calls['probe.run']} run ({calls['signature']} "
           f"_event_signature calls), {calls['probe.skipped']} skipped, "
           f"{calls['probe.settled']} settled by the bound")
-    solves = sorted(((n, key[len("solve."):]) for key, n in calls.items()
-                     if key.startswith("solve.")), reverse=True)
-    print(f"one_center: {sum(n for n, _f in solves)} solves; by caller "
-          + ", ".join(f"{f} {n}" for n, f in solves))
+    by_caller = sorted(((n, key[len("call."):]) for key, n in calls.items()
+                        if key.startswith("call.")), reverse=True)
+    print(f"one_center: {sum(n for n, _f in by_caller)} calls, "
+          f"{sum(calls['solve.' + f] for _n, f in by_caller)} solves; by caller "
+          + ", ".join(f"{f} {n} ({calls['solve.' + f]})" for n, f in by_caller))
     print(f"gates: {calls['splits'] - calls['splits.balanced']} of {calls['splits']} "
           f"chain splits never balanced ({calls['splits.yielded']} yielded); "
           f"{calls['shared.skipped']} of {calls['shared.tries']} shared-vertex tries "

@@ -2,16 +2,17 @@
 
 decide(h, i, j, r) answers whether two geodesic disks of radius r can
 cover Q so that disk 1 contains the extreme chain v_{j+1}..v_i and disk 2
-contains v_{i+1}..v_j.  The cascade runs top to bottom, certain exits
-first: whole-hull disk, chain one-centers, the split's one-center lower
-bound L_ij (`below_bound`: some free point is out of both chains'
-reach, a "no" labelled forced-overload), the shared-vertex witness
-(one-centers only, tried before any disk intersection is built; a
-chain whose one-center with some free point, `PairChains.far`, is
-already past r is not tried with them all),
-interior-free exit, empty or pinched intersections, forced points (one
-that neither chain reaches is forced to both sides).  Then the
-"one-side-quiet" witness is tried from either side.  When it finds
+contains v_{i+1}..v_j.  Every stage reads the split's chain one-centers
+and disk intersections from its one record, `PairChains`.  The cascade
+runs top to bottom, certain exits first: whole-hull disk, chain
+one-centers, the split's one-center lower bound L_ij (`below_bound`:
+some free point is out of both chains' reach, a "no" labelled
+forced-overload), the shared-vertex witness (one-centers only, tried
+before any disk intersection is built; a chain whose one-center with
+some free point, `PairChains.far`, is already past r is not tried with
+them all), interior-free exit, empty or pinched intersections, forced
+points (one that neither chain reaches is forced to both sides).  Then
+the "one-side-quiet" witness is tried from either side.  When it finds
 none, exhaustive split enumeration settles the answer; above
 SPLIT_ENUM_CAP free points nothing settles it and CertificateError is
 raised.
@@ -20,10 +21,11 @@ from __future__ import annotations
 
 from collections import Counter
 from contextvars import ContextVar
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .disks import ArcBoundary, compute_events, disks_intersection, one_center
+from .disks import (ArcBoundary, OneCenterResult, compute_events,
+                    disks_intersection, one_center)
 from .errors import CertificateError, InvalidPair
 from .geom import Point2, dist, seg_point_distance, unique_points
 from .hull import GeodesicHull
@@ -38,14 +40,18 @@ class PairChains:
     chain1: Tuple[Point2, ...]   # v_{j+1} .. v_i, served by c1
     chain2: Tuple[Point2, ...]   # v_{i+1} .. v_j, served by c2
     free: Tuple[Point2, ...]     # points not pinned to either chain
-    # L_ij = max(larger chain one-center radius, max over free q of
-    # min_t one_center(C_t + q) radius): two disks of a smaller radius
-    # cannot hold both chains and every free point
+    centers: Tuple[OneCenterResult, OneCenterResult]   # one_center of chain1, of chain2
+    # per chain t, one_center(C_t + q) of each free q, in the order of `free`
+    reach: Tuple[Tuple[OneCenterResult, ...], Tuple[OneCenterResult, ...]]
+    # L_ij = max(larger `centers` radius, max over free q of min_t `reach`
+    # radius): two disks of a smaller radius cannot hold both chains and
+    # every free point
     bound: float
-    # per chain t, the largest one_center(C_t + q) radius over free q
-    # (0.0 with none): no disk of a smaller radius holds C_t and every
-    # free point
+    # per chain t, the largest `reach` radius (0.0 with no free point): no
+    # disk of a smaller radius holds C_t and every free point
     far: Tuple[float, float]
+    # `chain_side` by (chain, r), filled as radii are asked
+    sides: Dict[tuple, Tuple[str, object]] = field(default_factory=dict, compare=False)
 
 
 def pair_chains(h: GeodesicHull, i: int, j: int) -> PairChains:
@@ -76,13 +82,29 @@ def pair_chains(h: GeodesicHull, i: int, j: int) -> PairChains:
             if not on_portion(b, p1) and not on_portion(b, p2):
                 free.append(b)
     region = h.region
-    reach = [[one_center(region, c + (q,)).radius for q in free] for c in (c1, c2)]
-    bound = max([one_center(region, c).radius for c in (c1, c2)]
-                + [min(a, b) for a, b in zip(*reach)])
-    far = (max(reach[0], default=0.0), max(reach[1], default=0.0))
-    pc = PairChains(i, j, c1, c2, tuple(free), bound, far)
+    reach = tuple(tuple(one_center(region, c + (q,)) for q in free) for c in (c1, c2))
+    centers = (one_center(region, c1), one_center(region, c2))
+    bound = max([oc.radius for oc in centers]
+                + [min(a.radius, b.radius) for a, b in zip(*reach)])
+    far = tuple(max((oc.radius for oc in ocs), default=0.0) for ocs in reach)
+    pc = PairChains(i, j, c1, c2, tuple(free), centers, reach, bound, far)
     cache[(i, j)] = pc
     return pc
+
+
+def chain_center(region: Region, pc: PairChains, t: int,
+                 pts: Sequence[Point2]) -> OneCenterResult:
+    """one_center(C + pts), C = pc.chain1 (t = 0) or pc.chain2 (t = 1), read
+    from `centers` or `reach` when pts adds at most one free point to C."""
+    chain = (pc.chain1, pc.chain2)[t]
+    extra = {_key(p) for p in pts} - {_key(e) for e in chain}
+    if not extra:
+        return pc.centers[t]
+    if len(extra) == 1:
+        for q, oc in zip(pc.free, pc.reach[t]):
+            if _key(q) in extra:
+                return oc
+    return one_center(region, list(chain) + list(pts))
 
 
 @dataclass
@@ -125,10 +147,10 @@ def shared_vertex_decide(h: GeodesicHull, i: int, j: int, r: float):
     for vx in unique_points([h.extreme(i), h.extreme(i + 1),
                              h.extreme(j), h.extreme(j + 1)]):
         for s1, s2 in tries:
-            d1 = one_center(region, list(pc.chain1) + [vx] + s1)
+            d1 = chain_center(region, pc, 0, [vx] + s1)
             if d1.radius > r + tols.radius:
                 continue
-            d2 = one_center(region, list(pc.chain2) + [vx] + s2)
+            d2 = chain_center(region, pc, 1, [vx] + s2)
             if d2.radius > r + tols.radius:
                 continue
             if _coverage_ok(region, pc, r, d1.center, d2.center, tols.check):
@@ -173,13 +195,11 @@ def chain_side(h: GeodesicHull, pc: PairChains, chain: Tuple[Point2, ...],
     ("noarcs", None), or ("arcs", its SideData over pc.free, whose
     events are computed on their first read).
 
-    Computed once per hull, chain and radius, so that a probe of
-    `optimize._event_signature` and a `decide` at the same radius share
-    it.  An error is not cached; a repeat call raises it again.
+    Computed once per split, chain and radius, and kept in `pc.sides`, so
+    that a probe of `optimize._event_signature` and a `decide` at the same
+    radius share it.  An error is not kept; a repeat call raises it again.
     """
-    cache = h.hull_region._side_cache
-    key = (chain, pc.free, r)
-    hit = cache.get(key)
+    hit = pc.sides.get((chain, r))
     if hit is None:
         b = disks_intersection(h.hull_region, chain, r)
         if b is None:
@@ -190,7 +210,7 @@ def chain_side(h: GeodesicHull, pc: PairChains, chain: Tuple[Point2, ...],
             hit = ("noarcs", None)
         else:
             hit = ("arcs", SideData(h.region, b, pc.free))
-        cache[key] = hit
+        pc.sides[chain, r] = hit
     return hit
 
 
@@ -205,17 +225,16 @@ def one_side_witness(region: Region, pc: PairChains, r: float,
     disk a takes whatever disk b's one-center leaves uncovered.
     """
     tols = region.tp.tol
-    chains = (pc.chain1, pc.chain2)
     for a, b in ((0, 1), (1, 0)):
         need = {_key(q) for q in forced[b]}
         pts = [q for q in pc.free
                if _key(q) in need or sides[a].get(_key(q)) == "disjoint"]
-        ocb = one_center(region, list(chains[b]) + pts)
+        ocb = chain_center(region, pc, b, pts)
         if ocb.radius > r + tols.radius:
             continue
         rest = [q for q in pc.free
                 if region.site_map(q).distance(ocb.center) > r + tols.check]
-        ca = one_center(region, list(chains[a]) + rest).center
+        ca = chain_center(region, pc, a, rest).center
         c1, c2 = (ca, ocb.center) if a == 0 else (ocb.center, ca)
         if _coverage_ok(region, pc, r, c1, c2, tols.check):
             return c1, c2
@@ -237,8 +256,7 @@ def chain_infeasible(h: GeodesicHull, pc: PairChains, r: float) -> bool:
     "hull-radius" one: a chain's one-center radius exceeds r by more than
     tol.radius.  It holds on an initial run of any ascending radii."""
     eps = h.ambient.tol.radius
-    oc1, oc2 = (one_center(h.region, c) for c in (pc.chain1, pc.chain2))
-    return oc1.radius > r + eps or oc2.radius > r + eps
+    return any(oc.radius > r + eps for oc in pc.centers)
 
 
 def below_bound(h: GeodesicHull, pc: PairChains, r: float) -> bool:
@@ -284,8 +302,7 @@ def _decide(h: GeodesicHull, i: int, j: int, r: float) -> DecisionResult:
         return DecisionResult(True, "shared-vertex", sv)
 
     if not pc.free:
-        oc1, oc2 = (one_center(region, c) for c in (pc.chain1, pc.chain2))
-        return DecisionResult(True, "no-free-points", (oc1.center, oc2.center))
+        return DecisionResult(True, "no-free-points", tuple(oc.center for oc in pc.centers))
 
     (t1, s1), (t2, s2) = (chain_side(h, pc, c, r) for c in (pc.chain1, pc.chain2))
     if "empty" in (t1, t2):
@@ -298,10 +315,10 @@ def _decide(h: GeodesicHull, i: int, j: int, r: float) -> DecisionResult:
             if _coverage_ok(region, pc, r, c1, c2, tol):
                 return DecisionResult(True, "pinched", (c1, c2))
             return DecisionResult(False, "pinched")
-        fixed, other_chain = (c1, pc.chain2) if c1 is not None else (c2, pc.chain1)
+        fixed, other = (c1, 1) if c1 is not None else (c2, 0)
         assert fixed is not None
         rest = [q for q in pc.free if region.site_map(q).distance(fixed) > r + tol]
-        oc = one_center(region, list(other_chain) + rest)
+        oc = chain_center(region, pc, other, rest)
         if oc.radius <= r + eps:
             cc1, cc2 = (fixed, oc.center) if c1 is not None else (oc.center, fixed)
             if _coverage_ok(region, pc, r, cc1, cc2, tol):
@@ -316,14 +333,11 @@ def _decide(h: GeodesicHull, i: int, j: int, r: float) -> DecisionResult:
 
     # a point's disk may meet I_t only through a strip along the hull
     # boundary, so arc classifications alone cannot prove infeasibility;
-    # reachability is decided by a one-center instead
-    def reach(chain, q) -> bool:
-        return one_center(region, list(chain) + [q]).radius <= r + eps
-
-    forced2 = [q for q in pc.free if not reach(pc.chain1, q)]
-    forced1 = [q for q in pc.free if not reach(pc.chain2, q)]
-    if any(one_center(region, list(c) + f).radius > r + eps
-           for c, f in ((pc.chain1, forced1), (pc.chain2, forced2))):
+    # reachability is decided by a one-center (`pc.reach`) instead
+    forced2 = [q for q, oc in zip(pc.free, pc.reach[0]) if oc.radius > r + eps]
+    forced1 = [q for q, oc in zip(pc.free, pc.reach[1]) if oc.radius > r + eps]
+    if any(chain_center(region, pc, t, f).radius > r + eps
+           for t, f in enumerate((forced1, forced2))):
         return DecisionResult(False, "forced-overload")
 
     hit = one_side_witness(region, pc, r, (s1.sides, s2.sides), (forced1, forced2))
@@ -349,10 +363,10 @@ def _split_enumerate(region: Region, pc: PairChains, r: float, tol: float):
     eps = region.tp.tol.radius
 
     def rec(idx: int, s1: List[Point2], s2: List[Point2]):
-        oc1 = one_center(region, list(pc.chain1) + s1)
+        oc1 = chain_center(region, pc, 0, s1)
         if oc1.radius > r + eps:
             return None
-        oc2 = one_center(region, list(pc.chain2) + s2)
+        oc2 = chain_center(region, pc, 1, s2)
         if oc2.radius > r + eps:
             return None
         if idx == len(free):

@@ -119,35 +119,26 @@ def ring_elements_cw(ring) -> List[Element]:
 
 # -- anchor charts of one site ----------------------------------------
 
-def _charts(region: Region, q: Point2, r: float):
+def _charts(region: Region, q: Point2, r: float) -> List[Tuple[Point2, float]]:
     """Anchors of q's geodesic circle at radius r with their Euclidean
-    radii, plus the straight extension segments bounding each anchor's
-    validity cell.
+    radii.
 
     The anchors are q itself and the ring corners that are polygon
     vertices.  A shortest path in a simple polygon bends only at polygon
     vertices (Guibas, Hershberger, Leven, Sharir and Tarjan 1987), so no
     arc of q's circle is centered at any other corner, such as a point
-    of Q on a hull ring; such a corner gets no chart and no extension
-    segment."""
+    of Q on a hull ring; such a corner gets no chart."""
     q = Point2(q[0], q[1])
     charts: List[Tuple[Point2, float]] = [(q, r)]
-    ext_segs: List[Tuple[Point2, Point2]] = []
-    ext, sq = region.tree(q), region.site_map(q)
+    sq = region.site_map(q)
     vertices = region.tp.index
     for w in region.corners:
         if _key(w) not in vertices:
             continue
         R = r - sq.distance(w)
-        if R <= 1e-12:
-            continue
-        if dist(w, q) <= 1e-12:
-            continue
-        charts.append((w, R))
-        h = ext.get(_key(w))
-        if h is not None:
-            ext_segs.append((w, h))
-    return charts, ext_segs
+        if R > 1e-12 and dist(w, q) > 1e-12:
+            charts.append((w, R))
+    return charts
 
 
 def _within(region: Region, q: Point2, x, r: float, tol: float) -> bool:
@@ -253,7 +244,10 @@ def _clip(region: Region, elements: List[Element], q: Point2, r: float,
     empty otherwise.
     """
     q = Point2(q[0], q[1])
-    charts, ext_segs = _charts(region, q, r)
+    charts = _charts(region, q, r)
+    # the straight extension segments bounding each corner chart's cell
+    ext = region.tree(q)
+    ext_segs = [(w, ext[_key(w)]) for w, _R in charts[1:] if _key(w) in ext]
     tols = region.tp.tol
     tol = tols.check
     sq = region.site_map(q)
@@ -413,7 +407,7 @@ def compute_events(region: Region, boundary: ArcBoundary,
     sides: Dict[Tuple[float, float], str] = {}
     for q in interior:
         q = Point2(q[0], q[1])
-        charts, _ = _charts(region, q, r)
+        charts = _charts(region, q, r)
         # split every arc at q's circle crossings, classify sub-arcs
         covered = [_within(region, q, s.point(0.5), r, tol)
                    for arc in arcs

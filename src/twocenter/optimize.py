@@ -21,7 +21,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple
 
-from .decision import (DecisionResult, PairChains, below_bound,
+from .decision import (DecisionResult, PairChains, below_bound, chain_center,
                        chain_infeasible, chain_side, decide, pair_chains)
 from .disks import one_center
 from .errors import InfeasibleInterval
@@ -145,13 +145,9 @@ def interval_candidates(h: GeodesicHull, i: int, j: int) -> List[float]:
     for those of its extremes' subsets, no larger and never decided."""
     pc = pair_chains(h, i, j)
     region, ring, free = h.region, h.hull_region, pc.free
-    vals: List[float] = []
-    for chain in (pc.chain1, pc.chain2):
-        ext = list(chain)
-        vals.append(one_center(region, ext).radius)
-        for q in free:
-            vals += [0.5 * region.site_map(q).distance(e) for e in ext]
-            vals.append(one_center(region, ext + [q]).radius)
+    vals = [oc.radius for oc in pc.centers + pc.reach[0] + pc.reach[1]]
+    vals += [0.5 * region.site_map(q).distance(e)
+             for chain in (pc.chain1, pc.chain2) for q in free for e in chain]
     pts = pc.chain1 + pc.chain2 + free
     charts = {p: _segment_charts(ring, p) for p in pts}
     # radii at which an arc endpoint crosses a hull corner, read from the
@@ -259,7 +255,7 @@ def pair_coincidence_radius(h: GeodesicHull, i: int, j: int, t: int, q1: Point2,
     it, a chain extreme pins it to the arcs, and it lies in iv.
 
     None comes without solving chain + q1 + q2 when chain + q1 or chain +
-    q2, which `pair_chains` solved for L_ij, exceeds iv.hi + tol.near: the
+    q2, read from `PairChains.reach`, exceeds iv.hi + tol.near: the
     larger set's radius, less tol.near of rounding, is no smaller."""
     if q1 == q2:
         raise ValueError("q1 == q2")
@@ -267,7 +263,7 @@ def pair_coincidence_radius(h: GeodesicHull, i: int, j: int, t: int, q1: Point2,
     chain = pc.chain1 if t == 1 else pc.chain2
     region = h.region
     cap = iv.hi + region.tp.tol.near
-    if any(one_center(region, list(chain) + [q]).radius > cap for q in (q1, q2)):
+    if any(chain_center(region, pc, t - 1, [q]).radius > cap for q in (q1, q2)):
         return None
     oc = one_center(region, list(chain) + [q1, q2])
     tol = region.tp.tol.check

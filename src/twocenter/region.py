@@ -232,9 +232,6 @@ class Region:
     - `_basis_cache`: the one-center of a basis of two or three points,
       `disks._disk2` and `disks._solve3`, by the points' coordinates in
       argument order.
-    - `_side_cache`: `decision.chain_side`, the disk intersection of a
-      chain at radius r and its prepared side, by (chain, free points, r);
-      filled on a hull's ring region only.  Errors are not cached.
 
     The ring's `RingIndex` (`ring_index`) is built on the first membership
     or on-ring query and kept.
@@ -242,10 +239,10 @@ class Region:
     Shortest-path maps (`site_map`) and two-point paths (`path`) are
     cached on the TriangulatedPolygon instead, in `tp._site_maps` and
     `tp._path_cache`, and shared by every Region over it.  The map that
-    answers a two-point path is not kept.  Per-pair results live on the
-    GeodesicHull, in `h._chain_cache`: `decision.pair_chains` by (i, j).
-    A Region lives
-    as long as its holder: `Region.of(tp)` keeps the polygon's own on tp
+    answers a two-point path is not kept.  Per-split results live on the
+    GeodesicHull, in `h._chain_cache`: `decision.pair_chains` by (i, j),
+    whose record also keeps the split's disk intersections.  A Region
+    lives as long as its holder: `Region.of(tp)` keeps the polygon's own on tp
     and a GeodesicHull keeps its ring's, so within one solve every cache
     lives as long as the solve's TriangulatedPolygon.
     """
@@ -258,7 +255,6 @@ class Region:
         self._tree_cache: Dict[Key, Dict[Key, Point2]] = {}
         self._onecenter_cache: Dict[frozenset, object] = {}
         self._basis_cache: Dict[Tuple[float, ...], object] = {}
-        self._side_cache: Dict[tuple, object] = {}
         self._ring_index: Optional[RingIndex] = None
 
     @staticmethod

@@ -1,11 +1,13 @@
 import itertools
 import math
+import sys
 import warnings
 
 import pytest
 
 import twocenter.decision as dec
 import twocenter.disks as disks
+import twocenter.driver as drv
 import twocenter.optimize as opt
 from twocenter.driver import two_center
 from twocenter.errors import BoundaryAssemblyError, CertificateError, InvalidPair
@@ -14,6 +16,7 @@ from twocenter.hull import geodesic_hull
 from twocenter.instances import generate
 from twocenter.optimize import _event_signature
 from twocenter.polygon import SimplePolygon, triangulate
+from twocenter.region import Region
 
 SQRT2 = math.sqrt(2.0)
 
@@ -379,6 +382,73 @@ def test_bound_exit_answers_only_where_the_cascade_says_no(monkeypatch):
                 assert not res.feasible, (cell, i, j, r, res.branch)
     assert fired > 2 * raised, f"{raised} of {fired} bound exits raised past it"
     print(f"bound exit: {fired} fired, {raised} raised past it")
+
+
+# -- the split's record -----------------------------------------------------
+
+def _split_in(frame):
+    """The `PairChains` held by the nearest frame up the stack, or None."""
+    while frame is not None:
+        for val in frame.f_locals.values():
+            if isinstance(val, dec.PairChains):
+                return val
+        frame = frame.f_back
+    return None
+
+
+def _key_set(pts):
+    return frozenset((p[0], p[1]) for p in pts)
+
+
+def test_split_one_centers_are_read_from_its_record(monkeypatch):
+    # in the corpus solves, no one_center call that decision or optimize
+    # makes outside pair_chains takes a split's chain alone, or a chain and
+    # one of its free points: those are read from PairChains.centers and
+    # .reach, which equal fresh solves and give L_ij and `far`
+    asked, hulls = [], []
+    plain_center, plain_hull = dec.one_center, drv.geodesic_hull
+
+    def watching(space, pts):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):
+            frame = frame.f_back
+        pc = _split_in(frame)
+        if pc is not None and frame.f_code is not dec.pair_chains.__code__:
+            asked.append((pc, frame.f_code.co_name, _key_set(pts)))
+        return plain_center(space, pts)
+
+    monkeypatch.setattr(dec, "one_center", watching)
+    monkeypatch.setattr(opt, "one_center", watching)
+    monkeypatch.setattr(drv, "geodesic_hull", lambda tp, q: hulls.append(plain_hull(tp, q))
+                        or hulls[-1])
+    for cell in CORPUS_CELLS:
+        inst = generate(*cell)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                two_center(SimplePolygon(inst.polygon), inst.points)
+            except BoundaryAssemblyError:
+                assert cell == ("random", 16, 8, 1)
+    assert asked
+    for pc, caller, key in asked:
+        for chain in (pc.chain1, pc.chain2):
+            own = _key_set(chain)
+            assert key != own, (caller, pc.i, pc.j)
+            assert all(key != own | {(q.x, q.y)} for q in pc.free), (caller, pc.i, pc.j)
+    splits = 0
+    for h in hulls:
+        fresh = Region(h.ambient)
+        for pc in h._chain_cache.values():
+            splits += 1
+            chains = (pc.chain1, pc.chain2)
+            assert pc.centers == tuple(disks.one_center(fresh, c) for c in chains)
+            assert pc.reach == tuple(tuple(disks.one_center(fresh, c + (q,)) for q in pc.free)
+                                     for c in chains)
+            radii = [[oc.radius for oc in ocs] for ocs in pc.reach]
+            assert pc.bound == max([oc.radius for oc in pc.centers]
+                                   + [min(a, b) for a, b in zip(*radii)])
+            assert pc.far == tuple(max(rs, default=0.0) for rs in radii)
+    assert splits > len(CORPUS_CELLS)
 
 
 # -- lazy free-point events against eager ones -----------------------------

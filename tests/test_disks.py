@@ -285,18 +285,26 @@ def _charts_all_corners(region, q, r):
     or not: the slow reference for the vertex rule."""
     q = Point2(q[0], q[1])
     charts = [(q, r)]
-    ext_segs = []
     sq = region.site_map(q)
     for w in region.corners:
         R = r - sq.distance(w)
         if R <= 1e-12 or dist(w, q) <= 1e-12:
             continue
         charts.append((w, R))
-        # the extension ray at every corner, polygon vertex or not
-        hit = region._extend(sq.anchor(w)[0], w)
+    return charts
+
+
+def _tree_all_corners(region, s):
+    """`Region.tree` with the extension ray at every ring corner, polygon
+    vertex or not, and no cache: the reference for `_clip`'s extension
+    segments."""
+    sm = region.site_map(s)
+    ext = {}
+    for w in region.corners:
+        hit = region._extend(sm.anchor(w)[0], w)
         if hit is not None:
-            ext_segs.append((w, hit))
-    return charts, ext_segs
+            ext[(w.x, w.y)] = hit
+    return ext
 
 
 def _joins(a, b, tol):
@@ -405,17 +413,19 @@ def test_charts_only_at_polygon_vertices(cell, monkeypatch):
     pc = decision.pair_chains(h, p.i, p.j)
     for _i, _j, r, _f, _b in decided:
         for q in pc.chain1 + pc.chain2 + pc.free:
-            charts, ext_segs = disks._charts(reg, q, r)
+            charts = disks._charts(reg, q, r)
             assert charts[0] == (q, r)
             assert all((w.x, w.y) in tp.index for w, _R in charts[1:])
-            ref_charts, ref_segs = _charts_all_corners(reg, q, r)
+            ref_charts = _charts_all_corners(reg, q, r)
             assert charts[1:] == [c for c in ref_charts[1:] if (c[0].x, c[0].y) in tp.index]
-            assert ext_segs == [s for s in ref_segs if (s[0].x, s[0].y) in tp.index]
+            assert reg.tree(q) == {k: hit for k, hit in _tree_all_corners(reg, q).items()
+                                   if k in tp.index}
         if r >= h.hull_center().radius - tp.tol.radius:
             continue    # decide answers from the hull disk, no intersection
         got = [_intersection(reg, c, r) for c in (pc.chain1, pc.chain2)]
         with monkeypatch.context() as m:
             m.setattr(disks, "_charts", _charts_all_corners)
+            m.setattr(Region, "tree", _tree_all_corners)
             want = [_intersection(reg, c, r) for c in (pc.chain1, pc.chain2)]
         for g, w in zip(got, want):
             if any(x is None or isinstance(x, type) for x in (g, w)):
@@ -427,10 +437,33 @@ def test_charts_only_at_polygon_vertices(cell, monkeypatch):
 
     # the cascade answers the same on a fresh hull with every corner charted
     monkeypatch.setattr(disks, "_charts", _charts_all_corners)
+    monkeypatch.setattr(Region, "tree", _tree_all_corners)
     h_ref = geodesic_hull(tp, pts)
     for i, j, r, feasible, branch in decided:
         res = decision._decide(h_ref, i, j, r)
         assert (res.feasible, res.branch) == (feasible, branch), (cell, r)
+
+
+def test_no_solve_casts_extension_rays_in_the_polygon_region(monkeypatch):
+    # the free points' events read only their anchor charts in the polygon's
+    # own region; the extension rays bound the chart cells of `_clip`, which
+    # clips on a hull ring
+    asked = []
+    plain = Region.tree
+
+    def watching(region, s):
+        asked.append(region)
+        return plain(region, s)
+
+    monkeypatch.setattr(Region, "tree", watching)
+    for cell in BENCH_CELLS:
+        inst = generate(*cell)
+        try:
+            driver.two_center(SimplePolygon(inst.polygon), inst.points)
+        except BoundaryAssemblyError:
+            assert cell in FIRST_PAIR_RAISES
+    assert asked
+    assert not [reg for reg in asked if reg is Region.of(reg.tp)]
 
 
 # Intersections at radii no solve decides yet: (cell, pair, chain, r),
